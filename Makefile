@@ -1,17 +1,24 @@
 GO ?= go
 
-.PHONY: check vet build test race race-solver race-shard lint-state bench-smoke bench-json fuzz-smoke chaos crash-chaos service-chaos failover-chaos eco-chaos
+.PHONY: check vet build bench-build test race race-solver race-shard lint-state bench-smoke bench-json fuzz-smoke chaos crash-chaos service-chaos failover-chaos eco-chaos
 
-## check: the full pre-merge gate — vet, build, state lint, race-enabled
-## tests, bench smoke, chaos suite, crash-chaos suite, service-chaos suite,
-## failover-chaos suite, eco-chaos suite, fuzz smoke.
-check: vet build lint-state race-solver race-shard race bench-smoke chaos crash-chaos service-chaos failover-chaos eco-chaos fuzz-smoke
+## check: the full pre-merge gate — vet, build, benchmark-module build,
+## state lint, race-enabled tests, bench smoke, chaos suite, crash-chaos
+## suite, service-chaos suite, failover-chaos suite, eco-chaos suite, fuzz
+## smoke.
+check: vet build bench-build lint-state race-solver race-shard race bench-smoke chaos crash-chaos service-chaos failover-chaos eco-chaos fuzz-smoke
 
 vet:
 	$(GO) vet ./...
 
 build:
 	$(GO) build ./...
+
+## bench-build: vet and test the benchmark (crpbench, a nested module that
+## ./... at the root skips), so a flow API change that breaks it fails here
+## instead of when the benchmark runs.
+bench-build:
+	cd crpbench && $(GO) vet ./... && $(GO) test ./...
 
 test:
 	$(GO) test ./...
@@ -67,8 +74,8 @@ chaos:
 	$(GO) test -race -count=1 ./internal/faultinject
 
 ## crash-chaos: the crash-safety suite — kill-at-every-checkpoint-boundary
-## resume bit-identity, corrupt-checkpoint fallback, and the supervisor
-## driving a really-crashing child to completion (see EXPERIMENTS.md,
+## resume bit-identity, corrupt-checkpoint fallback, and a really-crashing
+## child process re-run until it completes (see EXPERIMENTS.md,
 ## "Kill/resume runbook").
 crash-chaos:
 	$(GO) test -race -count=1 -run 'TestResume|TestCheckpoint|TestSupervisor' ./internal/flow

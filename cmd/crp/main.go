@@ -13,11 +13,13 @@
 // With -eco-delta the command runs the incremental ECO entry point instead
 // of a full flow: the JSON delta (moved cells, rewired nets, added/removed
 // cells — see internal/eco) is applied transactionally and only the dirty
-// region is re-optimized, falling back to a full run when the edit is
-// structural or the dirty frontier keeps growing. -eco-from restores the
-// parent run's state from its checkpoint directory; without it the input
-// DEF's placement is taken as the parent state and global routing runs
-// fresh.
+// region is re-optimized, one scoped CR&P iteration per round, falling back
+// to a full run when the edit is structural or the dirty frontier keeps
+// growing. -eco-from restores the parent run's state from its checkpoint
+// directory; without it the input DEF's placement is taken as the parent
+// state and global routing runs fresh. In ECO mode -k is the iteration
+// count of the full-run fallback, as it is the iteration count of every
+// other CR&P run; the local rounds are unaffected.
 //
 // Without -out/-guide the flow still runs and prints the metrics, so the
 // command doubles as an evaluator for the CR&P flow. With -timeout or
@@ -28,8 +30,8 @@
 // With -checkpoint-dir the run journals a crash-safe checkpoint after
 // global routing and after every CR&P iteration; -resume continues from
 // the newest usable checkpoint (bit-identically to an uninterrupted run)
-// and silently starts fresh when the directory holds none — so a
-// supervisor (cmd/crpd) can restart the same command line after a crash.
+// and starts fresh when the directory holds none — so the same command
+// line can simply be rerun after a crash.
 // Output files are written atomically (temp + fsync + rename): a crash
 // mid-write never leaves a torn DEF or guide file behind.
 package main
@@ -44,7 +46,6 @@ import (
 
 	"github.com/crp-eda/crp/internal/atomicio"
 	"github.com/crp-eda/crp/internal/checkpoint"
-	"github.com/crp-eda/crp/internal/db"
 	"github.com/crp-eda/crp/internal/eco"
 	"github.com/crp-eda/crp/internal/eval"
 	"github.com/crp-eda/crp/internal/flow"
@@ -115,6 +116,9 @@ func main() {
 		d.Name, st.Cells, st.Nets, st.Rows, st.Node)
 
 	cfg := flow.DefaultConfig()
+	if *k > 0 {
+		cfg.CRP.Iterations = *k
+	}
 	cfg.CRP.Gamma = *gamma
 	cfg.CRP.Seed = *seed
 	cfg.CRP.ShardRegions = *shardRegs
@@ -123,12 +127,7 @@ func main() {
 	cfg.Budgets.CRPIteration = *iterTimeout
 	ctx := context.Background()
 
-	if *ecoDelta != "" {
-		runECO(ctx, d, cfg, *ecoFrom, *ecoDelta, *ecoHalo, *k, *outDEF, *outGuide, *showPhase)
-		return
-	}
-
-	if *baseline {
+	if *baseline && *ecoDelta == "" {
 		res := flow.RunBaseline(ctx, d, cfg)
 		fmt.Printf("baseline: %v\n", res.Metrics)
 		fmt.Printf("runtime: GR %.2fs, DR %.2fs\n",
@@ -146,8 +145,25 @@ func main() {
 		return
 	}
 
+	// Inputs that can be refused are checked before the outputs exist.
 	var ck *flow.Checkpointing
-	if *ckptDir != "" {
+	var parent *checkpoint.Manager
+	var delta *eco.Delta
+	switch {
+	case *ecoDelta != "":
+		raw, err := os.ReadFile(*ecoDelta)
+		if err != nil {
+			fatal(err)
+		}
+		if delta, err = eco.Parse(raw); err != nil {
+			fatal(err)
+		}
+		if *ecoFrom != "" {
+			if parent, err = checkpoint.Open(*ecoFrom, 0); err != nil {
+				fatal(err)
+			}
+		}
+	case *ckptDir != "":
 		mgr, err := checkpoint.Open(*ckptDir, *ckptKeep)
 		if err != nil {
 			fatal(err)
@@ -172,14 +188,20 @@ func main() {
 	// The flow writes the DEF/guides even on a degraded run, so a deadline
 	// still yields the best-so-far outputs before the non-zero exit.
 	var res *flow.Result
-	if *resume {
-		res, err = flow.Resume(ctx, d, *k, cfg, ck, defW, guideW)
+	opts := flow.ECOOptions{HaloGCells: *ecoHalo}
+	switch {
+	case parent != nil:
+		res, err = flow.ECOFromCheckpoint(ctx, d, parent, delta, cfg, opts, defW, guideW)
+	case delta != nil:
+		res, err = flow.RunECO(ctx, d, nil, delta, cfg, opts, defW, guideW)
+	case *resume:
+		res, err = flow.Resume(ctx, d, 0, cfg, ck, defW, guideW)
 		if errors.Is(err, flow.ErrNoCheckpoint) {
 			fmt.Println("no checkpoint to resume; starting fresh")
-			res, err = flow.RunCRPCheckpointed(ctx, d, *k, cfg, ck, defW, guideW)
+			res, err = flow.RunCRPCheckpointed(ctx, d, 0, cfg, ck, defW, guideW)
 		}
-	} else {
-		res, err = flow.RunCRPCheckpointed(ctx, d, *k, cfg, ck, defW, guideW)
+	default:
+		res, err = flow.RunCRPCheckpointed(ctx, d, 0, cfg, ck, defW, guideW)
 	}
 	if err != nil {
 		fatal(err)
@@ -188,7 +210,20 @@ func main() {
 		fatal(err)
 	}
 
-	fmt.Printf("CR&P k=%d: %v\n", *k, res.Metrics)
+	if es := res.ECO; es != nil {
+		fmt.Printf("ECO: %v\n", res.Metrics)
+		fmt.Printf("delta: %d moves, %d rewired nets, %d adds, %d removes\n",
+			es.DeltaMoves, es.DeltaNets, es.DeltaAdds, es.DeltaRemoves)
+		if es.FullRun {
+			fmt.Println("convergence: full-run fallback")
+		} else {
+			fmt.Printf("convergence: %d round(s), dirty %d/%d cells, halo widened: %v\n",
+				es.Rounds, es.DirtyCells, es.TotalCells, es.HaloWidened)
+		}
+		fmt.Printf("work: %d candidate estimates, ", es.CandidateEstimates)
+	} else {
+		fmt.Printf("CR&P k=%d: %v\n", *k, res.Metrics)
+	}
 	fmt.Printf("moved %d cells; runtime: GR %.2fs, CR&P %.2fs, DR %.2fs\n",
 		res.CRPStats.TotalMoved,
 		res.Timings.GlobalRoute.Seconds(),
@@ -199,13 +234,15 @@ func main() {
 		fmt.Printf("phases: GCP %.2fs, ECC %.2fs, UD %.2fs, Misc %.2fs\n",
 			ph.GCP.Seconds(), ph.ECC.Seconds(), ph.UD.Seconds(), ph.Misc().Seconds())
 	}
-	if *worst > 0 {
+	// The design reports read d, which a structural ECO delta replaces, so
+	// they describe full-flow runs only.
+	if *worst > 0 && res.ECO == nil {
 		fmt.Printf("\nworst %d nets:\n", *worst)
 		if err := eval.WriteNetReport(os.Stdout, d, res.Metrics, *worst); err != nil {
 			fatal(err)
 		}
 	}
-	if *heat {
+	if *heat && res.ECO == nil {
 		fmt.Println("\npost-flow congestion heatmap:")
 		// Rebuild the grid state by re-running GR on the final placement;
 		// cheap relative to the flow and avoids threading grid handles
@@ -222,83 +259,6 @@ func main() {
 	}
 	if *outGuide != "" {
 		fmt.Printf("wrote %s\n", *outGuide)
-	}
-	reportDegradations(res)
-	if res.DeadlineHit() {
-		fmt.Fprintln(os.Stderr, "crp: wall-clock budget expired; outputs hold the best-so-far solution")
-		os.Exit(1)
-	}
-}
-
-// runECO executes the incremental entry point: parse and validate the delta
-// file, restore the parent state from the -eco-from checkpoint directory (or
-// route the input placement fresh when omitted), and run the convergence
-// ladder. Outputs are committed atomically like the full flow's.
-func runECO(ctx context.Context, d *db.Design, cfg flow.Config, fromDir, deltaPath string, halo, k int, outDEF, outGuide string, showPhase bool) {
-	raw, err := os.ReadFile(deltaPath)
-	if err != nil {
-		fatal(err)
-	}
-	delta, err := eco.Parse(raw)
-	if err != nil {
-		fatal(err)
-	}
-
-	var outs atomicio.Outputs
-	defer outs.Abort()
-	defW, err := outs.Create(outDEF)
-	if err != nil {
-		fatal(err)
-	}
-	guideW, err := outs.Create(outGuide)
-	if err != nil {
-		fatal(err)
-	}
-
-	opts := flow.ECOOptions{MaxIters: k, HaloGCells: halo}
-	var res *flow.Result
-	if fromDir != "" {
-		mgr, err := checkpoint.Open(fromDir, 0)
-		if err != nil {
-			fatal(err)
-		}
-		res, err = flow.ECOFromCheckpoint(ctx, d, mgr, delta, cfg, opts, defW, guideW)
-		if err != nil {
-			fatal(err)
-		}
-	} else {
-		res, err = flow.RunECO(ctx, d, nil, delta, cfg, opts, defW, guideW)
-		if err != nil {
-			fatal(err)
-		}
-	}
-	if err := outs.Commit(); err != nil {
-		fatal(err)
-	}
-
-	fmt.Printf("ECO: %v\n", res.Metrics)
-	es := res.ECO
-	fmt.Printf("delta: %d moves, %d rewired nets, %d adds, %d removes\n",
-		es.DeltaMoves, es.DeltaNets, es.DeltaAdds, es.DeltaRemoves)
-	if es.FullRun {
-		fmt.Println("convergence: full-run fallback")
-	} else {
-		fmt.Printf("convergence: %d round(s), dirty %d/%d cells, halo widened: %v\n",
-			es.Rounds, es.DirtyCells, es.TotalCells, es.HaloWidened)
-	}
-	fmt.Printf("work: %d candidate estimates, moved %d cells; runtime: GR %.2fs, CR&P %.2fs, DR %.2fs\n",
-		es.CandidateEstimates, res.CRPStats.TotalMoved,
-		res.Timings.GlobalRoute.Seconds(), res.Timings.Middle.Seconds(), res.Timings.DetailRoute.Seconds())
-	if showPhase {
-		ph := res.Timings.CRPPhases
-		fmt.Printf("phases: GCP %.2fs, ECC %.2fs, UD %.2fs, Misc %.2fs\n",
-			ph.GCP.Seconds(), ph.ECC.Seconds(), ph.UD.Seconds(), ph.Misc().Seconds())
-	}
-	if outDEF != "" {
-		fmt.Printf("wrote %s\n", outDEF)
-	}
-	if outGuide != "" {
-		fmt.Printf("wrote %s\n", outGuide)
 	}
 	reportDegradations(res)
 	if res.DeadlineHit() {

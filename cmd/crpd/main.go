@@ -1,6 +1,5 @@
-// Command crpd is the CR&P daemon. It has grown from a single-child
-// restart supervisor into a long-running multi-tenant job service, and
-// runs in one of three modes:
+// Command crpd is the CR&P daemon: a long-running multi-tenant job service.
+// It runs in one of two modes:
 //
 // Daemon mode (-listen): serve the multi-tenant job API. Jobs — inline
 // LEF/DEF or synthetic designs plus CR&P parameters — are admitted into a
@@ -26,27 +25,20 @@
 // -shed-policy degrade[:k=N,at=F,budget-ms=M] turns on degraded admission
 // near queue saturation (every clamp is recorded in the job's result).
 //
-// Supervisor mode (trailing child command): the original self-healing
-// wrapper. It executes the child (typically a checkpointed crp
-// invocation) and restarts it with exponential backoff and jitter when it
-// crashes, up to a retry cap. SIGTERM/SIGINT interrupt the loop — even
-// mid-backoff — without starting further attempts.
-//
-//	crpd [-max-attempts 5] [-backoff 1s] [-max-backoff 30s] [-jitter-seed 1]
-//	     [-report report.json] -- crp -lef ... -def ... -checkpoint-dir ckpt -resume
-//
 // Worker mode (CRPD_RUN_JOB=<jobdir> in the environment): internal. A
 // daemon started with -isolate re-execs itself in this mode to run each
 // job attempt in its own process, so a worker crash — SIGKILL included —
 // cannot take the daemon or its other jobs down.
 //
-// Exit status: 0 on success, 1 on a failed run or report write, 2 on
-// usage errors; worker mode exits with the attempt's protocol code.
+// A single checkpointed run needs no daemon: `crp -checkpoint-dir DIR
+// -resume` continues a killed run bit-identically when rerun.
+//
+// Exit status: 0 on success, 1 on a failed serve or drain, 2 on usage
+// errors; worker mode exits with the attempt's protocol code.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -58,9 +50,7 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/crp-eda/crp/internal/atomicio"
 	"github.com/crp-eda/crp/internal/service"
-	"github.com/crp-eda/crp/internal/supervise"
 )
 
 func main() {
@@ -69,52 +59,40 @@ func main() {
 	}
 
 	var (
-		// Daemon mode.
-		listen      = flag.String("listen", "", "serve the job API on this address (daemon mode)")
-		dataDir     = flag.String("data-dir", "", "job state root (daemon mode; required with -listen)")
-		workers     = flag.Int("workers", 2, "concurrent job slots (daemon)")
-		queueCap    = flag.Int("queue-cap", 16, "bounded queue capacity (daemon)")
-		tenantAct   = flag.Int("tenant-cap-active", 0, "per-tenant queued+running cap, 0 = queue-cap (daemon)")
-		tenantRun   = flag.Int("tenant-cap-running", 0, "per-tenant running cap, 0 = workers (daemon)")
-		retryCap    = flag.Int("retry-cap", 3, "attempts per job activation (daemon)")
-		retryBudget = flag.Duration("retry-budget", 0, "wall-clock cap per activation's retries, 0 = uncapped (daemon)")
-		drainGrace  = flag.Duration("drain-grace", 10*time.Second, "wait for a checkpoint boundary before hard-cancelling (daemon)")
-		isolate     = flag.Bool("isolate", false, "run each job attempt in a child process (daemon)")
-		nodeID      = flag.String("node-id", "", "this daemon's identity in a shared job store, default node-<pid> (daemon)")
-		storeDir    = flag.String("store-dir", "", "shared job store root; overrides -data-dir (daemon)")
-		leaseTTL    = flag.Duration("lease-ttl", 10*time.Second, "job-claim lease TTL; failover latency after a node dies (daemon)")
-		shedPolicy  = flag.String("shed-policy", "off", "degraded admission near saturation: off | degrade[:k=N,at=F,budget-ms=M] (daemon)")
-		noCache     = flag.Bool("no-cache", false, "disable exact-result-cache serving at admission (daemon)")
-
-		// Supervisor mode.
-		maxAttempts = flag.Int("max-attempts", 5, "total executions before giving up (supervisor)")
-		base        = flag.Duration("backoff", time.Second, "delay before the first retry, doubles per retry (supervisor)")
-		maxBackoff  = flag.Duration("max-backoff", 30*time.Second, "backoff growth cap (supervisor)")
-		jitterSeed  = flag.Int64("jitter-seed", 1, "seed for the deterministic backoff jitter (supervisor)")
-		reportPath  = flag.String("report", "", "write the JSON attempt report here, atomically (supervisor)")
+		listen      = flag.String("listen", "", "serve the job API on this address")
+		dataDir     = flag.String("data-dir", "", "job state root (required unless -store-dir is set)")
+		workers     = flag.Int("workers", 2, "concurrent job slots")
+		queueCap    = flag.Int("queue-cap", 16, "bounded queue capacity")
+		tenantAct   = flag.Int("tenant-cap-active", 0, "per-tenant queued+running cap, 0 = queue-cap")
+		tenantRun   = flag.Int("tenant-cap-running", 0, "per-tenant running cap, 0 = workers")
+		retryCap    = flag.Int("retry-cap", 3, "attempts per job activation")
+		retryBudget = flag.Duration("retry-budget", 0, "wall-clock cap per activation's retries, 0 = uncapped")
+		drainGrace  = flag.Duration("drain-grace", 10*time.Second, "wait for a checkpoint boundary before hard-cancelling")
+		isolate     = flag.Bool("isolate", false, "run each job attempt in a child process")
+		nodeID      = flag.String("node-id", "", "this daemon's identity in a shared job store, default node-<pid>")
+		storeDir    = flag.String("store-dir", "", "shared job store root; overrides -data-dir")
+		leaseTTL    = flag.Duration("lease-ttl", 10*time.Second, "job-claim lease TTL; failover latency after a node dies")
+		shedPolicy  = flag.String("shed-policy", "off", "degraded admission near saturation: off | degrade[:k=N,at=F,budget-ms=M]")
+		noCache     = flag.Bool("no-cache", false, "disable exact-result-cache serving at admission")
 	)
 	flag.Parse()
 
-	switch {
-	case *listen != "":
-		dir := *dataDir
-		if *storeDir != "" {
-			dir = *storeDir
-		}
-		os.Exit(runDaemon(daemonFlags{
-			listen: *listen, dataDir: dir, workers: *workers,
-			queueCap: *queueCap, tenantActive: *tenantAct, tenantRunning: *tenantRun,
-			retryCap: *retryCap, retryBudget: *retryBudget, drainGrace: *drainGrace,
-			isolate: *isolate, nodeID: *nodeID, leaseTTL: *leaseTTL,
-			shedPolicy: *shedPolicy, noCache: *noCache,
-		}))
-	case len(flag.Args()) > 0:
-		os.Exit(runSupervisor(flag.Args(), *maxAttempts, *base, *maxBackoff, *jitterSeed, *reportPath))
-	default:
-		fmt.Fprintln(os.Stderr, "crpd: need -listen ADDR (daemon) or a child command (crpd [flags] -- cmd args...)")
+	if *listen == "" || flag.NArg() > 0 {
+		fmt.Fprintln(os.Stderr, "crpd: need -listen ADDR and no arguments (a killed crp run continues with crp -checkpoint-dir DIR -resume)")
 		flag.Usage()
 		os.Exit(2)
 	}
+	dir := *dataDir
+	if *storeDir != "" {
+		dir = *storeDir
+	}
+	os.Exit(runDaemon(daemonFlags{
+		listen: *listen, dataDir: dir, workers: *workers,
+		queueCap: *queueCap, tenantActive: *tenantAct, tenantRunning: *tenantRun,
+		retryCap: *retryCap, retryBudget: *retryBudget, drainGrace: *drainGrace,
+		isolate: *isolate, nodeID: *nodeID, leaseTTL: *leaseTTL,
+		shedPolicy: *shedPolicy, noCache: *noCache,
+	}))
 }
 
 type daemonFlags struct {
@@ -240,55 +218,5 @@ func runDaemon(f daemonFlags) int {
 		code = 1
 	}
 	<-errCh // ListenAndServe returns ErrServerClosed after Shutdown
-	return code
-}
-
-func runSupervisor(argv []string, maxAttempts int, base, maxBackoff time.Duration, jitterSeed int64, reportPath string) int {
-	job, err := supervise.Command(argv, os.Stdout, os.Stderr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "crpd:", err)
-		return 2
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
-	defer stop()
-	rep := supervise.RunCtx(ctx, supervise.Config{
-		MaxAttempts: maxAttempts,
-		BaseBackoff: base,
-		MaxBackoff:  maxBackoff,
-		JitterSeed:  jitterSeed,
-		OnAttempt: func(at supervise.Attempt) {
-			if at.Err == "" {
-				fmt.Fprintf(os.Stderr, "crpd: attempt %d succeeded in %s\n", at.N, at.Duration.Round(time.Millisecond))
-				return
-			}
-			fmt.Fprintf(os.Stderr, "crpd: attempt %d failed (exit %d) after %s: %s\n",
-				at.N, at.ExitCode, at.Duration.Round(time.Millisecond), at.Err)
-			if at.Backoff > 0 {
-				fmt.Fprintf(os.Stderr, "crpd: retrying in %s\n", at.Backoff.Round(time.Millisecond))
-			}
-		},
-	}, job)
-
-	code := 0
-	if reportPath != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err == nil {
-			err = atomicio.WriteFileBytes(reportPath, append(data, '\n'))
-		}
-		if err != nil {
-			// A report the caller asked for but did not get is a failure,
-			// even when the child itself succeeded.
-			fmt.Fprintln(os.Stderr, "crpd: writing report:", err)
-			code = 1
-		}
-	}
-	switch {
-	case rep.Cancelled:
-		fmt.Fprintf(os.Stderr, "crpd: cancelled after %d attempt(s)\n", len(rep.Attempts))
-		return 1
-	case !rep.Succeeded:
-		fmt.Fprintf(os.Stderr, "crpd: giving up after %d attempt(s)\n", len(rep.Attempts))
-		return 1
-	}
 	return code
 }

@@ -62,7 +62,7 @@ func main() {
 	must(err)
 	outGuide, err := os.Create(filepath.Join(dir, "fileflow_crp.guide"))
 	must(err)
-	res, err := flow.RunCRPWithOutputs(context.Background(), d, 5, flow.DefaultConfig(), outDEF, outGuide)
+	res, err := flow.RunCRPCheckpointed(context.Background(), d, 5, flow.DefaultConfig(), nil, outDEF, outGuide)
 	must(err)
 	must(outDEF.Close())
 	must(outGuide.Close())

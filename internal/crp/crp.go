@@ -405,36 +405,6 @@ func (e *Engine) Run(ctx context.Context) *Result {
 	return res
 }
 
-// RunUntilConverged iterates until an iteration moves fewer than minMoves
-// cells (or maxIters is reached) — the "continued to satisfy expected
-// requirements" stopping rule the paper sketches for its iterative flow.
-// minMoves of 1 stops at full convergence (an iteration with no moves).
-func (e *Engine) RunUntilConverged(ctx context.Context, maxIters, minMoves int) *Result {
-	if maxIters <= 0 {
-		maxIters = e.Cfg.Iterations
-	}
-	if minMoves <= 0 {
-		minMoves = 1
-	}
-	res := &Result{}
-	for k := 0; k < maxIters; k++ {
-		if err := ctx.Err(); err != nil {
-			res.Degradations = append(res.Degradations,
-				Degradation{Iter: e.iter + 1, Kind: "run-cancelled", Detail: err.Error()})
-			break
-		}
-		st := e.Iterate(ctx)
-		res.Iterations = append(res.Iterations, st)
-		res.TotalMoved += st.MovedCells
-		res.Degradations = append(res.Degradations, st.Degradations...)
-		if e.broken || st.MovedCells < minMoves {
-			break
-		}
-	}
-	res.CandidateEstimates = e.EstimateCount()
-	return res
-}
-
 // routeDemand sums the grid demand explained by the router's committed
 // routes: wire usage on layers >= 1 (layer 0 has no capacity and is excluded
 // from TotalWireUsage) and all via edges. The difference between the grid

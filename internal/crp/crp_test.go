@@ -298,23 +298,3 @@ func BenchmarkECCEstimateCosts(b *testing.B) {
 		e.estimateCosts(context.Background(), cands)
 	}
 }
-
-func TestRunUntilConverged(t *testing.T) {
-	d, g, r := fixture(t, 250, 200, 14)
-	e := New(d, g, r, smallConfig(1))
-	res := e.RunUntilConverged(context.Background(), 20, 1)
-	if len(res.Iterations) == 0 {
-		t.Fatal("no iterations ran")
-	}
-	if len(res.Iterations) == 20 {
-		t.Log("note: did not converge within 20 iterations")
-	} else {
-		last := res.Iterations[len(res.Iterations)-1]
-		if last.MovedCells >= 1 {
-			t.Errorf("stopped while still moving %d cells", last.MovedCells)
-		}
-	}
-	if err := d.Validate(); err != nil {
-		t.Fatalf("converged design invalid: %v", err)
-	}
-}

@@ -159,7 +159,7 @@ func TestChaosFlowDeadlineWritesOutputs(t *testing.T) {
 	cfg := quickConfig()
 	cfg.Budgets.Flow = time.Nanosecond
 	var def, guides bytes.Buffer
-	r, err := RunCRPWithOutputs(context.Background(), d, 2, cfg, &def, &guides)
+	r, err := RunCRPCheckpointed(context.Background(), d, 2, cfg, nil, &def, &guides)
 	if err != nil {
 		t.Fatal(err)
 	}

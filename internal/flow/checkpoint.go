@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"time"
 
 	"github.com/crp-eda/crp/internal/checkpoint"
 	"github.com/crp-eda/crp/internal/crp"
@@ -123,12 +122,14 @@ func (ck *Checkpointing) save(s session, engine *crp.Engine, kEff, totalMoved in
 	}
 }
 
-// runCheckpointedLoop executes the remaining CR&P iterations exactly as
-// crp.Engine.Run would — same cancellation check, same accumulation, same
-// stop-on-broken — committing a checkpoint after each iteration. startIter
-// is the number of already-committed iterations (0 on a fresh run);
-// priorMoved carries a resumed run's accumulated move count so checkpoints
-// record whole-run totals.
+// runCheckpointedLoop is the flow's only CR&P loop. It runs iterations
+// startIter+1..kEff, stopping at a cancelled context or a broken engine,
+// folds each iteration's degradations into res as they happen, and commits
+// a checkpoint after each completed iteration (when ck has a Manager).
+// startIter is the number of already-committed iterations (0 on a fresh
+// run); priorMoved carries a resumed run's accumulated move count so
+// checkpoints record whole-run totals. ECO rounds run it with kEff 1 and a
+// nil ck.
 func runCheckpointedLoop(ctx context.Context, s session, engine *crp.Engine, kEff, startIter, priorMoved int, ck *Checkpointing, res *Result) *crp.Result {
 	stats := &crp.Result{}
 	for k := startIter; k < kEff; k++ {
@@ -186,37 +187,13 @@ func writeRunOutputs(s session, defOut, guideOut io.Writer) error {
 	return nil
 }
 
-// RunCRPCheckpointed is RunCRPWithOutputs with crash-safe journaling: a
-// checkpoint is committed after global routing and after every CR&P
-// iteration. With ck nil (or an empty Checkpointing) it is bit-identical to
-// RunCRPWithOutputs.
+// RunCRPCheckpointed runs the CR&P flow and writes the resulting DEF and
+// route-guide files (the framework's outputs in Fig. 1), with crash-safe
+// journaling: a checkpoint is committed after global routing and after
+// every CR&P iteration. With ck nil (or an empty Checkpointing) it is the
+// plain CR&P flow with outputs.
 func RunCRPCheckpointed(ctx context.Context, d *db.Design, k int, cfg Config, ck *Checkpointing, defOut, guideOut io.Writer) (*Result, error) {
-	ctx, cancel := flowCtx(ctx, cfg)
-	defer cancel()
-	res := newResult(cfg)
-	s, gst, tGR := globalRoute(ctx, d, cfg, res)
-	t0 := time.Now()
-	engine := crp.New(s.d, s.g, s.r, crpConfig(cfg, k))
-	kEff := engine.Cfg.Iterations
-	ck.save(s, engine, kEff, 0, res) // checkpoint 0: post-GR, pre-loop
-	ck.event(Event{Kind: "gr", Iter: 0, K: kEff})
-	stats := runCheckpointedLoop(ctx, s, engine, kEff, 0, 0, ck, res)
-	tMid := time.Since(t0)
-	m, tDR := detailRoute(ctx, s, cfg, res)
-	if err := writeRunOutputs(s, defOut, guideOut); err != nil {
-		return nil, err
-	}
-	res.Metrics = m
-	res.GlobalStats = gst
-	res.CRPStats = stats
-	res.Timings = Timings{
-		GlobalRoute: tGR,
-		Middle:      tMid,
-		DetailRoute: tDR,
-		Total:       tGR + tMid + tDR,
-		CRPPhases:   stats.Times(),
-	}
-	return res, nil
+	return run(ctx, d, cfg, plan{k: k, middle: crpStage, ck: ck, defOut: defOut, guideOut: guideOut})
 }
 
 // Resume continues an interrupted checkpointed run. It loads the newest
@@ -233,84 +210,80 @@ func RunCRPCheckpointed(ctx context.Context, d *db.Design, k int, cfg Config, ck
 // ErrNoCheckpoint is returned when the directory has nothing usable —
 // callers typically fall back to a fresh RunCRPCheckpointed.
 func Resume(ctx context.Context, d *db.Design, k int, cfg Config, ck *Checkpointing, defOut, guideOut io.Writer) (*Result, error) {
-	if ck == nil || ck.Manager == nil {
-		return nil, errors.New("flow: Resume needs a checkpoint manager")
-	}
-	snap, notes, err := ck.Manager.Latest()
+	snap, notes, err := latest(ck.manager(), d)
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := flowCtx(ctx, cfg)
-	defer cancel()
-	res := &Result{}
-	for _, d := range snap.Degradations {
-		res.Degradations = append(res.Degradations,
-			Degradation{Stage: d.Stage, Kind: d.Kind, Detail: d.Detail})
-	}
-	for _, n := range notes {
-		res.degrade("ckpt", "checkpoint-recovery", n)
-	}
+	return run(ctx, d, cfg, plan{k: k, resume: snap, notes: notes, middle: crpStage, ck: ck, defOut: defOut, guideOut: guideOut})
+}
 
-	t0 := time.Now()
-	s, engine, err := restoreSession(d, k, cfg, snap)
+// manager is nil-safe like save and event.
+func (ck *Checkpointing) manager() *checkpoint.Manager {
+	if ck == nil {
+		return nil
+	}
+	return ck.Manager
+}
+
+// latest loads mgr's newest usable snapshot and refuses one recorded for a
+// different design — the identity check every checkpoint consumer (Resume,
+// CheckpointOutputs, ECOFromCheckpoint) shares.
+func latest(mgr *checkpoint.Manager, d *db.Design) (*checkpoint.Snapshot, []string, error) {
+	if mgr == nil {
+		return nil, nil, errors.New("flow: no checkpoint manager")
+	}
+	snap, notes, err := mgr.Latest()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	kEff := engine.Cfg.Iterations
-	ck.event(Event{Kind: "resume", Iter: snap.Iter, K: kEff, TotalMoved: snap.TotalMoved})
-	stats := runCheckpointedLoop(ctx, s, engine, kEff, snap.Iter, snap.TotalMoved, ck, res)
-	stats.TotalMoved += snap.TotalMoved
-	tMid := time.Since(t0)
-	m, tDR := detailRoute(ctx, s, cfg, res)
-	if err := writeRunOutputs(s, defOut, guideOut); err != nil {
-		return nil, err
+	if snap.DesignName != d.Name || snap.Cells != len(d.Cells) || snap.Nets != len(d.Nets) {
+		return nil, nil, fmt.Errorf("flow: checkpoint is for design %q (%d cells, %d nets), input is %q (%d cells, %d nets)",
+			snap.DesignName, snap.Cells, snap.Nets, d.Name, len(d.Cells), len(d.Nets))
 	}
-	res.Metrics = m
-	res.CRPStats = stats
-	res.Timings = Timings{
-		Middle:      tMid,
-		DetailRoute: tDR,
-		Total:       tMid + tDR,
-		CRPPhases:   stats.Times(),
+	return snap, notes, nil
+}
+
+// rebuildSession rebuilds the live session from a materialized view state
+// through the view layer's single Rebuild path.
+func rebuildSession(d *db.Design, cfg Config, st view.State) (session, error) {
+	v, err := view.Rebuild(d, cfg.Grid, cfg.Global, st)
+	if err != nil {
+		return session{}, fmt.Errorf("flow: %w", err)
 	}
-	return res, nil
+	return session{d: d, g: v.Grid(), r: v.Router(), v: v}, nil
 }
 
 // restoreSession rebuilds the live session (design placement and history,
 // grid demand, committed routes, engine state) from a snapshot and
-// validates it. The design state goes through the view layer's single
-// Rebuild path, which also owns the ordering constraint the restore depends
-// on (grid construction after position restore, recorded demand overwriting
-// the fresh seeding verbatim — see view.Rebuild). The engine's
+// validates it. The design state goes through rebuildSession, whose
+// view.Rebuild owns the ordering constraint the restore depends on (grid
+// construction after position restore, recorded demand overwriting the
+// fresh seeding verbatim — see view.Rebuild). The engine's
 // construction-time residuals (grid demand minus committed-route demand)
 // then reproduce the original run's exactly, which the invariant check
-// confirms before any iteration runs.
-func restoreSession(d *db.Design, k int, cfg Config, snap *checkpoint.Snapshot) (session, *crp.Engine, error) {
+// confirms before any iteration runs. The snapshot's design identity is
+// checked by latest.
+func restoreSession(d *db.Design, k int, cfg Config, snap *checkpoint.Snapshot) (session, error) {
 	ccfg := crpConfig(cfg, k)
-	if snap.DesignName != d.Name || snap.Cells != len(d.Cells) || snap.Nets != len(d.Nets) {
-		return session{}, nil, fmt.Errorf("flow: checkpoint is for design %q (%d cells, %d nets), input is %q (%d cells, %d nets)",
-			snap.DesignName, snap.Cells, snap.Nets, d.Name, len(d.Cells), len(d.Nets))
-	}
 	if snap.K != ccfg.Iterations || snap.Seed != ccfg.Seed {
-		return session{}, nil, fmt.Errorf("flow: checkpoint recorded k=%d seed=%d, run configured k=%d seed=%d",
+		return session{}, fmt.Errorf("flow: checkpoint recorded k=%d seed=%d, run configured k=%d seed=%d",
 			snap.K, snap.Seed, ccfg.Iterations, ccfg.Seed)
 	}
 	if snap.Iter > snap.K {
-		return session{}, nil, fmt.Errorf("flow: checkpoint iteration %d exceeds k=%d", snap.Iter, snap.K)
+		return session{}, fmt.Errorf("flow: checkpoint iteration %d exceeds k=%d", snap.Iter, snap.K)
 	}
-	v, err := view.Rebuild(d, cfg.Grid, cfg.Global, snap.ViewState())
+	s, err := rebuildSession(d, cfg, snap.ViewState())
 	if err != nil {
-		return session{}, nil, fmt.Errorf("flow: %w", err)
+		return session{}, err
 	}
-	g, r := v.Grid(), v.Router()
-	engine := crp.New(d, g, r, ccfg)
-	if err := engine.RestoreState(crp.State{Iter: snap.Iter, RNGDraws: snap.RNGDraws}); err != nil {
-		return session{}, nil, fmt.Errorf("flow: restoring engine state: %w", err)
+	s.engine = crp.New(d, s.g, s.r, ccfg)
+	if err := s.engine.RestoreState(crp.State{Iter: snap.Iter, RNGDraws: snap.RNGDraws}); err != nil {
+		return session{}, fmt.Errorf("flow: restoring engine state: %w", err)
 	}
-	if err := engine.CheckInvariants(); err != nil {
-		return session{}, nil, fmt.Errorf("flow: restored state fails invariants: %w", err)
+	if err := s.engine.CheckInvariants(); err != nil {
+		return session{}, fmt.Errorf("flow: restored state fails invariants: %w", err)
 	}
-	return session{d, g, r, v}, engine, nil
+	return s, nil
 }
 
 // CheckpointOutputs materializes the best-so-far DEF and route-guide bytes
@@ -323,14 +296,11 @@ func restoreSession(d *db.Design, k int, cfg Config, snap *checkpoint.Snapshot) 
 // completed-iteration count. ErrNoCheckpoint means nothing usable exists
 // yet.
 func CheckpointOutputs(d *db.Design, k int, cfg Config, mgr *checkpoint.Manager) (defB, guideB []byte, iter int, err error) {
-	if mgr == nil {
-		return nil, nil, 0, errors.New("flow: CheckpointOutputs needs a checkpoint manager")
-	}
-	snap, _, err := mgr.Latest()
+	snap, _, err := latest(mgr, d)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	s, _, err := restoreSession(d, k, cfg, snap)
+	s, err := restoreSession(d, k, cfg, snap)
 	if err != nil {
 		return nil, nil, 0, err
 	}

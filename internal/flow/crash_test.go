@@ -6,17 +6,17 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strconv"
 	"testing"
-	"time"
 
 	"github.com/crp-eda/crp/internal/atomicio"
 	"github.com/crp-eda/crp/internal/checkpoint"
 	"github.com/crp-eda/crp/internal/db"
+	"github.com/crp-eda/crp/internal/eco"
 	"github.com/crp-eda/crp/internal/faultinject"
 	"github.com/crp-eda/crp/internal/ispd"
-	"github.com/crp-eda/crp/internal/supervise"
 )
 
 // The crash-chaos suite validates the crash-safety contract end to end:
@@ -73,7 +73,7 @@ func TestCheckpointingDisabledBitIdentical(t *testing.T) {
 	// Acceptance gate: with no checkpoint manager the new entry point must
 	// be byte-for-byte the pre-existing pipeline.
 	var defA, guideA bytes.Buffer
-	if _, err := RunCRPWithOutputs(context.Background(), design(t, 50), 2, quickConfig(), &defA, &guideA); err != nil {
+	if _, err := RunCRPCheckpointed(context.Background(), design(t, 50), 2, quickConfig(), nil, &defA, &guideA); err != nil {
 		t.Fatal(err)
 	}
 	defB, guideB, _ := runToBytes(t, design(t, 50), 2, quickConfig(), nil)
@@ -245,6 +245,12 @@ func TestResumeRefusesMismatchedRun(t *testing.T) {
 	if _, err := Resume(context.Background(), suiteDesign(t, 0), 2, cfg, reopen(), nil, nil); err == nil {
 		t.Error("different design accepted")
 	}
+	// Same netlist under another name: only the identity check can refuse it.
+	renamed := design(t, 53)
+	renamed.Name = "renamed_fixture"
+	if _, err := ECOFromCheckpoint(context.Background(), renamed, reopen().Manager, &eco.Delta{}, cfg, ECOOptions{}, nil, nil); err == nil {
+		t.Error("ECO against a different design's checkpoint accepted")
+	}
 }
 
 func TestResumeEmptyDirReturnsErrNoCheckpoint(t *testing.T) {
@@ -345,26 +351,35 @@ func TestSupervisorDrivesCrashingRunToCompletion(t *testing.T) {
 	t.Setenv("CRP_OUT_GUIDE", guidePath)
 	t.Setenv("CRP_CRASH_AT", "2") // die after the 2nd checkpoint commit of every attempt
 
+	// Re-exec the child until an attempt finishes cleanly; each restart
+	// resumes from the previous attempt's newest checkpoint.
+	const maxAttempts = 6
 	var childOut bytes.Buffer
-	job, err := supervise.Command([]string{exe}, &childOut, &childOut)
-	if err != nil {
-		t.Fatal(err)
+	var crashes []int // exit codes of the attempts that died
+	for {
+		if len(crashes) == maxAttempts {
+			t.Fatalf("child still failing after %d attempts (exit codes %v)\nchild output:\n%s",
+				maxAttempts, crashes, childOut.String())
+		}
+		cmd := exec.Command(exe)
+		cmd.Stdout, cmd.Stderr = &childOut, &childOut
+		err := cmd.Run()
+		if err == nil {
+			break
+		}
+		var xerr *exec.ExitError
+		if !errors.As(err, &xerr) {
+			t.Fatalf("attempt %d: %v", len(crashes)+1, err)
+		}
+		crashes = append(crashes, xerr.ExitCode())
 	}
-	rep := supervise.Run(supervise.Config{
-		MaxAttempts: 6,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  5 * time.Millisecond,
-	}, job)
-	if !rep.Succeeded {
-		t.Fatalf("supervisor gave up: %+v\nchild output:\n%s", rep, childOut.String())
+	if len(crashes) == 0 {
+		t.Fatal("child never crashed — the fault did not fire")
 	}
-	if len(rep.Attempts) < 2 {
-		t.Fatalf("child never crashed (%d attempts) — the fault did not fire", len(rep.Attempts))
-	}
-	for _, at := range rep.Attempts[:len(rep.Attempts)-1] {
-		if at.ExitCode != faultinject.CrashExitCode {
+	for i, code := range crashes {
+		if code != faultinject.CrashExitCode {
 			t.Errorf("attempt %d exited %d, want the injected crash code %d",
-				at.N, at.ExitCode, faultinject.CrashExitCode)
+				i+1, code, faultinject.CrashExitCode)
 		}
 	}
 

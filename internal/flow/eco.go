@@ -5,37 +5,29 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"time"
+	"sort"
 
 	"github.com/crp-eda/crp/internal/checkpoint"
 	"github.com/crp-eda/crp/internal/crp"
 	"github.com/crp-eda/crp/internal/db"
 	"github.com/crp-eda/crp/internal/eco"
-	"sort"
-
 	"github.com/crp-eda/crp/internal/geom"
-	"github.com/crp-eda/crp/internal/route/global"
 	"github.com/crp-eda/crp/internal/view"
 )
 
-// ECOOptions tunes the incremental re-run's convergence ladder. Zero values
-// take the defaults noted on each field.
+// ECOOptions tunes the incremental re-run. The zero value takes the
+// defaults.
 type ECOOptions struct {
-	// MaxIters caps each re-label round's CR&P iterations (0: 1 — each
-	// round is a single scoped labeling pass; iteration count comes from
-	// the ladder's rounds, which re-scope between passes).
-	MaxIters int
-	// MinMoves is the per-round convergence threshold: a round whose last
-	// iteration moves fewer cells stops (0: 1, full convergence).
-	MinMoves int
 	// HaloGCells sizes the dirty region's halo in GCells (0: 4) — the same
 	// interaction-margin idea as crp.Config.ShardHalo, inverted to scope
 	// work instead of splitting it.
 	HaloGCells int
-	// MaxRounds bounds the local re-label rounds per ladder rung before the
-	// next rung engages — widen halo, then full-run fallback (0: 3).
-	MaxRounds int
 }
+
+// ecoMaxRounds bounds the local re-label rounds per ladder rung before the
+// next rung engages — widen halo, then full-run fallback. Each round is a
+// single scoped CR&P iteration; the rounds re-scope between iterations.
+const ecoMaxRounds = 3
 
 // ECOStats reports what the incremental entry point did: the delta's size,
 // how local the re-run stayed, and the work actually spent — the numbers the
@@ -81,11 +73,11 @@ func appendRun(dst, src *crp.Result) {
 // and then climbs the convergence ladder:
 //
 //	rung 1: re-label locally — only cells intersecting the halo-inflated
-//	        dirty region are Algorithm 1 candidates; each round's moves
-//	        grow the region, and the loop exits early when the frontier
-//	        stops growing;
+//	        dirty region are Algorithm 1 candidates; each round is one
+//	        scoped CR&P iteration whose moves grow the region, and the loop
+//	        exits early when the frontier stops growing;
 //	rung 2: widen the halo once if the frontier is still growing after
-//	        MaxRounds rounds ("halo-widened" degradation);
+//	        ecoMaxRounds rounds ("halo-widened" degradation);
 //	rung 3: full unscoped run ("full-run-fallback" degradation).
 //
 // A structural delta (added/removed cells) changes the cell-ID space, so it
@@ -97,70 +89,73 @@ func RunECO(ctx context.Context, d *db.Design, prev *view.State, delta *eco.Delt
 	if delta == nil {
 		return nil, errors.New("flow: RunECO needs a delta")
 	}
-	if delta.Structural() {
-		if prev != nil {
-			if err := d.ImportPositions(prev.Pos, prev.Orient); err != nil {
-				return nil, fmt.Errorf("flow: importing parent placement: %w", err)
-			}
-		}
-		d2, err := eco.ApplyStructural(d, delta)
-		if err != nil {
-			return nil, err
-		}
-		res, err := RunCRPWithOutputs(ctx, d2, 0, cfg, defOut, guideOut)
-		if err != nil {
-			return nil, err
-		}
-		res.Degradations = append([]Degradation{{
-			Stage: "eco", Kind: "full-run-fallback",
-			Detail: fmt.Sprintf("structural delta (%d adds, %d removes) rebuilds the design; no incremental path", len(delta.Adds), len(delta.Removes)),
-		}}, res.Degradations...)
-		res.ECO = &ECOStats{
-			DeltaMoves: len(delta.Moves), DeltaNets: len(delta.Nets),
-			DeltaAdds: len(delta.Adds), DeltaRemoves: len(delta.Removes),
-			TotalCells: len(d2.Cells), FullRun: true,
-			CandidateEstimates: res.CRPStats.CandidateEstimates,
-		}
-		return res, nil
+	if !delta.Structural() {
+		return run(ctx, d, cfg, plan{parent: prev, middle: ecoStage, delta: delta, opts: opts, defOut: defOut, guideOut: guideOut})
 	}
-
-	ctx, cancel := flowCtx(ctx, cfg)
-	defer cancel()
-	res := newResult(cfg)
-	t0 := time.Now()
-
-	var s session
-	var tGR time.Duration
 	if prev != nil {
-		v, err := view.Rebuild(d, cfg.Grid, cfg.Global, *prev)
-		if err != nil {
-			return nil, fmt.Errorf("flow: rebuilding parent state: %w", err)
+		if err := d.ImportPositions(prev.Pos, prev.Orient); err != nil {
+			return nil, fmt.Errorf("flow: importing parent placement: %w", err)
 		}
-		s = session{d, v.Grid(), v.Router(), v}
-	} else {
-		var gst global.Stats
-		s, gst, tGR = globalRoute(ctx, d, cfg, res)
-		res.GlobalStats = gst
 	}
+	d2, err := eco.ApplyStructural(d, delta)
+	if err != nil {
+		return nil, err
+	}
+	lead := Degradation{Stage: "eco", Kind: "full-run-fallback",
+		Detail: fmt.Sprintf("structural delta (%d adds, %d removes) rebuilds the design; no incremental path", len(delta.Adds), len(delta.Removes))}
+	return run(ctx, d2, cfg, plan{lead: []Degradation{lead}, middle: ecoFullRunStage, delta: delta, defOut: defOut, guideOut: guideOut})
+}
 
+// ECOFromCheckpoint runs RunECO from a parent run's newest checkpoint
+// snapshot — the cmd/crp `-eco-from <ckpt> -eco-delta <json>` path. d must
+// be the same design the parent run loaded; identity is validated against
+// the snapshot before anything runs.
+func ECOFromCheckpoint(ctx context.Context, d *db.Design, mgr *checkpoint.Manager, delta *eco.Delta, cfg Config, opts ECOOptions, defOut, guideOut io.Writer) (*Result, error) {
+	snap, _, err := latest(mgr, d)
+	if err != nil {
+		return nil, err
+	}
+	st := snap.ViewState()
+	return RunECO(ctx, d, &st, delta, cfg, opts, defOut, guideOut)
+}
+
+// ecoFullRunStage is a structural delta's middle stage: the plain CR&P
+// loop on the rebuilt design, reported as the ladder's third rung.
+func ecoFullRunStage(ctx context.Context, s session, cfg Config, p plan, res *Result) error {
+	if err := crpStage(ctx, s, cfg, p, res); err != nil {
+		return err
+	}
+	res.ECO = &ECOStats{
+		DeltaMoves: len(p.delta.Moves), DeltaNets: len(p.delta.Nets),
+		DeltaAdds: len(p.delta.Adds), DeltaRemoves: len(p.delta.Removes),
+		TotalCells: len(s.d.Cells), FullRun: true,
+		CandidateEstimates: res.CRPStats.CandidateEstimates,
+	}
+	return nil
+}
+
+// ecoStage is a non-structural delta's middle stage: apply the delta
+// transactionally, then climb the convergence ladder (see RunECO).
+func ecoStage(ctx context.Context, s session, cfg Config, p plan, res *Result) error {
+	d, delta := s.d, p.delta
 	// Validate against the live (parent) placement, then apply through one
 	// transaction. On any failure the transaction is discarded: the design,
 	// demand and routes are exactly the parent state again.
 	if err := delta.Validate(d); err != nil {
-		return nil, err
+		return err
 	}
 	ops, err := delta.Resolve(d)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	txn := s.v.Begin(s.v.Version())
 	if err := txn.ApplyDelta(ops); err != nil {
 		txn.Discard()
-		return nil, fmt.Errorf("flow: applying eco delta: %w", err)
+		return fmt.Errorf("flow: applying eco delta: %w", err)
 	}
 	if err := txn.Check(); err != nil {
 		txn.Discard()
-		return nil, fmt.Errorf("flow: eco delta failed invariants: %w", err)
+		return fmt.Errorf("flow: eco delta failed invariants: %w", err)
 	}
 	txn.Commit()
 
@@ -169,13 +164,9 @@ func RunECO(ctx context.Context, d *db.Design, prev *view.State, delta *eco.Delt
 	if gsz <= 0 {
 		gsz = 1
 	}
-	halo := opts.HaloGCells
+	halo := p.opts.HaloGCells
 	if halo <= 0 {
 		halo = 4
-	}
-	maxRounds := opts.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = 3
 	}
 	// The halo is HaloGCells routing GCells, clamped to 1/64 of the die: on a
 	// small design the grid can degenerate to a handful of die-sized GCells,
@@ -213,8 +204,8 @@ func RunECO(ctx context.Context, d *db.Design, prev *view.State, delta *eco.Delt
 	}
 	sort.Slice(nids, func(a, b int) bool { return nids[a] < nids[b] })
 	for _, nid := range nids {
-		for _, p := range d.NetPinPositions(d.Nets[nid]) {
-			tracker.Add(geom.Rect{Lo: p, Hi: p.Add(geom.Pt(1, 1))})
+		for _, pt := range d.NetPinPositions(d.Nets[nid]) {
+			tracker.Add(geom.Rect{Lo: pt, Hi: pt.Add(geom.Pt(1, 1))})
 		}
 	}
 
@@ -226,10 +217,6 @@ func RunECO(ctx context.Context, d *db.Design, prev *view.State, delta *eco.Delt
 		}
 	}
 
-	iters := opts.MaxIters
-	if iters <= 0 {
-		iters = 1
-	}
 	stats := &crp.Result{}
 	rounds, rungRounds := 0, 0
 	widened, fullRun := false, false
@@ -244,9 +231,8 @@ func RunECO(ctx context.Context, d *db.Design, prev *view.State, delta *eco.Delt
 		rcfg.Scope = scope
 		engine := crp.New(s.d, s.g, s.r, rcfg)
 		pre, _ := d.ExportPositions()
-		r := engine.RunUntilConverged(ctx, iters, opts.MinMoves)
+		r := runCheckpointedLoop(ctx, s, engine, 1, 0, 0, nil, res)
 		appendRun(stats, r)
-		res.absorbCRP(r)
 		if engine.Broken() {
 			break
 		}
@@ -278,7 +264,7 @@ func RunECO(ctx context.Context, d *db.Design, prev *view.State, delta *eco.Delt
 		// is an upper bound, so this is conservative): scoping buys nothing
 		// and the honest answer is an unscoped run.
 		coverLost := tracker.CoversDie() || tracker.Area() >= d.Die.Area()/2
-		if !coverLost && rungRounds < maxRounds {
+		if !coverLost && rungRounds < ecoMaxRounds {
 			continue
 		}
 		// Widen only while the region is still compact (≤ 1/8 of the die):
@@ -297,9 +283,7 @@ func RunECO(ctx context.Context, d *db.Design, prev *view.State, delta *eco.Delt
 			res.degrade("eco", "full-run-fallback",
 				fmt.Sprintf("dirty region reached %d%% of the die after %d rounds; running unscoped", 100*tracker.Area()/d.Die.Area(), rounds))
 			fe := crp.New(s.d, s.g, s.r, ccfg)
-			fr := fe.Run(ctx)
-			appendRun(stats, fr)
-			res.absorbCRP(fr)
+			appendRun(stats, runCheckpointedLoop(ctx, s, fe, fe.Cfg.Iterations, 0, 0, nil, res))
 			break
 		}
 		// Still-moving frontier after both local rungs, but the region is
@@ -311,13 +295,7 @@ func RunECO(ctx context.Context, d *db.Design, prev *view.State, delta *eco.Delt
 			fmt.Sprintf("dirty frontier still active after %d rounds; keeping the local result", rounds))
 		break
 	}
-	tMid := time.Since(t0) - tGR
 
-	m, tDR := detailRoute(ctx, s, cfg, res)
-	if err := writeRunOutputs(s, defOut, guideOut); err != nil {
-		return nil, err
-	}
-	res.Metrics = m
 	res.CRPStats = stats
 	res.ECO = &ECOStats{
 		DeltaMoves: len(delta.Moves), DeltaNets: len(delta.Nets),
@@ -325,32 +303,5 @@ func RunECO(ctx context.Context, d *db.Design, prev *view.State, delta *eco.Delt
 		Rounds: rounds, HaloWidened: widened, FullRun: fullRun,
 		CandidateEstimates: stats.CandidateEstimates,
 	}
-	res.Timings = Timings{
-		GlobalRoute: tGR,
-		Middle:      tMid,
-		DetailRoute: tDR,
-		Total:       tGR + tMid + tDR,
-		CRPPhases:   stats.Times(),
-	}
-	return res, nil
-}
-
-// ECOFromCheckpoint runs RunECO from a parent run's newest checkpoint
-// snapshot — the cmd/crp `-eco-from <ckpt> -eco-delta <json>` path. d must
-// be the same design the parent run loaded; identity is validated against
-// the snapshot before anything runs.
-func ECOFromCheckpoint(ctx context.Context, d *db.Design, mgr *checkpoint.Manager, delta *eco.Delta, cfg Config, opts ECOOptions, defOut, guideOut io.Writer) (*Result, error) {
-	if mgr == nil {
-		return nil, errors.New("flow: ECOFromCheckpoint needs a checkpoint manager")
-	}
-	snap, _, err := mgr.Latest()
-	if err != nil {
-		return nil, err
-	}
-	if snap.DesignName != d.Name || snap.Cells != len(d.Cells) || snap.Nets != len(d.Nets) {
-		return nil, fmt.Errorf("flow: checkpoint is for design %q (%d cells, %d nets), input is %q (%d cells, %d nets)",
-			snap.DesignName, snap.Cells, snap.Nets, d.Name, len(d.Cells), len(d.Nets))
-	}
-	st := snap.ViewState()
-	return RunECO(ctx, d, &st, delta, cfg, opts, defOut, guideOut)
+	return nil
 }

@@ -21,8 +21,10 @@ import (
 	"time"
 
 	"github.com/crp-eda/crp/internal/baseline/medianilp"
+	"github.com/crp-eda/crp/internal/checkpoint"
 	"github.com/crp-eda/crp/internal/crp"
 	"github.com/crp-eda/crp/internal/db"
+	"github.com/crp-eda/crp/internal/eco"
 	"github.com/crp-eda/crp/internal/eval"
 	"github.com/crp-eda/crp/internal/grid"
 	"github.com/crp-eda/crp/internal/route/detail"
@@ -145,27 +147,15 @@ func (r *Result) degrade(stage, kind, detail string) {
 	r.Degradations = append(r.Degradations, Degradation{Stage: stage, Kind: kind, Detail: detail})
 }
 
-// newResult seeds a fresh run's result with the admission-time degradations
-// (see Config.AdmitDegradations).
-func newResult(cfg Config) *Result {
-	return &Result{Degradations: append([]Degradation(nil), cfg.AdmitDegradations...)}
-}
-
-// absorbCRP folds a CR&P run's degradations into the flow result.
-func (r *Result) absorbCRP(stats *crp.Result) {
-	for _, d := range stats.Degradations {
-		r.degrade("crp", d.Kind, fmt.Sprintf("iter %d: %s", d.Iter, d.Detail))
-	}
-}
-
-// session holds the live state of a run, exposed so callers (the CLI) can
-// write DEF/guide outputs after the flow finishes. v is the design-state
-// view over the three stores; checkpoints materialize through it.
+// session holds the live state of a run: the three stores, the design-state
+// view over them (checkpoints materialize through it), and — on a resumed
+// run only — the restored CR&P engine.
 type session struct {
-	d *db.Design
-	g *grid.Grid
-	r *global.Router
-	v *view.View
+	d      *db.Design
+	g      *grid.Grid
+	r      *global.Router
+	v      *view.View
+	engine *crp.Engine
 }
 
 // flowCtx applies the whole-pipeline budget. The returned cancel must be
@@ -208,132 +198,163 @@ func crpConfig(cfg Config, k int) crp.Config {
 }
 
 // globalRoute runs stage 1 under the GR budget.
-func globalRoute(ctx context.Context, d *db.Design, cfg Config, res *Result) (session, global.Stats, time.Duration) {
+func globalRoute(ctx context.Context, d *db.Design, cfg Config, res *Result) (session, time.Duration) {
 	t0 := time.Now()
 	gctx, cancel := stageCtx(ctx, cfg.Budgets.GR)
 	defer cancel()
 	g := grid.New(d, cfg.Grid)
 	r := global.New(d, g, cfg.Global)
-	st := r.RouteAllCtx(gctx)
-	if st.Cancelled {
+	res.GlobalStats = r.RouteAllCtx(gctx)
+	if res.GlobalStats.Cancelled {
 		res.degrade("gr", "stage-deadline",
-			fmt.Sprintf("global routing stopped after %d nets; RRR/final passes may be short", st.RoutedNets))
+			fmt.Sprintf("global routing stopped after %d nets; RRR/final passes may be short", res.GlobalStats.RoutedNets))
 	}
-	return session{d, g, r, view.New(d, g, r)}, st, time.Since(t0)
+	return session{d: d, g: g, r: r, v: view.New(d, g, r)}, time.Since(t0)
 }
 
 // detailRoute runs stage 3 under the DR budget and evaluates.
-func detailRoute(ctx context.Context, s session, cfg Config, res *Result) (eval.Metrics, time.Duration) {
+func detailRoute(ctx context.Context, s session, cfg Config, res *Result) time.Duration {
 	t0 := time.Now()
 	dctx, cancel := stageCtx(ctx, cfg.Budgets.DR)
 	defer cancel()
-	m := eval.EvaluateCtx(dctx, s.d, s.g, s.r.Routes, cfg.Detail)
-	if m.Truncated {
+	res.Metrics = eval.EvaluateCtx(dctx, s.d, s.g, s.r.Routes, cfg.Detail)
+	if res.Metrics.Truncated {
 		res.degrade("dr", "stage-deadline", "detailed routing truncated; metrics are a lower bound")
 	}
-	return m, time.Since(t0)
+	return time.Since(t0)
+}
+
+// stage is a flow's middle stage: it runs between global and detailed
+// routing on the live session and records what it did in res. An error
+// aborts the run before detailed routing.
+type stage func(ctx context.Context, s session, cfg Config, p plan, res *Result) error
+
+// plan is one flow run as data: where the design state starts, what runs
+// between the two routers, and what the run journals and writes. Every
+// exported entry point is a plan; run is the only code that executes one.
+type plan struct {
+	// k overrides cfg.CRP.Iterations when positive.
+	k int
+	// The start state. resume continues a checkpointed run from its
+	// iteration boundary (notes are Manager.Latest's recovery notes);
+	// parent rebuilds a parent run's materialized state for an ECO; with
+	// neither, global routing runs fresh on d's placement.
+	resume *checkpoint.Snapshot
+	notes  []string
+	parent *view.State
+	// lead is recorded ahead of every other degradation.
+	lead []Degradation
+	// middle is nil for GR → DR; delta and opts configure the ECO stages.
+	middle stage
+	delta  *eco.Delta
+	opts   ECOOptions
+	// ck journals checkpoints and progress events (nil: neither).
+	ck               *Checkpointing
+	defOut, guideOut io.Writer
+}
+
+// run executes a plan: start state → middle stage → detailed routing and
+// evaluation → outputs. It alone folds the start-state degradations and
+// assembles Timings (Total = GlobalRoute + Middle + DetailRoute; Middle
+// includes any checkpoint restore or parent rebuild). Outputs are written
+// even when the run degraded — a deadline yields the best-so-far placement
+// and guides, never nothing. A failed median-ILP sweep skips detailed
+// routing and reports no metrics.
+func run(ctx context.Context, d *db.Design, cfg Config, p plan) (*Result, error) {
+	ctx, cancel := flowCtx(ctx, cfg)
+	defer cancel()
+	res := &Result{Degradations: append([]Degradation(nil), p.lead...)}
+	t0 := time.Now()
+	var s session
+	var tGR, tMid, tDR time.Duration
+	var err error
+	switch {
+	case p.resume != nil:
+		// A resumed run inherits its admission degradations from the
+		// snapshot's log: checkpoint 0 was committed after they were folded.
+		for _, dg := range p.resume.Degradations {
+			res.degrade(dg.Stage, dg.Kind, dg.Detail)
+		}
+		for _, n := range p.notes {
+			res.degrade("ckpt", "checkpoint-recovery", n)
+		}
+		s, err = restoreSession(d, p.k, cfg, p.resume)
+	case p.parent != nil:
+		res.Degradations = append(res.Degradations, cfg.AdmitDegradations...)
+		s, err = rebuildSession(d, cfg, *p.parent)
+	default:
+		res.Degradations = append(res.Degradations, cfg.AdmitDegradations...)
+		s, tGR = globalRoute(ctx, d, cfg, res)
+		t0 = time.Now()
+	}
+	if err != nil {
+		return nil, err
+	}
+	if p.middle != nil {
+		if err := p.middle(ctx, s, cfg, p, res); err != nil {
+			return nil, err
+		}
+		tMid = time.Since(t0)
+	}
+	if !res.Failed {
+		tDR = detailRoute(ctx, s, cfg, res)
+	}
+	if err := writeRunOutputs(s, p.defOut, p.guideOut); err != nil {
+		return nil, err
+	}
+	res.Timings = Timings{GlobalRoute: tGR, Middle: tMid, DetailRoute: tDR, Total: tGR + tMid + tDR}
+	if res.CRPStats != nil {
+		res.Timings.CRPPhases = res.CRPStats.Times()
+	}
+	return res, nil
+}
+
+// crpStage is the CR&P middle stage: a fresh engine commits checkpoint 0
+// and runs k iterations; a resumed one runs the remaining iterations from
+// its snapshot's boundary.
+func crpStage(ctx context.Context, s session, cfg Config, p plan, res *Result) error {
+	engine, done, prior := s.engine, 0, 0
+	if engine == nil {
+		engine = crp.New(s.d, s.g, s.r, crpConfig(cfg, p.k))
+		p.ck.save(s, engine, engine.Cfg.Iterations, 0, res) // checkpoint 0: post-GR, pre-loop
+		p.ck.event(Event{Kind: "gr", Iter: 0, K: engine.Cfg.Iterations})
+	} else {
+		done, prior = p.resume.Iter, p.resume.TotalMoved
+		p.ck.event(Event{Kind: "resume", Iter: done, K: engine.Cfg.Iterations, TotalMoved: prior})
+	}
+	res.CRPStats = runCheckpointedLoop(ctx, s, engine, engine.Cfg.Iterations, done, prior, p.ck, res)
+	res.CRPStats.TotalMoved += prior
+	return nil
+}
+
+// sotaStage is the median-ILP sweep [18]. A budget overrun marks the run
+// Failed, mirroring the paper's test10 row.
+func sotaStage(ctx context.Context, s session, cfg Config, _ plan, res *Result) error {
+	res.BaselineStats = medianilp.Run(ctx, s.d, s.g, s.r, cfg.Baseline)
+	if res.BaselineStats.Failed {
+		res.Failed = true
+		res.degrade("sota", "budget-failed", "median-ILP sweep exceeded its budget; design restored")
+	}
+	return nil
 }
 
 // RunBaseline executes GR → DR with no cell movement (the CUGR+TritonRoute
 // baseline column of Table III).
 func RunBaseline(ctx context.Context, d *db.Design, cfg Config) *Result {
-	ctx, cancel := flowCtx(ctx, cfg)
-	defer cancel()
-	res := newResult(cfg)
-	s, gst, tGR := globalRoute(ctx, d, cfg, res)
-	m, tDR := detailRoute(ctx, s, cfg, res)
-	res.Metrics = m
-	res.GlobalStats = gst
-	res.Timings = Timings{
-		GlobalRoute: tGR,
-		DetailRoute: tDR,
-		Total:       tGR + tDR,
-	}
+	res, _ := run(ctx, d, cfg, plan{})
 	return res
 }
 
 // RunCRP executes GR → CR&P×k → DR (the paper's flow). k overrides
 // cfg.CRP.Iterations when positive.
 func RunCRP(ctx context.Context, d *db.Design, k int, cfg Config) *Result {
-	ctx, cancel := flowCtx(ctx, cfg)
-	defer cancel()
-	res := newResult(cfg)
-	s, gst, tGR := globalRoute(ctx, d, cfg, res)
-	t0 := time.Now()
-	engine := crp.New(s.d, s.g, s.r, crpConfig(cfg, k))
-	stats := engine.Run(ctx)
-	tMid := time.Since(t0)
-	res.absorbCRP(stats)
-	m, tDR := detailRoute(ctx, s, cfg, res)
-	res.Metrics = m
-	res.GlobalStats = gst
-	res.CRPStats = stats
-	res.Timings = Timings{
-		GlobalRoute: tGR,
-		Middle:      tMid,
-		DetailRoute: tDR,
-		Total:       tGR + tMid + tDR,
-		CRPPhases:   stats.Times(),
-	}
+	res, _ := run(ctx, d, cfg, plan{k: k, middle: crpStage})
 	return res
 }
 
 // RunSOTA executes GR → median-ILP sweep [18] → DR. A budget overrun
 // reports Failed with no metrics, mirroring the paper's test10 row.
 func RunSOTA(ctx context.Context, d *db.Design, cfg Config) *Result {
-	ctx, cancel := flowCtx(ctx, cfg)
-	defer cancel()
-	res := newResult(cfg)
-	s, gst, tGR := globalRoute(ctx, d, cfg, res)
-	t0 := time.Now()
-	bst := medianilp.Run(ctx, s.d, s.g, s.r, cfg.Baseline)
-	tMid := time.Since(t0)
-	res.GlobalStats = gst
-	res.BaselineStats = bst
-	res.Timings = Timings{
-		GlobalRoute: tGR,
-		Middle:      tMid,
-		Total:       tGR + tMid,
-	}
-	if bst.Failed {
-		res.Failed = true
-		res.degrade("sota", "budget-failed", "median-ILP sweep exceeded its budget; design restored")
-		return res
-	}
-	m, tDR := detailRoute(ctx, s, cfg, res)
-	res.Metrics = m
-	res.Timings.DetailRoute = tDR
-	res.Timings.Total += tDR
+	res, _ := run(ctx, d, cfg, plan{middle: sotaStage})
 	return res
-}
-
-// RunCRPWithOutputs runs the CR&P flow and writes the resulting DEF and
-// route-guide files (the framework's outputs in Fig. 1). The outputs are
-// written even when the run degraded — a deadline yields the best-so-far
-// placement and guides, never nothing.
-func RunCRPWithOutputs(ctx context.Context, d *db.Design, k int, cfg Config, defOut, guideOut io.Writer) (*Result, error) {
-	ctx, cancel := flowCtx(ctx, cfg)
-	defer cancel()
-	res := newResult(cfg)
-	s, gst, tGR := globalRoute(ctx, d, cfg, res)
-	t0 := time.Now()
-	engine := crp.New(s.d, s.g, s.r, crpConfig(cfg, k))
-	stats := engine.Run(ctx)
-	tMid := time.Since(t0)
-	res.absorbCRP(stats)
-	m, tDR := detailRoute(ctx, s, cfg, res)
-	if err := writeRunOutputs(s, defOut, guideOut); err != nil {
-		return nil, err
-	}
-	res.Metrics = m
-	res.GlobalStats = gst
-	res.CRPStats = stats
-	res.Timings = Timings{
-		GlobalRoute: tGR,
-		Middle:      tMid,
-		DetailRoute: tDR,
-		Total:       tGR + tMid + tDR,
-		CRPPhases:   stats.Times(),
-	}
-	return res, nil
 }

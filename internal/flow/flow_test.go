@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/crp-eda/crp/internal/db"
+	"github.com/crp-eda/crp/internal/eco"
 	"github.com/crp-eda/crp/internal/ispd"
 )
 
@@ -112,7 +113,7 @@ func TestCRPBeatsOrMatchesBaselineScore(t *testing.T) {
 
 func TestRunCRPWithOutputs(t *testing.T) {
 	var def, guides bytes.Buffer
-	r, err := RunCRPWithOutputs(context.Background(), design(t, 5), 1, quickConfig(), &def, &guides)
+	r, err := RunCRPCheckpointed(context.Background(), design(t, 5), 1, quickConfig(), nil, &def, &guides)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,11 +128,82 @@ func TestRunCRPWithOutputs(t *testing.T) {
 	}
 }
 
+// TestTimingsSumToTotal pins the single assembly point: every entry point's
+// Timings come from one driver, so on each of them the stage times sum to
+// Total and the CR&P phase breakdown is the CR&P stats' own; a baseline
+// has no middle stage and a failed SOTA run no detailed routing.
 func TestTimingsSumToTotal(t *testing.T) {
-	r := RunCRP(context.Background(), design(t, 6), 2, quickConfig())
-	sum := r.Timings.GlobalRoute + r.Timings.Middle + r.Timings.DetailRoute
-	if sum != r.Timings.Total {
-		t.Errorf("stage times %v do not sum to total %v", sum, r.Timings.Total)
+	ctx := context.Background()
+	must := func(r *Result, err error) *Result {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	failCfg := quickConfig()
+	failCfg.Baseline.TimeBudget = time.Nanosecond
+
+	// A checkpointed run cancelled after iteration 1's checkpoint leaves
+	// work for the resume; the resumed design then holds the placement of
+	// the final checkpoint, which the ECO-from-checkpoint delta targets.
+	ckDir := t.TempDir()
+	cctx, cancel := context.WithCancel(ctx)
+	ck := &Checkpointing{Manager: openManager(t, ckDir, 0), AfterSave: func(n int) {
+		if n == 2 {
+			cancel()
+		}
+	}}
+	checkpointed := must(RunCRPCheckpointed(cctx, design(t, 6), 2, quickConfig(), ck, nil, nil))
+	cancel()
+	resumedD := design(t, 6)
+	resumed := must(Resume(ctx, resumedD, 2, quickConfig(), &Checkpointing{Manager: openManager(t, ckDir, 0)}, nil, nil))
+	fromCkpt, err := eco.GenerateDelta(resumedD, 2, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := eco.GenerateDelta(design(t, 6), 2, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	structural := &eco.Delta{Adds: []eco.AddCell{freeAddSite(t, design(t, 6))}}
+
+	rows := []struct {
+		name string
+		res  *Result
+		crp  bool
+	}{
+		{"baseline", RunBaseline(ctx, design(t, 6), quickConfig()), false},
+		{"sota", RunSOTA(ctx, design(t, 6), quickConfig()), false},
+		{"sota-failed", RunSOTA(ctx, design(t, 6), failCfg), false},
+		{"crp", RunCRP(ctx, design(t, 6), 2, quickConfig()), true},
+		{"checkpointed", checkpointed, true},
+		{"resume", resumed, true},
+		{"eco-local", must(RunECO(ctx, design(t, 6), nil, local, quickConfig(), ECOOptions{}, nil, nil)), true},
+		{"eco-structural", must(RunECO(ctx, design(t, 6), nil, structural, quickConfig(), ECOOptions{}, nil, nil)), true},
+		{"eco-from-checkpoint", must(ECOFromCheckpoint(ctx, design(t, 6), openManager(t, ckDir, 0), fromCkpt, quickConfig(), ECOOptions{}, nil, nil)), true},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			tm := row.res.Timings
+			if sum := tm.GlobalRoute + tm.Middle + tm.DetailRoute; sum != tm.Total {
+				t.Errorf("stage times %v do not sum to total %v", sum, tm.Total)
+			}
+			if row.crp {
+				if row.res.CRPStats == nil {
+					t.Fatal("CR&P ran but left no CRPStats")
+				}
+				if want := row.res.CRPStats.Times(); tm.CRPPhases != want {
+					t.Errorf("CRPPhases %+v, want CRPStats.Times() %+v", tm.CRPPhases, want)
+				}
+			}
+		})
+	}
+	if tm := rows[0].res.Timings; tm.Middle != 0 {
+		t.Errorf("baseline middle stage %v, want 0", tm.Middle)
+	}
+	if r := rows[2].res; !r.Failed || r.Timings.DetailRoute != 0 {
+		t.Errorf("failed SOTA: Failed=%v DetailRoute=%v, want true and 0", r.Failed, r.Timings.DetailRoute)
 	}
 }
 

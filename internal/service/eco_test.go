@@ -17,7 +17,7 @@ import (
 // and participates in the exact-result cache under a parent-hash+delta key.
 
 // parentDelta generates a small valid delta against a done parent job's
-// committed placement (the same base runECOAttempt reconstructs) and returns
+// committed placement (the same base prepareECO reconstructs) and returns
 // its canonical encoding.
 func parentDelta(t *testing.T, svc *Service, parentID string, moves, rewires int, seed int64) []byte {
 	t.Helper()

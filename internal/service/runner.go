@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -85,10 +86,10 @@ type attemptEnv struct {
 	cacheDir string
 }
 
-// runFlowAttempt executes one resume-or-start attempt of the job in
-// env.dir: parse or generate the design, open the per-job checkpoint
-// manager, run the checkpointed flow with every progress point journaled,
-// and commit outputs atomically on completion.
+// runFlowAttempt executes one attempt of the job in env.dir: load the spec,
+// prepare the job kind's flow call (see prepareCRP and prepareECO), run it
+// with every progress point journaled, and commit the outputs atomically
+// and populate the result cache on completion.
 //
 // ctx is the preemption channel, not the flow's context: a cancellation
 // only takes effect at the next checkpoint boundary (via AfterSave), or
@@ -99,16 +100,13 @@ func runFlowAttempt(ctx context.Context, env attemptEnv) int {
 	if err != nil {
 		return failAttempt(env, fmt.Errorf("loading spec: %w", err))
 	}
+	prepare := prepareCRP
 	if spec.isECO() {
-		return runECOAttempt(ctx, env, spec)
+		prepare = prepareECO
 	}
-	d, err := spec.Design()
+	run, err := prepare(env, spec)
 	if err != nil {
-		return failAttempt(env, fmt.Errorf("building design: %w", err))
-	}
-	mgr, err := checkpoint.Open(filepath.Join(env.dir, "ckpt"), 0)
-	if err != nil {
-		return failAttempt(env, fmt.Errorf("opening checkpoints: %w", err))
+		return failAttempt(env, err)
 	}
 
 	// fctx is the context the flow actually runs under. It is decoupled
@@ -134,16 +132,8 @@ func runFlowAttempt(ctx context.Context, env attemptEnv) int {
 		}
 	}()
 
-	if env.fence != nil {
-		// Every checkpoint snapshot and manifest commit now verifies the
-		// claim's token immediately before its publishing rename; a fenced
-		// save surfaces as a flow "checkpoint-write-failed" degradation.
-		mgr.SetGuard(env.fence)
-	}
-
 	cfg := spec.FlowConfig()
 	ck := &flow.Checkpointing{
-		Manager: mgr,
 		AfterSave: func(int) {
 			if ctx.Err() != nil {
 				fcancel()
@@ -156,113 +146,11 @@ func runFlowAttempt(ctx context.Context, env attemptEnv) int {
 	}
 
 	var def, guide bytes.Buffer
-	res, err := flow.Resume(fctx, d, 0, cfg, ck, &def, &guide)
-	if errors.Is(err, flow.ErrNoCheckpoint) {
-		res, err = flow.RunCRPCheckpointed(fctx, d, 0, cfg, ck, &def, &guide)
-	}
+	res, err := run(fctx, cfg, ck, &def, &guide)
 	if ctx.Err() != nil {
-		// Preempted: the last committed snapshot is the hand-off point;
-		// the partial outputs of this attempt are discarded.
-		env.publish(Event{Kind: "preempted", Attempt: env.attempt})
-		return ExitPreempted
-	}
-	if err != nil {
-		return failAttempt(env, err)
-	}
-
-	out := result{
-		Metrics: Metrics{
-			WirelengthDBU: res.Metrics.WirelengthDBU,
-			Vias:          res.Metrics.Vias,
-			Score:         res.Metrics.Score,
-			Truncated:     res.Metrics.Truncated,
-		},
-		TotalMoved: res.CRPStats.TotalMoved,
-		Iterations: len(res.CRPStats.Iterations),
-	}
-	for _, dg := range res.Degradations {
-		out.Degradations = append(out.Degradations, dg.String())
-	}
-	if err := commitResult(env.dir, out, def.Bytes(), guide.Bytes(), env.fence); err != nil {
-		if errors.Is(err, ErrFenced) {
-			// The claim was superseded mid-run: this node is a zombie for
-			// the job. Nothing was published (the fence runs before every
-			// rename); hand the verdict to the pool.
-			return ExitFenced
-		}
-		return failAttempt(env, fmt.Errorf("committing outputs: %w", err))
-	}
-	if spec != nil {
-		if hash, err := specHash(*spec); err == nil {
-			// Best effort: a failed population only costs a future cache
-			// miss. The fence still guards the publishing rename.
-			populateCache(env.cacheDir, hash, env.dir, env.fence)
-		}
-	}
-	return 0
-}
-
-// runECOAttempt executes one attempt of an incremental ECO job: rebuild
-// the parent job's design, re-place it from the parent's committed
-// out.def, and run flow.RunECO with the spec's delta. ECO attempts keep no
-// checkpoints — the incremental run is deterministic and short, so a
-// preempted or crashed attempt simply reruns from the parent's output and
-// commits byte-identical artifacts.
-func runECOAttempt(ctx context.Context, env attemptEnv, spec *Spec) int {
-	parentDir := filepath.Join(filepath.Dir(env.dir), spec.ParentJob)
-	parentSpec, err := loadSpec(parentDir)
-	if err != nil {
-		return failAttempt(env, fmt.Errorf("loading parent spec: %w", err))
-	}
-	pd, err := parentSpec.Design()
-	if err != nil {
-		return failAttempt(env, fmt.Errorf("building parent design: %w", err))
-	}
-	defData, err := os.ReadFile(filepath.Join(parentDir, "out.def"))
-	if err != nil {
-		return failAttempt(env, fmt.Errorf("reading parent output: %w", err))
-	}
-	// The committed DEF is the parent's placed design; reparsing it against
-	// the parent's tech/macros yields the ECO base with final positions.
-	base, err := lefdef.ParseDEF(bytes.NewReader(defData), pd.Tech, pd.Macros)
-	if err != nil {
-		return failAttempt(env, fmt.Errorf("parsing parent output: %w", err))
-	}
-	delta, err := eco.Parse(spec.ECODelta)
-	if err != nil {
-		return failAttempt(env, fmt.Errorf("parsing delta: %w", err))
-	}
-
-	fctx, fcancel := context.WithCancel(context.Background())
-	defer fcancel()
-	if env.onFlow != nil {
-		env.onFlow(fcancel)
-	}
-	go func() {
-		select {
-		case <-ctx.Done():
-			t := time.NewTimer(env.grace)
-			defer t.Stop()
-			select {
-			case <-t.C:
-				fcancel()
-			case <-fctx.Done():
-			}
-		case <-fctx.Done():
-		}
-	}()
-
-	cfg := spec.FlowConfig()
-	if env.instrument != nil {
-		env.instrument(&cfg, &flow.Checkpointing{})
-	}
-	env.publish(Event{Kind: "eco-start", Attempt: env.attempt, Detail: spec.ParentJob})
-
-	var def, guide bytes.Buffer
-	res, err := flow.RunECO(fctx, base, nil, delta, cfg, flow.ECOOptions{}, &def, &guide)
-	if ctx.Err() != nil {
-		// Preempted: nothing to hand off — the deterministic rerun restarts
-		// from the parent's committed output.
+		// Preempted: the last committed snapshot (none for an ECO attempt,
+		// which reruns from the parent's committed output) is the hand-off
+		// point; the partial outputs of this attempt are discarded.
 		env.publish(Event{Kind: "preempted", Attempt: env.attempt})
 		return ExitPreempted
 	}
@@ -295,14 +183,85 @@ func runECOAttempt(ctx context.Context, env attemptEnv, spec *Spec) int {
 	}
 	if err := commitResult(env.dir, out, def.Bytes(), guide.Bytes(), env.fence); err != nil {
 		if errors.Is(err, ErrFenced) {
+			// The claim was superseded mid-run: this node is a zombie for
+			// the job. Nothing was published (the fence runs before every
+			// rename); hand the verdict to the pool.
 			return ExitFenced
 		}
 		return failAttempt(env, fmt.Errorf("committing outputs: %w", err))
 	}
 	if hash, err := jobHash(*spec, filepath.Dir(env.dir)); err == nil {
+		// Best effort: a failed population only costs a future cache
+		// miss. The fence still guards the publishing rename.
 		populateCache(env.cacheDir, hash, env.dir, env.fence)
 	}
 	return 0
+}
+
+// attemptRun is the one flow call an attempt makes; runFlowAttempt supplies
+// everything around it.
+type attemptRun func(ctx context.Context, cfg flow.Config, ck *flow.Checkpointing, def, guide io.Writer) (*flow.Result, error)
+
+// prepareCRP builds a CR&P job's design and opens its per-job checkpoint
+// manager; the run resumes from the newest checkpoint or starts fresh.
+func prepareCRP(env attemptEnv, spec *Spec) (attemptRun, error) {
+	d, err := spec.Design()
+	if err != nil {
+		return nil, fmt.Errorf("building design: %w", err)
+	}
+	mgr, err := checkpoint.Open(filepath.Join(env.dir, "ckpt"), 0)
+	if err != nil {
+		return nil, fmt.Errorf("opening checkpoints: %w", err)
+	}
+	if env.fence != nil {
+		// Every checkpoint snapshot and manifest commit now verifies the
+		// claim's token immediately before its publishing rename; a fenced
+		// save surfaces as a flow "checkpoint-write-failed" degradation.
+		mgr.SetGuard(env.fence)
+	}
+	return func(ctx context.Context, cfg flow.Config, ck *flow.Checkpointing, def, guide io.Writer) (*flow.Result, error) {
+		ck.Manager = mgr
+		res, err := flow.Resume(ctx, d, 0, cfg, ck, def, guide)
+		if errors.Is(err, flow.ErrNoCheckpoint) {
+			res, err = flow.RunCRPCheckpointed(ctx, d, 0, cfg, ck, def, guide)
+		}
+		return res, err
+	}, nil
+}
+
+// prepareECO rebuilds an incremental ECO job's base: the parent job's
+// design re-placed from the parent's committed out.def, plus the spec's
+// delta. ECO attempts keep no checkpoints — the incremental run is
+// deterministic and short, so a preempted or crashed attempt simply reruns
+// from the parent's output and commits byte-identical artifacts.
+func prepareECO(env attemptEnv, spec *Spec) (attemptRun, error) {
+	parentDir := filepath.Join(filepath.Dir(env.dir), spec.ParentJob)
+	parentSpec, err := loadSpec(parentDir)
+	if err != nil {
+		return nil, fmt.Errorf("loading parent spec: %w", err)
+	}
+	pd, err := parentSpec.Design()
+	if err != nil {
+		return nil, fmt.Errorf("building parent design: %w", err)
+	}
+	defData, err := os.ReadFile(filepath.Join(parentDir, "out.def"))
+	if err != nil {
+		return nil, fmt.Errorf("reading parent output: %w", err)
+	}
+	// The committed DEF is the parent's placed design; reparsing it against
+	// the parent's tech/macros yields the ECO base with final positions.
+	base, err := lefdef.ParseDEF(bytes.NewReader(defData), pd.Tech, pd.Macros)
+	if err != nil {
+		return nil, fmt.Errorf("parsing parent output: %w", err)
+	}
+	delta, err := eco.Parse(spec.ECODelta)
+	if err != nil {
+		return nil, fmt.Errorf("parsing delta: %w", err)
+	}
+	return func(ctx context.Context, cfg flow.Config, _ *flow.Checkpointing, def, guide io.Writer) (*flow.Result, error) {
+		env.publish(Event{Kind: "eco-start", Attempt: env.attempt, Detail: spec.ParentJob})
+		return flow.RunECO(ctx, base, nil, delta, cfg, flow.ECOOptions{}, def, guide)
+	}, nil
 }
 
 // failAttempt journals an attempt failure and returns the retryable code.

@@ -46,7 +46,7 @@ func referenceOutputs(t *testing.T, sp Spec) (defB, guideB []byte) {
 		t.Fatal(err)
 	}
 	var def, guide bytes.Buffer
-	if _, err := flow.RunCRPWithOutputs(context.Background(), d, 0, sp.FlowConfig(), &def, &guide); err != nil {
+	if _, err := flow.RunCRPCheckpointed(context.Background(), d, 0, sp.FlowConfig(), nil, &def, &guide); err != nil {
 		t.Fatal(err)
 	}
 	return def.Bytes(), guide.Bytes()

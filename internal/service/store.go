@@ -451,6 +451,12 @@ func (st *store) next() *Job {
 // On a halted node release is a no-op: a dead process performs no
 // transitions and its leases expire on their own.
 func (st *store) release(j *Job, next State, errMsg string) {
+	if next == StateDone {
+		// The finished attempt may have populated the cache; re-apply the
+		// LRU bounds before the transition is visible, so a waiter that
+		// sees done also sees the eviction it caused.
+		st.enforceCacheBounds()
+	}
 	st.mu.Lock()
 	if st.halted {
 		st.mu.Unlock()
@@ -483,11 +489,6 @@ func (st *store) release(j *Job, next State, errMsg string) {
 	}
 	if token != 0 {
 		st.lm.release(j.Dir, token)
-	}
-	if next == StateDone {
-		// The finished attempt may have populated the cache; re-apply the
-		// LRU bounds so the cache never outgrows its budget for long.
-		st.enforceCacheBounds()
 	}
 	st.cond.Broadcast()
 	j.hub.notify()

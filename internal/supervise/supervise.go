@@ -1,9 +1,9 @@
-// Package supervise is the self-healing run supervisor: it executes a job
-// (typically a checkpointed cmd/crp invocation) and, when the job dies —
-// crash, OOM kill, injected fault — restarts it with exponential backoff
-// until it succeeds or a retry cap is reached. Paired with checkpoint
-// journaling and flow.Resume, a supervised run loses at most one iteration
-// of work per crash and still terminates with bit-identical outputs.
+// Package supervise is the retry loop behind the job service's worker pool:
+// it runs a job attempt and, when the attempt dies — crash, OOM kill,
+// injected fault — retries it with exponential backoff until it succeeds or
+// a retry cap is reached. Paired with checkpoint journaling and
+// flow.Resume, a supervised run loses at most one iteration of work per
+// crash and still terminates with bit-identical outputs.
 //
 // Determinism discipline: backoff jitter comes from a seeded generator and
 // sleeping goes through an injectable seam, so supervisor behaviour —
@@ -16,11 +16,7 @@ package supervise
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"io"
 	"math/rand"
-	"os/exec"
 	"time"
 )
 
@@ -51,7 +47,7 @@ type Config struct {
 	// cancellation is still honoured as soon as it returns.
 	Sleep func(time.Duration)
 	// OnAttempt, when non-nil, observes every attempt as it completes —
-	// structured reporting for logs and the crpd CLI.
+	// structured reporting for the job service's event journal.
 	OnAttempt func(Attempt)
 }
 
@@ -207,28 +203,4 @@ func backoff(cfg Config, jitter *rand.Rand, n int) time.Duration {
 		d = cfg.MaxBackoff
 	}
 	return d + time.Duration(jitter.Int63n(int64(d)/2+1))
-}
-
-// Command wraps a child-process invocation as a Job: each attempt re-execs
-// argv with the given stdio, and the child's exit code is extracted from
-// the process state (so an injected CrashExitCode is observable). A child
-// that cannot start reports code -1.
-func Command(argv []string, stdout, stderr io.Writer) (Job, error) {
-	if len(argv) == 0 {
-		return nil, errors.New("supervise: empty command")
-	}
-	return func(attempt int) (int, error) {
-		cmd := exec.Command(argv[0], argv[1:]...)
-		cmd.Stdout = stdout
-		cmd.Stderr = stderr
-		err := cmd.Run()
-		if err == nil {
-			return 0, nil
-		}
-		var xerr *exec.ExitError
-		if errors.As(err, &xerr) {
-			return xerr.ExitCode(), fmt.Errorf("attempt %d: %w", attempt, err)
-		}
-		return -1, fmt.Errorf("attempt %d: %w", attempt, err)
-	}, nil
 }

