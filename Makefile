@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: check vet build bench-build test race race-solver race-shard lint-state bench-smoke bench-json fuzz-smoke chaos crash-chaos service-chaos failover-chaos eco-chaos
+.PHONY: check vet build bench-build test race race-solver race-shard lint-state bench-smoke flake fuzz-smoke chaos crash-chaos service-chaos failover-chaos eco-chaos
 
 ## check: the full pre-merge gate — vet, build, benchmark-module build,
-## state lint, race-enabled tests, bench smoke, chaos suite, crash-chaos
-## suite, service-chaos suite, failover-chaos suite, eco-chaos suite, fuzz
-## smoke.
-check: vet build bench-build lint-state race-solver race-shard race bench-smoke chaos crash-chaos service-chaos failover-chaos eco-chaos fuzz-smoke
+## state lint, race-enabled tests, bench smoke, flake gate, chaos suite,
+## crash-chaos suite, service-chaos suite, failover-chaos suite, eco-chaos
+## suite, fuzz smoke.
+check: vet build bench-build lint-state race-solver race-shard race bench-smoke flake chaos crash-chaos service-chaos failover-chaos eco-chaos fuzz-smoke
 
 vet:
 	$(GO) vet ./...
@@ -41,10 +41,18 @@ race-shard:
 	$(GO) test -race -count=1 -run 'TestSharded' ./internal/crp
 	$(GO) test -race -count=1 -run 'TestChaosShard|TestResumeBitIdentityEveryBoundarySharded' ./internal/flow
 
-## bench-smoke: one-shot Fig. 3 breakdown — catches benchmark-harness rot
-## without paying for a real measurement run.
+## bench-smoke: one-shot Fig. 3 breakdown and one pass of every layer
+## micro-benchmark under internal/ — catches benchmark rot without paying
+## for a real measurement run (the measured harness is crpbench/run.sh).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig3Breakdown' -benchtime 1x .
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
+
+## flake: the job service and flow packages, raced, in shuffled order,
+## three times over — an order- or timing-dependent test fails here before
+## it flakes in a plain `go test ./...`.
+flake:
+	$(GO) test -race -shuffle=on -count=3 ./internal/service ./internal/flow
 
 ## lint-state: no code in the CR&P iteration path mutates placement, grid
 ## demand or routes behind the view's back — mutation goes through
@@ -57,13 +65,6 @@ lint-state:
 	else \
 		echo 'lint-state: ok'; \
 	fi
-
-## bench-json: regenerate the BENCH_*.json performance snapshot
-## (see EXPERIMENTS.md, "Performance architecture"). Override the target
-## with BENCH=..., e.g. `make bench-json BENCH=BENCH_9.json`.
-BENCH ?= BENCH_10.json
-bench-json:
-	$(GO) run ./cmd/benchreport -o $(BENCH)
 
 ## chaos: the fault-injection suite — every fault class must complete with
 ## degraded-mode stats and a legal design; zero faults must be bit-identical

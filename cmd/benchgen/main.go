@@ -21,6 +21,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -31,93 +32,105 @@ import (
 )
 
 func main() {
-	out := flag.String("out", "benchmarks", "output directory for LEF/DEF pairs")
-	scale := flag.Float64("scale", 0.02, "fraction of the contest cell/net counts")
-	circuit := flag.String("circuit", "", "generate only this circuit (default: all ten)")
-	statsOnly := flag.Bool("stats", false, "print Table II statistics only, write nothing")
-	ecoDelta := flag.String("eco-delta", "", "write a seeded ECO delta (canonical JSON) to this path instead of LEF/DEF")
-	ecoDEF := flag.String("eco-def", "", "generate the -eco-delta edit against this placed DEF (e.g. the parent run's output) instead of the base placement")
-	ecoMoves := flag.Int("eco-moves", 8, "moved cells in the -eco-delta edit")
-	ecoNets := flag.Int("eco-nets", 2, "reconnected nets in the -eco-delta edit")
-	ecoSeed := flag.Int64("eco-seed", 1, "seed of the -eco-delta edit")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fatal(err)
+	}
+}
+
+// run is the command body: it parses args and writes LEF/DEF pairs, the
+// Table II statistics, or an ECO delta, reporting progress to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("benchgen", flag.ExitOnError)
+	out := fs.String("out", "benchmarks", "output directory for LEF/DEF pairs")
+	scale := fs.Float64("scale", 0.02, "fraction of the contest cell/net counts")
+	circuit := fs.String("circuit", "", "generate only this circuit (default: all ten)")
+	statsOnly := fs.Bool("stats", false, "print Table II statistics only, write nothing")
+	ecoDelta := fs.String("eco-delta", "", "write a seeded ECO delta (canonical JSON) to this path instead of LEF/DEF")
+	ecoDEF := fs.String("eco-def", "", "generate the -eco-delta edit against this placed DEF (e.g. the parent run's output) instead of the base placement")
+	ecoMoves := fs.Int("eco-moves", 8, "moved cells in the -eco-delta edit")
+	ecoNets := fs.Int("eco-nets", 2, "reconnected nets in the -eco-delta edit")
+	ecoSeed := fs.Int64("eco-seed", 1, "seed of the -eco-delta edit")
+	fs.Parse(args)
+
+	specs := ispd.Suite(*scale)
+	if *circuit != "" {
+		spec, err := lookupCircuit(specs, *circuit)
+		if err != nil {
+			return err
+		}
+		specs = []ispd.Spec{spec}
+	}
 
 	if *ecoDelta != "" {
 		if *circuit == "" {
-			fatal(fmt.Errorf("-eco-delta requires -circuit"))
+			return fmt.Errorf("-eco-delta requires -circuit")
 		}
-		var spec *ispd.Spec
-		for _, s := range ispd.Suite(*scale) {
-			if s.Name == *circuit {
-				sc := s
-				spec = &sc
-				break
-			}
-		}
-		if spec == nil {
-			fatal(fmt.Errorf("unknown circuit %q", *circuit))
-		}
-		d, err := ispd.Generate(*spec)
+		d, err := ispd.Generate(specs[0])
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if *ecoDEF != "" {
 			f, err := os.Open(*ecoDEF)
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			placed, err := lefdef.ParseDEF(f, d.Tech, d.Macros)
 			f.Close()
 			if err != nil {
-				fatal(fmt.Errorf("parsing -eco-def: %w", err))
+				return fmt.Errorf("parsing -eco-def: %w", err)
 			}
 			d = placed
 		}
 		dl, err := eco.GenerateDelta(d, *ecoMoves, *ecoNets, *ecoSeed)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		canon, err := dl.Canonical()
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if err := os.WriteFile(*ecoDelta, append(canon, '\n'), 0o644); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("%s: %d moves, %d rewired nets (seed %d) -> %s\n",
+		fmt.Fprintf(stdout, "%s: %d moves, %d rewired nets (seed %d) -> %s\n",
 			*circuit, len(dl.Moves), len(dl.Nets), *ecoSeed, *ecoDelta)
-		return
+		return nil
 	}
 
 	if *statsOnly {
-		if err := experiments.Table2(os.Stdout, *scale); err != nil {
-			fatal(err)
-		}
-		return
+		return experiments.Table2(stdout, *scale)
 	}
 	if err := os.MkdirAll(*out, 0o755); err != nil {
-		fatal(err)
+		return err
 	}
-	for _, spec := range ispd.Suite(*scale) {
-		if *circuit != "" && spec.Name != *circuit {
-			continue
-		}
+	for _, spec := range specs {
 		d, err := ispd.Generate(spec)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		lefPath := filepath.Join(*out, spec.Name+".lef")
 		defPath := filepath.Join(*out, spec.Name+".def")
 		if err := lefdef.WriteLEFFile(lefPath, d.Tech, d.Macros); err != nil {
-			fatal(err)
+			return err
 		}
 		if err := lefdef.WriteDEFFile(defPath, d); err != nil {
-			fatal(err)
+			return err
 		}
 		st := d.Stats()
-		fmt.Printf("%s: %d cells, %d nets, %.1f%% utilisation -> %s, %s\n",
+		fmt.Fprintf(stdout, "%s: %d cells, %d nets, %.1f%% utilisation -> %s, %s\n",
 			spec.Name, st.Cells, st.Nets, st.Utilisation*100, lefPath, defPath)
 	}
+	return nil
+}
+
+// lookupCircuit finds the named circuit in the suite.
+func lookupCircuit(specs []ispd.Spec, name string) (ispd.Spec, error) {
+	for _, s := range specs {
+		if s.Name == name {
+			return s, nil
+		}
+	}
+	return ispd.Spec{}, fmt.Errorf("unknown circuit %q", name)
 }
 
 func fatal(err error) {

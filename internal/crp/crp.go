@@ -127,11 +127,6 @@ type Config struct {
 	// SelectMaxNodes caps the selection ILP's branch & bound nodes;
 	// 0 means the historical default of 200k nodes.
 	SelectMaxNodes int
-	// DisableSolverFastPath routes every ILP in the iteration — the
-	// legalizer's relocation models and the selection model — through the
-	// legacy dense-tableau solver and disables the legalizer's result
-	// caches; the differential-testing escape hatch.
-	DisableSolverFastPath bool
 	// ShardRegions enables the region-sharded iteration mode when > 0: the
 	// critical set is partitioned into up to roughly this many spatial
 	// regions whose legalizer windows cannot interact, each region's
@@ -229,12 +224,6 @@ type IterStats struct {
 type ShardIterStats struct {
 	// Regions is the number of regions the partition produced.
 	Regions int
-	// RegionCells and RegionDurations hold, per region ordinal, the member
-	// count and the region pipeline's wall clock (generate + estimate +
-	// select). cmd/benchreport feeds the durations to shard.Makespan to
-	// model the parallel wall clock at a given worker count.
-	RegionCells     []int
-	RegionDurations []time.Duration
 	// ConcurrentPeak is the maximum number of region pipelines observed in
 	// flight at once (>= 2 proves the concurrency was not vacuous).
 	ConcurrentPeak int
@@ -351,9 +340,6 @@ func New(d *db.Design, g *grid.Grid, r *global.Router, cfg Config) *Engine {
 	}
 	if cfg.SelectMaxNodes <= 0 {
 		cfg.SelectMaxNodes = 200_000
-	}
-	if cfg.DisableSolverFastPath {
-		cfg.Legal.DisableSolverFastPath = true
 	}
 	v := view.New(d, g, r)
 	ovs := make([]*view.Overlay, cfg.Workers)

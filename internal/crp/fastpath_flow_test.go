@@ -11,7 +11,7 @@ import (
 
 // flowOutcome runs a small full CR&P flow on one of the synthetic ISPD
 // testcases and captures everything the run decided.
-func flowOutcome(t *testing.T, idx, iters, workers int, dense bool) runOutcome {
+func flowOutcome(t *testing.T, idx, iters, workers int) runOutcome {
 	t.Helper()
 	spec := ispd.Suite(0.02)[idx]
 	d, err := ispd.Generate(spec)
@@ -24,44 +24,16 @@ func flowOutcome(t *testing.T, idx, iters, workers int, dense bool) runOutcome {
 	cfg := DefaultConfig()
 	cfg.Iterations = iters
 	cfg.Workers = workers
-	cfg.DisableSolverFastPath = dense
 	e := New(d, g, r, cfg)
 	return outcomeOf(t, d, r, e.Run(context.Background()))
-}
-
-// TestFlowFastVsDenseParity is the flow half of the differential-parity
-// satellite: full CR&P runs through the sparse fast path (presolve, sparse
-// simplex, window + solve caches) and through the legacy dense-tableau path
-// must make identical moves and end with identical placements, statistics
-// and routing cost on crp_test1 and crp_test2.
-//
-// Where a relocation ILP has several cost-equal optima the two solvers can
-// in principle tie-break differently (the legalizer-level ladder in
-// internal/legal/fastpath_test.go verifies such divergences are pure ties);
-// on these testcases no tie surfaces in the cells the flow actually
-// legalises, so full equality is asserted — if this test ever fails with
-// cost-equal positions, extend it with the documented ladder rather than
-// loosening blindly.
-func TestFlowFastVsDenseParity(t *testing.T) {
-	for _, idx := range []int{0, 1} {
-		fast := flowOutcome(t, idx, 3, 4, false)
-		dense := flowOutcome(t, idx, 3, 4, true)
-		if !sameOutcome(fast, dense) {
-			t.Errorf("testcase %d: fast and dense flows diverged (fast cost %v, dense cost %v)",
-				idx+1, fast.totalCost, dense.totalCost)
-		}
-		if fast.totalCost == 0 || len(fast.positions) == 0 {
-			t.Fatalf("testcase %d: degenerate outcome", idx+1)
-		}
-	}
 }
 
 // TestFlowWorkerCountInvariant: the candidate-generation and costing
 // fan-outs merge results by item index, so the worker count must never
 // change the outcome — 1 worker and 8 workers are bit-identical.
 func TestFlowWorkerCountInvariant(t *testing.T) {
-	serial := flowOutcome(t, 0, 3, 1, false)
-	wide := flowOutcome(t, 0, 3, 8, false)
+	serial := flowOutcome(t, 0, 3, 1)
+	wide := flowOutcome(t, 0, 3, 8)
 	if !sameOutcome(serial, wide) {
 		t.Error("worker count changed the run outcome")
 	}

@@ -341,9 +341,8 @@ func (e *Engine) selectCandidates(ctx context.Context, cands [][]candidate) (_ [
 	// limit, and whatever remains of the iteration deadline — whichever is
 	// tightest. A deadline already in the past skips the solve entirely.
 	opt := ilp.Options{
-		MaxNodes:              e.Cfg.SelectMaxNodes,
-		TimeLimit:             e.Cfg.ILPTimeLimit,
-		DisableSolverFastPath: e.Cfg.DisableSolverFastPath,
+		MaxNodes:  e.Cfg.SelectMaxNodes,
+		TimeLimit: e.Cfg.ILPTimeLimit,
 	}
 	skipSolve := false
 	if dl, ok := ctx.Deadline(); ok {

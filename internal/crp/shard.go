@@ -45,9 +45,9 @@ type regionRun struct {
 	sol        ilp.Solution
 	usedGreedy bool
 
-	gcp, ecc, ilpT, total time.Duration
-	timedOut              bool
-	done                  bool
+	gcp, ecc, ilpT time.Duration
+	timedOut       bool
+	done           bool
 }
 
 // iterateSharded is the sharded twin of Iterate; see the file comment.
@@ -88,11 +88,6 @@ func (e *Engine) iterateSharded(ctx context.Context) IterStats {
 	// (halo-inflated) rects imply disjoint selection sub-problems.
 	regions := e.partitionCritical(critical)
 	ss.Regions = len(regions)
-	ss.RegionCells = make([]int, len(regions))
-	ss.RegionDurations = make([]time.Duration, len(regions))
-	for ri, reg := range regions {
-		ss.RegionCells[ri] = len(reg.Members)
-	}
 
 	// Speculative region pipelines: each region is one work item of the
 	// worker pool, running GCP, ECC and its selection solve back to back on
@@ -163,7 +158,6 @@ func (e *Engine) iterateSharded(ctx context.Context) IterStats {
 		st.Times.GCP += runs[ri].gcp
 		st.Times.ECC += runs[ri].ecc
 		st.Times.ILP += runs[ri].ilpT
-		ss.RegionDurations[ri] = runs[ri].total
 	}
 
 	// Selection merge: recombine the per-region solves when that is provably
@@ -288,7 +282,6 @@ func (e *Engine) runRegion(ctx context.Context, w, ri int, reg shard.Region, cri
 	run.sub = sub
 	run.chosen, run.sol, run.usedGreedy = e.selectCandidates(ctx, sub)
 	run.ilpT = time.Since(t0)
-	run.total = time.Since(start)
 	run.done = true
 }
 
@@ -299,7 +292,6 @@ func (e *Engine) runRegion(ctx context.Context, w, ri int, reg shard.Region, cri
 // the serial path's worker-panic degradation. The redo is complete: partial
 // results from the failed attempt are overwritten.
 func (e *Engine) redoRegion(ctx context.Context, ri int, reg shard.Region, critical []int32, cands [][]candidate, run *regionRun, st *IterStats) {
-	start := time.Now()
 	deg := func(kind, detail string) {
 		st.Degradations = append(st.Degradations, Degradation{Iter: e.iter, Kind: kind, Detail: detail})
 	}
@@ -337,7 +329,6 @@ func (e *Engine) redoRegion(ctx context.Context, ri int, reg shard.Region, criti
 	run.sub = sub
 	run.chosen, run.sol, run.usedGreedy = e.selectCandidates(ctx, sub)
 	run.ilpT = time.Since(t0)
-	run.total = time.Since(start)
 	run.timedOut = false
 	run.done = true
 	st.Shard.SerialRedo++

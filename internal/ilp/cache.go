@@ -126,7 +126,7 @@ func (m *Model) appendCacheKey(b []byte, opt Options) []byte {
 	if opt.DisableDecomposition {
 		flags |= 1
 	}
-	if opt.DisablePresolve {
+	if opt.disablePresolve {
 		flags |= 2
 	}
 	b = append(b, flags)

@@ -58,16 +58,16 @@ func checkSolutionFeasible(t *testing.T, m *Model, sol Solution) {
 }
 
 // TestFastPathParityRandom is the differential ladder over random models:
-// fast path (default), fast path without presolve, and the legacy dense
-// path must agree on status and optimal objective, and every claimed
-// optimum must be feasible.
+// Solve, Solve without presolve, and the seed solver (SolveDense) must
+// agree on status and optimal objective, and every claimed optimum must be
+// feasible.
 func TestFastPathParityRandom(t *testing.T) {
 	for seed := int64(0); seed < 400; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		m := randomModel(rng)
 		fast := m.Solve(Options{})
-		noPre := m.Solve(Options{DisablePresolve: true})
-		dense := m.Solve(Options{DisableSolverFastPath: true})
+		noPre := m.Solve(Options{disablePresolve: true})
+		dense := m.SolveDense(Options{})
 
 		if fast.Status != dense.Status || noPre.Status != dense.Status {
 			t.Fatalf("seed %d: status fast=%v noPresolve=%v dense=%v",
@@ -92,7 +92,7 @@ func TestFastPathParityRandom(t *testing.T) {
 }
 
 // TestFastPathVsBruteForce pins the fast path against exhaustive
-// enumeration on its own, independent of the dense path.
+// enumeration on its own, independent of SolveDense.
 func TestFastPathVsBruteForce(t *testing.T) {
 	for seed := int64(1000); seed < 1200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -281,7 +281,7 @@ func TestPresolveReductions(t *testing.T) {
 	if sol = m.Solve(Options{}); sol.Status != Infeasible {
 		t.Fatalf("dup-eq contradiction: %v", sol.Status)
 	}
-	if sol = m.Solve(Options{DisableSolverFastPath: true}); sol.Status != Infeasible {
+	if sol = m.SolveDense(Options{}); sol.Status != Infeasible {
 		t.Fatalf("dup-eq contradiction (dense): %v", sol.Status)
 	}
 

@@ -4,8 +4,8 @@ package ilp
 // best-first branch & bound over the reduced model with the sparse
 // bounded-variable simplex as relaxation kernel. Search order, branching
 // rule, incumbent acceptance and budget accounting deliberately mirror
-// solveComponent in ilp.go so both paths walk the same tree shape; only the
-// per-node LP machinery and the presolve shrinkage differ.
+// the seed solveComponent in dense.go so both paths walk the same tree
+// shape; only the per-node LP machinery and the presolve shrinkage differ.
 
 // fastScratch bundles the buffers reused across nodes and components of one
 // Solve call. Instances are pooled across Solve calls (see fastScratchPool
@@ -61,7 +61,7 @@ func solveComponentFast(m *Model, comp component, lut []int32, bud *budget, opt 
 	}
 
 	pm := newPreModel(m, comp, lut, fs)
-	if !opt.DisablePresolve {
+	if !opt.disablePresolve {
 		pm.run()
 		if pm.infeasible {
 			return compSolution{status: Infeasible}

@@ -7,7 +7,7 @@ import (
 
 // FuzzILPSolve decodes a byte string into a small 0/1 model and
 // cross-checks the default fast path against brute-force enumeration, the
-// presolve-off fast path, and the legacy dense path. Any status or optimal
+// presolve-off fast path, and the seed solver (SolveDense). Any status or optimal
 // objective divergence, or an infeasible "optimal" assignment, fails.
 func FuzzILPSolve(f *testing.F) {
 	f.Add([]byte{3, 2, 10, 0, 1, 200, 2, 1, 60, 1, 2, 130})
@@ -23,8 +23,8 @@ func FuzzILPSolve(f *testing.F) {
 		feasible, bestObj, _ := bruteForce(m)
 
 		fast := m.Solve(Options{})
-		noPre := m.Solve(Options{DisablePresolve: true})
-		dense := m.Solve(Options{DisableSolverFastPath: true})
+		noPre := m.Solve(Options{disablePresolve: true})
+		dense := m.SolveDense(Options{})
 
 		if fast.Status != dense.Status || noPre.Status != dense.Status {
 			t.Fatalf("status fast=%v noPresolve=%v dense=%v", fast.Status, noPre.Status, dense.Status)

@@ -5,12 +5,16 @@
 //	min  c·y
 //	s.t. A·y (<=,>=,=) b,   y ∈ {0,1}^n
 //
-// by presolve decomposition into independent components followed by
-// branch & bound with a dense two-phase simplex LP relaxation per node.
-// Both of the paper's models — the ILP-based legalizer (Eq. 11) and the
-// candidate-selection ILP (Eq. 12) — are small 0/1 programs, so the solver
-// returns certified optima; node and time budgets allow the caller to model
-// the scalability failure of the state-of-the-art baseline [18].
+// by decomposition into independent components, presolve reductions, and
+// best-first branch & bound with a sparse bounded-variable simplex as the
+// LP relaxation per node (a dense two-phase tableau takes over on numeric
+// trouble). Both of the paper's models — the ILP-based legalizer (Eq. 11)
+// and the candidate-selection ILP (Eq. 12) — are small 0/1 programs, so the
+// solver returns certified optima; node and time budgets allow the caller
+// to model the scalability failure of the state-of-the-art baseline [18].
+// SolveDense keeps the seed solver (dense tableau, no presolve) as the
+// reference the differential tests compare Solve against; no production
+// code calls it.
 package ilp
 
 import (
@@ -141,7 +145,7 @@ func (s Status) String() string {
 }
 
 // Options tunes a Solve call. The zero value means: decompose, no limits,
-// fast path with presolve, no cache.
+// presolve, no cache.
 type Options struct {
 	// MaxNodes caps the total branch & bound nodes across all components;
 	// 0 means unlimited. Negative values are rejected by Validate.
@@ -152,13 +156,9 @@ type Options struct {
 	// DisableDecomposition solves the model as a single component. Used
 	// to mirror monolithic formulations (the baseline [18] model).
 	DisableDecomposition bool
-	// DisableSolverFastPath routes the solve through the legacy
-	// dense-tableau path: no presolve, no sparse simplex, no cache. Kept
-	// for differential testing and as an escape hatch.
-	DisableSolverFastPath bool
-	// DisablePresolve keeps the sparse fast path but skips the presolve
-	// reductions; a parity-testing knob.
-	DisablePresolve bool
+	// disablePresolve keeps the sparse solver but skips the presolve
+	// reductions; set only by this package's parity tests.
+	disablePresolve bool
 	// Cache, when non-nil, memoises certified solutions keyed by the
 	// exact model encoding. It is only consulted on budget-less solves
 	// (MaxNodes == 0 and TimeLimit == 0), so budget-dependent outcomes
@@ -197,36 +197,17 @@ func (s *Solution) Value(v VarID) bool {
 // Solve runs the solver. The model is not modified and may be solved again.
 // Invalid Options (see Options.Validate) cause a panic.
 func (m *Model) Solve(opt Options) Solution {
-	if err := opt.Validate(); err != nil {
-		panic(err.Error())
-	}
-	n := len(m.costs)
-	sol := Solution{Values: make([]int8, n)}
-	if n == 0 {
-		// Constraints with no variables must still hold.
-		for _, c := range m.cons {
-			if !opHolds(0, c.Op, c.RHS) {
-				sol.Status = Infeasible
-				return sol
-			}
-		}
-		sol.Status = Optimal
-		sol.HasIncumbent = true
+	if sol, done := m.solveTrivial(opt); done {
 		return sol
 	}
-
-	var fs *fastScratch
-	if !opt.DisableSolverFastPath {
-		fs = fastScratchPool.Get().(*fastScratch)
-		defer fastScratchPool.Put(fs)
-	}
+	fs := fastScratchPool.Get().(*fastScratch)
+	defer fastScratchPool.Put(fs)
 
 	// The solve cache is consulted only for budget-less solves: budgeted
 	// outcomes depend on node order and wall-clock, and must never leak
 	// across calls (checkpoint/resume relies on a cold cache producing
 	// identical results).
-	useCache := opt.Cache != nil && !opt.DisableSolverFastPath &&
-		opt.MaxNodes == 0 && opt.TimeLimit == 0
+	useCache := opt.Cache != nil && opt.MaxNodes == 0 && opt.TimeLimit == 0
 	var key []byte
 	var keyHash uint64
 	if useCache {
@@ -238,35 +219,51 @@ func (m *Model) Solve(opt Options) Solution {
 		}
 	}
 
-	var deadline time.Time
-	if opt.TimeLimit > 0 {
-		deadline = time.Now().Add(opt.TimeLimit)
+	// Stale lut entries are harmless: each component writes its own vars
+	// before any of its constraints read them.
+	lut := growI32(&fs.lut, len(m.costs))
+	bud := newBudget(opt)
+	sol := m.solveComponents(m.components(opt.DisableDecomposition, fs), &bud,
+		func(comp component) compSolution {
+			return solveComponentFast(m, comp, lut, &bud, opt, fs)
+		})
+	if useCache {
+		// Budget-less, so the status is Optimal or Infeasible: certified.
+		opt.Cache.store(key, keyHash, sol)
 	}
-	budget := &budget{maxNodes: opt.MaxNodes, deadline: deadline}
+	return sol
+}
 
-	comps := m.components(opt.DisableDecomposition, fs)
-	sol.Components = len(comps)
-	var lut []int32
-	if fs != nil {
-		// Stale entries are harmless: each component writes its own vars
-		// before any of its constraints read them.
-		lut = growI32(&fs.lut, n)
+// solveTrivial validates opt (panicking on invalid options) and settles the
+// variable-free model, whose constraints must simply hold at zero. done is
+// false when the model needs a search.
+func (m *Model) solveTrivial(opt Options) (sol Solution, done bool) {
+	if err := opt.Validate(); err != nil {
+		panic(err.Error())
 	}
-	for ci, comp := range comps {
-		var cs compSolution
-		if opt.DisableSolverFastPath {
-			cs = solveComponent(m, comp, budget)
-		} else {
-			cs = solveComponentFast(m, comp, lut, budget, opt, fs)
+	if len(m.costs) > 0 {
+		return Solution{}, false
+	}
+	for _, c := range m.cons {
+		if !opHolds(0, c.Op, c.RHS) {
+			return Solution{Status: Infeasible, Values: []int8{}}, true
 		}
-		sol.Nodes = budget.nodes
+	}
+	return Solution{Status: Optimal, HasIncumbent: true, Values: []int8{}}, true
+}
+
+// solveComponents is the component loop Solve and SolveDense share: it
+// solves comps in order with solve, which spends from bud, and assembles
+// the per-component optima into one Solution.
+func (m *Model) solveComponents(comps []component, bud *budget, solve func(component) compSolution) Solution {
+	sol := Solution{Values: make([]int8, len(m.costs)), Components: len(comps)}
+	for ci, comp := range comps {
+		cs := solve(comp)
+		sol.Nodes = bud.nodes
 		switch cs.status {
 		case Infeasible:
 			sol.Status = Infeasible
 			sol.HasIncumbent = false
-			if useCache {
-				opt.Cache.store(key, keyHash, sol)
-			}
 			return sol
 		case LimitReached:
 			sol.Status = LimitReached
@@ -292,10 +289,7 @@ func (m *Model) Solve(opt Options) Solution {
 	}
 	sol.Status = Optimal
 	sol.HasIncumbent = true
-	sol.Nodes = budget.nodes
-	if useCache {
-		opt.Cache.store(key, keyHash, sol)
-	}
+	sol.Nodes = bud.nodes
 	return sol
 }
 
@@ -319,25 +313,11 @@ type component struct {
 // components partitions variables and constraints into connected components
 // of the variable/constraint incidence graph, using union-find. Variables
 // that appear in no constraint each form a singleton component (solved by
-// sign of their cost).
+// sign of their cost). With disable set the whole model is one component.
 func (m *Model) components(disable bool, fs *fastScratch) []component {
 	n := len(m.costs)
 	if disable {
-		all := component{vars: make([]VarID, n), cons: make([]int, len(m.cons))}
-		for i := range all.vars {
-			all.vars[i] = VarID(i)
-		}
-		for i := range all.cons {
-			all.cons[i] = i
-		}
-		return []component{all}
-	}
-	// The dense path (fs == nil) runs the preserved seed implementation —
-	// DisableSolverFastPath documents that contract, and benchreport's
-	// "before" column depends on it staying byte-faithful. The fast path
-	// gets the allocation-free arena partition below.
-	if fs == nil {
-		return m.componentsSeed()
+		return []component{m.monolith()}
 	}
 	parent := growI32(&fs.ufParent, n)
 	idxOf := growI32(&fs.ufIdx, n)
@@ -357,7 +337,7 @@ func (m *Model) components(disable bool, fs *fastScratch) []component {
 		}
 	}
 	// Number components in first-seen (ascending variable) order — the same
-	// order the old append-per-variable grouping produced.
+	// order the seed's append-per-variable grouping produces.
 	for i := range idxOf {
 		idxOf[i] = -1
 	}
@@ -372,12 +352,7 @@ func (m *Model) components(disable bool, fs *fastScratch) []component {
 	// comp.cons out of two arenas: the whole partition costs O(n + nnz) and
 	// at most three allocations, amortised to zero across pooled solves.
 	liveCons := 0
-	var cnt []int32
-	if fs != nil {
-		cnt = growI32(&fs.compCnt, 2*nc)
-	} else {
-		cnt = make([]int32, 2*nc)
-	}
+	cnt := growI32(&fs.compCnt, 2*nc)
 	for i := range cnt {
 		cnt[i] = 0
 	}
@@ -409,75 +384,31 @@ func (m *Model) components(disable bool, fs *fastScratch) []component {
 	}
 	for ci, c := range m.cons {
 		if len(c.Terms) == 0 {
-			// Variable-free constraint: attach to a synthetic check below.
+			// Variable-free constraint: attached by appendVarFree.
 			continue
 		}
 		r := find(int32(c.Terms[0].Var))
 		out[idxOf[r]].cons = append(out[idxOf[r]].cons, ci)
 	}
-	// Variable-free constraints are checked once, attached to a dummy
-	// component with no vars so infeasibility still surfaces.
-	var emptyCons []int
-	for ci, c := range m.cons {
-		if len(c.Terms) == 0 {
-			emptyCons = append(emptyCons, ci)
-		}
-	}
-	if len(emptyCons) > 0 {
-		out = append(out, component{cons: emptyCons})
-	}
-	return out
+	return m.appendVarFree(out)
 }
 
-// componentsSeed is the original union-find partition, kept verbatim for
-// the dense differential-testing path.
-func (m *Model) componentsSeed() []component {
-	n := len(m.costs)
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
+// monolith is the whole model as a single component.
+func (m *Model) monolith() component {
+	all := component{vars: make([]VarID, len(m.costs)), cons: make([]int, len(m.cons))}
+	for i := range all.vars {
+		all.vars[i] = VarID(i)
 	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
+	for i := range all.cons {
+		all.cons[i] = i
 	}
-	union := func(a, b int) { parent[find(a)] = find(b) }
+	return all
+}
 
-	for _, c := range m.cons {
-		for i := 1; i < len(c.Terms); i++ {
-			union(int(c.Terms[0].Var), int(c.Terms[i].Var))
-		}
-	}
-	byRoot := map[int]*component{}
-	var order []int
-	for v := 0; v < n; v++ {
-		r := find(v)
-		comp, ok := byRoot[r]
-		if !ok {
-			comp = &component{}
-			byRoot[r] = comp
-			order = append(order, r)
-		}
-		comp.vars = append(comp.vars, VarID(v))
-	}
-	for ci, c := range m.cons {
-		if len(c.Terms) == 0 {
-			// Variable-free constraint: attach to a synthetic check below.
-			continue
-		}
-		r := find(int(c.Terms[0].Var))
-		byRoot[r].cons = append(byRoot[r].cons, ci)
-	}
-	out := make([]component, 0, len(order))
-	for _, r := range order {
-		out = append(out, *byRoot[r])
-	}
-	// Variable-free constraints are checked once, attached to a dummy
-	// component with no vars so infeasibility still surfaces.
+// appendVarFree attaches the model's variable-free constraints to a dummy
+// component with no vars, checked once, so their infeasibility still
+// surfaces.
+func (m *Model) appendVarFree(comps []component) []component {
 	var emptyCons []int
 	for ci, c := range m.cons {
 		if len(c.Terms) == 0 {
@@ -485,18 +416,14 @@ func (m *Model) componentsSeed() []component {
 		}
 	}
 	if len(emptyCons) > 0 {
-		out = append(out, component{cons: emptyCons})
+		comps = append(comps, component{cons: emptyCons})
 	}
-	return out
+	return comps
 }
 
 // growVarArena, growConArena and growComps hand out capacity-pinned buffers
-// for the component partition; all three tolerate a nil receiver (dense
-// path) by allocating fresh.
+// for the component partition.
 func (fs *fastScratch) growVarArena(n int) []VarID {
-	if fs == nil {
-		return make([]VarID, n)
-	}
 	if cap(fs.compVars) < n {
 		fs.compVars = make([]VarID, n)
 	}
@@ -504,9 +431,6 @@ func (fs *fastScratch) growVarArena(n int) []VarID {
 }
 
 func (fs *fastScratch) growConArena(n int) []int {
-	if fs == nil {
-		return make([]int, n)
-	}
 	if cap(fs.compCons) < n {
 		fs.compCons = make([]int, n)
 	}
@@ -514,9 +438,6 @@ func (fs *fastScratch) growConArena(n int) []int {
 }
 
 func (fs *fastScratch) growComps(n int) []component {
-	if fs == nil {
-		return make([]component, n)
-	}
 	if cap(fs.comps) < n {
 		fs.comps = make([]component, n)
 	}
@@ -530,6 +451,15 @@ type budget struct {
 	nodes    int
 }
 
+// newBudget returns opt's node and time budget, its clock starting now.
+func newBudget(opt Options) budget {
+	b := budget{maxNodes: opt.MaxNodes}
+	if opt.TimeLimit > 0 {
+		b.deadline = time.Now().Add(opt.TimeLimit)
+	}
+	return b
+}
+
 func (b *budget) spend() bool {
 	b.nodes++
 	if b.maxNodes > 0 && b.nodes > b.maxNodes {
@@ -540,13 +470,6 @@ func (b *budget) spend() bool {
 		return false
 	}
 	return true
-}
-
-func (b *budget) exhausted() bool {
-	if b.maxNodes > 0 && b.nodes >= b.maxNodes {
-		return true
-	}
-	return !b.deadline.IsZero() && time.Now().After(b.deadline)
 }
 
 type compSolution struct {
@@ -604,110 +527,6 @@ func (h *nodeHeap) pop() *bbNode {
 	return top
 }
 
-// solveComponent runs best-first branch & bound on one component.
-func solveComponent(m *Model, comp component, bud *budget) compSolution {
-	nv := len(comp.vars)
-	local := make(map[VarID]int, nv)
-	for i, v := range comp.vars {
-		local[v] = i
-	}
-	costs := make([]float64, nv)
-	for i, v := range comp.vars {
-		costs[i] = m.costs[v]
-	}
-
-	// No variables: just check the attached constant constraints.
-	if nv == 0 {
-		for _, ci := range comp.cons {
-			if !opHolds(0, m.cons[ci].Op, m.cons[ci].RHS) {
-				return compSolution{status: Infeasible}
-			}
-		}
-		return compSolution{status: Optimal}
-	}
-
-	relax := func(fixed []int8) (lpStatus, []float64, float64) {
-		return relaxLP(m, comp, local, costs, fixed)
-	}
-
-	var best *compSolution
-	// limited reports budget exhaustion, carrying the best incumbent found
-	// so far (values non-nil) so callers can degrade gracefully instead of
-	// discarding the whole search.
-	limited := func() compSolution {
-		if best != nil {
-			return compSolution{status: LimitReached, values: best.values, objective: best.objective}
-		}
-		return compSolution{status: LimitReached}
-	}
-
-	root := &bbNode{fixed: make([]int8, nv)}
-	for i := range root.fixed {
-		root.fixed[i] = -1
-	}
-	st, x, obj := relax(root.fixed)
-	if !bud.spend() {
-		return limited()
-	}
-	switch st {
-	case lpInfeasible:
-		return compSolution{status: Infeasible}
-	case lpUnbounded:
-		// Cannot happen with 0<=x<=1 bounds; defensive.
-		return compSolution{status: Infeasible}
-	}
-	root.bound = obj
-
-	consider := func(x []float64, obj float64) {
-		vals := make([]int8, nv)
-		for i, v := range x {
-			if v > 0.5 {
-				vals[i] = 1
-			}
-		}
-		if best == nil || obj < best.objective-1e-12 {
-			best = &compSolution{status: Optimal, values: vals, objective: obj}
-		}
-	}
-	if frac := mostFractional(x); frac < 0 {
-		consider(x, obj)
-		return *best
-	}
-
-	heap := nodeHeap{}
-	heap.push(root)
-	for len(heap) > 0 {
-		node := heap.pop()
-		if best != nil && node.bound >= best.objective-1e-9 {
-			continue // pruned by incumbent
-		}
-		st, x, obj := relax(node.fixed)
-		if !bud.spend() {
-			return limited()
-		}
-		if st != lpOptimal {
-			continue
-		}
-		if best != nil && obj >= best.objective-1e-9 {
-			continue
-		}
-		branch := mostFractional(x)
-		if branch < 0 {
-			consider(x, obj)
-			continue
-		}
-		for _, val := range [2]int8{0, 1} {
-			child := &bbNode{fixed: append([]int8(nil), node.fixed...), bound: obj}
-			child.fixed[branch] = val
-			heap.push(child)
-		}
-	}
-	if best == nil {
-		return compSolution{status: Infeasible}
-	}
-	return *best
-}
-
 // mostFractional returns the index of the variable farthest from integer,
 // or -1 when all values are integral.
 func mostFractional(x []float64) int {
@@ -720,105 +539,6 @@ func mostFractional(x []float64) int {
 		}
 	}
 	return idx
-}
-
-// relaxLP builds and solves the LP relaxation of a component under the
-// node's partial fixing. Fixed variables are folded into constraint RHS.
-func relaxLP(m *Model, comp component, local map[VarID]int, costs []float64, fixed []int8) (lpStatus, []float64, float64) {
-	nv := len(comp.vars)
-	freeIdx := make([]int, 0, nv) // local indices of free vars
-	colOf := make([]int, nv)
-	for i := range colOf {
-		colOf[i] = -1
-	}
-	fixedCost := 0.0
-	for i := 0; i < nv; i++ {
-		switch fixed[i] {
-		case -1:
-			colOf[i] = len(freeIdx)
-			freeIdx = append(freeIdx, i)
-		case 1:
-			fixedCost += costs[i]
-		}
-	}
-	nf := len(freeIdx)
-	p := &lpProblem{n: nf, c: make([]float64, nf)}
-	for col, i := range freeIdx {
-		p.c[col] = costs[i]
-	}
-	for _, ci := range comp.cons {
-		c := m.cons[ci]
-		a := make([]float64, nf)
-		rhs := c.RHS
-		hasFree := false
-		for _, t := range c.Terms {
-			li := local[t.Var]
-			switch fixed[li] {
-			case -1:
-				a[colOf[li]] += t.Coef
-				hasFree = true
-			case 1:
-				rhs -= t.Coef
-			}
-		}
-		if !hasFree {
-			if !opHolds(0, c.Op, rhs) {
-				return lpInfeasible, nil, 0
-			}
-			continue
-		}
-		p.rows = append(p.rows, lpRow{a: a, op: c.Op, b: rhs})
-	}
-	// Upper bounds x <= 1 per free variable — except where an equality
-	// constraint with unit coefficients and RHS <= 1 already implies the
-	// bound (the ubiquitous "pick exactly one" rows), which keeps the
-	// tableau small on assignment-shaped models.
-	implied := make([]bool, nf)
-	for _, ci := range comp.cons {
-		c := m.cons[ci]
-		if c.Op != EQ || c.RHS > 1+epsFeas {
-			continue
-		}
-		allUnitNonneg := true
-		for _, t := range c.Terms {
-			if t.Coef < 0 {
-				allUnitNonneg = false
-				break
-			}
-		}
-		if !allUnitNonneg {
-			continue
-		}
-		for _, t := range c.Terms {
-			if t.Coef >= 1-epsFeas {
-				if li := local[t.Var]; fixed[li] == -1 {
-					implied[colOf[li]] = true
-				}
-			}
-		}
-	}
-	for col := 0; col < nf; col++ {
-		if implied[col] {
-			continue
-		}
-		a := make([]float64, nf)
-		a[col] = 1
-		p.rows = append(p.rows, lpRow{a: a, op: LE, b: 1})
-	}
-	st, xf, obj := p.solve()
-	if st != lpOptimal {
-		return st, nil, 0
-	}
-	x := make([]float64, nv)
-	for i := 0; i < nv; i++ {
-		switch fixed[i] {
-		case -1:
-			x[i] = xf[colOf[i]]
-		case 1:
-			x[i] = 1
-		}
-	}
-	return lpOptimal, x, obj + fixedCost
 }
 
 // SortedVarsByName returns variable IDs sorted by name; a debugging aid for

@@ -72,6 +72,14 @@ func TestFreeSitesFastMatchesFreeSitesIn(t *testing.T) {
 	}
 }
 
+// newUncached returns a legalizer with the window-result and solve caches
+// turned off.
+func newUncached(d *db.Design, cfg Config) *Legalizer {
+	l := New(d, cfg)
+	l.winCache, l.solveCache = nil, nil
+	return l
+}
+
 // runAll collects every movable cell's candidates under one legalizer.
 func runAll(l *Legalizer) map[int32][]Candidate {
 	out := make(map[int32][]Candidate)
@@ -87,7 +95,8 @@ func runAll(l *Legalizer) map[int32][]Candidate {
 // satellite, structured as the ladder documented in DESIGN.md ("Solver
 // architecture"): on crp_test1 and crp_test2 the full fast path (sparse
 // solver, presolve, window + solve caches) is compared candidate-for-
-// candidate against the legacy dense-tableau path.
+// candidate against the seed legalizer (legacy_test.go), which solves its
+// relocation models with the seed solver ilp.SolveDense.
 //
 //	Level 1 — exact equality (the common case).
 //	Level 2 — where the relocation ILP has multiple optima the sparse and
@@ -98,9 +107,8 @@ func TestRunFastMatchesDense(t *testing.T) {
 	for _, idx := range []int{0, 1} {
 		d := testDesign(t, idx)
 		fast := New(d, DefaultConfig())
-		denseCfg := DefaultConfig()
-		denseCfg.DisableSolverFastPath = true
-		dense := New(d, denseCfg)
+		dense := New(d, DefaultConfig())
+		UseSeed(dense)
 		gotFast := runAll(fast)
 		gotDense := runAll(dense)
 		if len(gotFast) != len(gotDense) {
@@ -173,14 +181,12 @@ func relocationCost(d *db.Design, moves map[int32]geom.Point) float64 {
 	return sum
 }
 
-// TestRunPresolveOffParity: disabling only presolve (keeping the sparse
-// simplex) must not change any candidate either.
-func TestRunPresolveOffParity(t *testing.T) {
+// TestRunCacheOffParity: turning off the window-result and solve caches
+// (keeping the sparse solver and presolve) must not change any candidate.
+func TestRunCacheOffParity(t *testing.T) {
 	d := testDesign(t, 0)
 	fast := New(d, DefaultConfig())
-	plainCfg := DefaultConfig()
-	plainCfg.DisableCache = true
-	plain := New(d, plainCfg)
+	plain := newUncached(d, DefaultConfig())
 	if !reflect.DeepEqual(runAll(fast), runAll(plain)) {
 		t.Fatal("cache-on vs cache-off candidates differ")
 	}
@@ -250,11 +256,9 @@ func TestWindowCacheInvalidatedByMoves(t *testing.T) {
 // the relocation ILP's constraint order — and thus tie-breaking — random).
 func TestRunRepeatable(t *testing.T) {
 	d := testDesign(t, 1)
-	cfg := DefaultConfig()
-	cfg.DisableCache = true
-	want := runAll(New(d, cfg))
+	want := runAll(newUncached(d, DefaultConfig()))
 	for i := 0; i < 5; i++ {
-		if got := runAll(New(d, cfg)); !reflect.DeepEqual(got, want) {
+		if got := runAll(newUncached(d, DefaultConfig())); !reflect.DeepEqual(got, want) {
 			t.Fatalf("run %d differs from run 0", i+1)
 		}
 	}
@@ -269,10 +273,9 @@ func TestRunRepeatable(t *testing.T) {
 func TestRelocationShortcutBitIdentical(t *testing.T) {
 	for _, idx := range []int{0, 1, 2} {
 		d := testDesign(t, idx)
-		withCfg := DefaultConfig()
-		withCfg.DisableCache = true // isolate the shortcut from cache effects
-		with := New(d, withCfg)
-		without := New(d, withCfg)
+		// Uncached, to isolate the shortcut from cache effects.
+		with := newUncached(d, DefaultConfig())
+		without := newUncached(d, DefaultConfig())
 		without.noShortcut = true
 		got, want := runAll(with), runAll(without)
 		if !reflect.DeepEqual(got, want) {

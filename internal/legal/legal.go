@@ -44,14 +44,6 @@ type Config struct {
 	// construction of the model), otherwise the candidate slot is dropped.
 	MaxNodes  int
 	TimeLimit time.Duration
-	// DisableSolverFastPath routes Run through the preserved seed
-	// implementation (per-slot CheckLegal, per-call FreeSitesIn, dense-
-	// tableau relocation solves, no result caches) — the differential-
-	// testing escape hatch and the benchreport "before" column.
-	DisableSolverFastPath bool
-	// DisableCache keeps the sparse solver but turns off the window-result
-	// and solve caches; a testing knob.
-	DisableCache bool
 }
 
 // DefaultConfig returns the paper's experimental values.
@@ -107,6 +99,9 @@ type Legalizer struct {
 	// only by the differential test that certifies the shortcut against
 	// the full solver.
 	noShortcut bool
+	// seed, when set, replaces RunScratch's body with the seed legalizer
+	// the differential referees compare against; set only by tests.
+	seed func(c *db.Cell) []Candidate
 
 	// Cumulative nanoseconds inside Run and inside relocation ILP solves,
 	// summed across workers; feeds the GCP phase-time breakdown.
@@ -181,10 +176,10 @@ func New(d *db.Design, cfg Config) *Legalizer {
 			}
 		}
 	}
-	// Result caches are only sound on budget-less, fast-path solves: a
-	// budgeted outcome depends on wall-clock and node order and must never
-	// leak across calls (checkpoint/resume bit-identity).
-	if !cfg.DisableSolverFastPath && !cfg.DisableCache && cfg.MaxNodes == 0 && cfg.TimeLimit == 0 {
+	// Result caches are only sound on budget-less solves: a budgeted
+	// outcome depends on wall-clock and node order and must never leak
+	// across calls (checkpoint/resume bit-identity).
+	if cfg.MaxNodes == 0 && cfg.TimeLimit == 0 {
 		l.solveCache = ilp.NewSolveCache(0)
 		l.winCache = newWindowCache(0)
 	}
@@ -278,8 +273,8 @@ func (l *Legalizer) RunScratch(cellID int32, scr *Scratch) []Candidate {
 	if c.Fixed {
 		return nil
 	}
-	if l.Cfg.DisableSolverFastPath {
-		return l.runLegacy(c)
+	if l.seed != nil {
+		return l.seed(c)
 	}
 	if scr == nil {
 		scr = NewScratch()
@@ -505,8 +500,7 @@ func (l *Legalizer) relocateConflicts(c *db.Cell, pos geom.Point, conflicts []*d
 	// TestRelocationShortcutBitIdentical; budgeted configs skip the
 	// shortcut because their degradation outcomes depend on node accounting
 	// the shortcut does not perform.
-	if !l.noShortcut && !l.Cfg.DisableSolverFastPath &&
-		l.Cfg.MaxNodes == 0 && l.Cfg.TimeLimit == 0 {
+	if !l.noShortcut && l.Cfg.MaxNodes == 0 && l.Cfg.TimeLimit == 0 {
 		unique := true
 		for k := range conflicts {
 			s := filt[offs[k]:offs[k+1]]
@@ -653,10 +647,9 @@ func (l *Legalizer) relocateConflicts(c *db.Cell, pos geom.Point, conflicts []*d
 	}
 	t0 := time.Now()
 	sol := m.Solve(ilp.Options{
-		MaxNodes:              l.Cfg.MaxNodes,
-		TimeLimit:             l.Cfg.TimeLimit,
-		DisableSolverFastPath: l.Cfg.DisableSolverFastPath,
-		Cache:                 l.solveCache,
+		MaxNodes:  l.Cfg.MaxNodes,
+		TimeLimit: l.Cfg.TimeLimit,
+		Cache:     l.solveCache,
 	})
 	l.solveNS.Add(time.Since(t0).Nanoseconds())
 	switch {

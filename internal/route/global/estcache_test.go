@@ -94,3 +94,35 @@ func TestSegKeyOrderSensitive(t *testing.T) {
 		t.Fatal("segKey collides on distinct endpoints")
 	}
 }
+
+// TestEstimateTerminalCostAllocFree pins the ECC hot path's allocation
+// contract: on a warm cache, EstimateTerminalCost allocates nothing — for
+// one 3-pin query, and for a sweep over every net of the fixture.
+func TestEstimateTerminalCostAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled scratch under the race detector")
+	}
+	d := routeDesign(t, 100, 80, 21)
+	g := grid.New(d, grid.DefaultParams())
+	r := New(d, g, DefaultConfig())
+	r.RouteAll()
+	pts := []geom.Point{g.Center(1, 1), g.Center(8, 3), g.Center(4, 7)}
+	nets := make([][]geom.Point, 0, len(d.Nets))
+	for _, n := range d.Nets {
+		nets = append(nets, d.NetPinPositions(n))
+	}
+	allNets := func() {
+		for _, p := range nets {
+			r.EstimateTerminalCost(p)
+		}
+	}
+	// Warm the caches: the first pass populates them.
+	r.EstimateTerminalCost(pts)
+	allNets()
+	if a := testing.AllocsPerRun(100, func() { r.EstimateTerminalCost(pts) }); a != 0 {
+		t.Errorf("3-pin query on a warm cache: %v allocs/run, want 0", a)
+	}
+	if a := testing.AllocsPerRun(10, allNets); a != 0 {
+		t.Errorf("all %d nets on a warm cache: %v allocs/run, want 0", len(nets), a)
+	}
+}

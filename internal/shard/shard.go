@@ -24,7 +24,6 @@ package shard
 
 import (
 	"sort"
-	"time"
 
 	"github.com/crp-eda/crp/internal/geom"
 )
@@ -147,37 +146,4 @@ func Partition(in Input) []Region {
 		return regions[a].Members[0] < regions[b].Members[0]
 	})
 	return regions
-}
-
-// Makespan schedules the durations onto w workers with the longest-
-// processing-time-first heuristic and returns the resulting makespan — the
-// machine-independent model of the sharded pipeline's parallel wall clock
-// that cmd/benchreport's shard_breakdown sweep reports next to the measured
-// single-host numbers (see EXPERIMENTS.md).
-func Makespan(durations []time.Duration, w int) time.Duration {
-	if len(durations) == 0 {
-		return 0
-	}
-	if w < 1 {
-		w = 1
-	}
-	sorted := append([]time.Duration(nil), durations...)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a] > sorted[b] })
-	loads := make([]time.Duration, w)
-	for _, d := range sorted {
-		mi := 0
-		for i := 1; i < w; i++ {
-			if loads[i] < loads[mi] {
-				mi = i
-			}
-		}
-		loads[mi] += d
-	}
-	var ms time.Duration
-	for _, l := range loads {
-		if l > ms {
-			ms = l
-		}
-	}
-	return ms
 }

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-	"time"
 
 	"github.com/crp-eda/crp/internal/geom"
 )
@@ -147,46 +146,5 @@ func TestPartitionBoundsCoverMembers(t *testing.T) {
 				t.Errorf("region bounds %v do not cover member %d's inflated rect %v", r.Bounds, m, inf)
 			}
 		}
-	}
-}
-
-func TestMakespan(t *testing.T) {
-	ms := func(ds ...int) []time.Duration {
-		out := make([]time.Duration, len(ds))
-		for i, d := range ds {
-			out[i] = time.Duration(d)
-		}
-		return out
-	}
-	cases := []struct {
-		durations []time.Duration
-		w         int
-		want      time.Duration
-	}{
-		{nil, 4, 0},
-		{ms(5, 3, 2), 1, 10}, // one worker: sum
-		{ms(5, 3, 2), 2, 5},  // LPT: {5} vs {3,2}
-		{ms(5, 3, 2), 8, 5},  // more workers than jobs: max
-		{ms(4, 4, 4, 4), 2, 8},
-		{ms(7), 0, 7}, // w < 1 clamps to 1
-	}
-	for _, tc := range cases {
-		if got := Makespan(tc.durations, tc.w); got != tc.want {
-			t.Errorf("Makespan(%v, %d) = %v, want %v", tc.durations, tc.w, got, tc.want)
-		}
-	}
-	// Monotonicity: more workers never lengthens the modeled makespan.
-	rng := rand.New(rand.NewSource(13))
-	ds := make([]time.Duration, 20)
-	for i := range ds {
-		ds[i] = time.Duration(1 + rng.Intn(1000))
-	}
-	prev := Makespan(ds, 1)
-	for w := 2; w <= 8; w++ {
-		cur := Makespan(ds, w)
-		if cur > prev {
-			t.Fatalf("makespan grew from %v to %v when workers went %d -> %d", prev, cur, w-1, w)
-		}
-		prev = cur
 	}
 }
