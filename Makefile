@@ -1,12 +1,18 @@
 GO ?= go
 
-.PHONY: check vet build bench-build test race race-solver race-shard lint-state bench-smoke flake fuzz-smoke chaos crash-chaos service-chaos failover-chaos eco-chaos
+.PHONY: check fmt vet build bench-build test race race-solver race-shard lint-state bench-smoke flake fuzz-smoke chaos crash-chaos service-chaos failover-chaos eco-chaos
 
-## check: the full pre-merge gate — vet, build, benchmark-module build,
-## state lint, race-enabled tests, bench smoke, flake gate, chaos suite,
-## crash-chaos suite, service-chaos suite, failover-chaos suite, eco-chaos
-## suite, fuzz smoke.
-check: vet build bench-build lint-state race-solver race-shard race bench-smoke flake chaos crash-chaos service-chaos failover-chaos eco-chaos fuzz-smoke
+## check: the full pre-merge gate — gofmt, vet, build, benchmark-module
+## build, state lint, race-enabled tests, bench smoke, flake gate, chaos
+## suite, crash-chaos suite, service-chaos suite, failover-chaos suite,
+## eco-chaos suite, fuzz smoke.
+check: fmt vet build bench-build lint-state race-solver race-shard race bench-smoke flake chaos crash-chaos service-chaos failover-chaos eco-chaos fuzz-smoke
+
+## fmt: fails, listing the files, when any Go file is not gofmt-clean.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
+		echo "fmt: gofmt -l reports unformatted files:" >&2; echo "$$out" >&2; exit 1; \
+	fi
 
 vet:
 	$(GO) vet ./...
@@ -122,3 +128,4 @@ fuzz-smoke:
 	$(GO) test ./internal/service -fuzz 'FuzzSpecDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x
 	$(GO) test ./internal/service -fuzz 'FuzzLeaseRecord$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x
 	$(GO) test ./internal/eco -fuzz 'FuzzDeltaApply$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x
+	$(GO) test ./internal/grid -fuzz 'FuzzGridPrices$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-
-	"github.com/crp-eda/crp/internal/tech"
 )
 
 // CongestionMap is a 2D projection of the 3D edge congestion: for every
@@ -50,7 +48,6 @@ func (g *Grid) Congestion() *CongestionMap {
 		}
 	}
 	for l := 1; l < g.NL; l++ {
-		horizontal := g.Tech.Layer(l).Dir == tech.Horizontal
 		for y := 0; y < g.NY; y++ {
 			for x := 0; x < g.NX; x++ {
 				if !g.HasEdge(x, y, l) {
@@ -58,7 +55,7 @@ func (g *Grid) Congestion() *CongestionMap {
 				}
 				r := g.EdgeCongestion(x, y, l)
 				bump(x, y, r)
-				if horizontal {
+				if g.horiz[l] {
 					bump(x+1, y, r)
 				} else {
 					bump(x, y+1, r)

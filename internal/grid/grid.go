@@ -61,7 +61,9 @@ func DefaultParams() Params {
 // (x,y) joins GCell (x,y) to (x+1,y); on a vertical layer it joins (x,y) to
 // (x,y+1). Edges are stored in dense per-layer arrays indexed x + y*NX.
 type Grid struct {
-	Tech   *tech.Tech
+	Tech *tech.Tech
+	// Params is read-only after New: the price arrays were evaluated with
+	// it.
 	Params Params
 
 	NX, NY, NL int
@@ -73,6 +75,15 @@ type Grid struct {
 	wire  [][]float64 // U_w wire usage
 	fixed [][]float64 // U_f fixed usage
 	vias  [][]float64 // [layer][gcell] vias between layer and layer+1 (len NL-1)
+	horiz []bool      // [layer] preferred direction is horizontal
+
+	// The Eq. 10 prices, kept current by every demand write (see
+	// refreshEdge): pen is the logistic penalty of the planar edge leaving
+	// each GCell (1 where no edge leaves it), viaPen the planar penalty each
+	// GCell/layer node contributes to a via (see nodePenalty). Both are
+	// [layer][x+y*NX] over all NL layers.
+	pen    [][]float64
+	viaPen [][]float64
 
 	// epoch counts demand mutations (AddWire/AddVia). Everything that
 	// feeds Eq. 9/10 — and therefore every edge cost — is frozen while the
@@ -121,6 +132,9 @@ func New(d *db.Design, p Params) *Grid {
 	g.wire = make([][]float64, g.NL)
 	g.fixed = make([][]float64, g.NL)
 	g.vias = make([][]float64, g.NL-1)
+	g.horiz = make([]bool, g.NL)
+	g.pen = make([][]float64, g.NL)
+	g.viaPen = make([][]float64, g.NL)
 	for l := 0; l < g.NL; l++ {
 		g.cap[l] = make([]float64, n)
 		g.wire[l] = make([]float64, n)
@@ -128,10 +142,14 @@ func New(d *db.Design, p Params) *Grid {
 		if l < g.NL-1 {
 			g.vias[l] = make([]float64, n)
 		}
+		g.horiz[l] = t.Layer(l).Dir == tech.Horizontal
+		g.pen[l] = make([]float64, n)
+		g.viaPen[l] = make([]float64, n)
 		g.initCapacity(l)
 	}
 	g.seedFixedFromObstacles(d)
 	g.seedViasFromPins(d)
+	g.fillPrices()
 	return g
 }
 
@@ -143,12 +161,12 @@ func (g *Grid) initCapacity(l int) {
 	if l == 0 {
 		return
 	}
-	layer := g.Tech.Layer(l)
+	pitch := g.Tech.Layer(l).Pitch
 	var tracks int
-	if layer.Dir == tech.Horizontal {
-		tracks = g.CellH / layer.Pitch
+	if g.horiz[l] {
+		tracks = g.CellH / pitch
 	} else {
-		tracks = g.CellW / layer.Pitch
+		tracks = g.CellW / pitch
 	}
 	for i := range g.cap[l] {
 		g.cap[l][i] = float64(tracks)
@@ -236,13 +254,16 @@ func (g *Grid) GCellRect(x, y int) geom.Rect {
 // Center returns the DBU center of GCell (x,y).
 func (g *Grid) Center(x, y int) geom.Point { return g.GCellRect(x, y).Center() }
 
+// Horizontal reports whether layer l's preferred direction is horizontal.
+func (g *Grid) Horizontal(l int) bool { return g.horiz[l] }
+
 // HasEdge reports whether the preferred-direction edge leaving GCell (x,y)
 // on layer l exists (stays inside the lattice and the layer is routable).
 func (g *Grid) HasEdge(x, y, l int) bool {
 	if l <= 0 || l >= g.NL || !g.InBounds(x, y) {
 		return false
 	}
-	if g.Tech.Layer(l).Dir == tech.Horizontal {
+	if g.horiz[l] {
 		return x+1 < g.NX
 	}
 	return y+1 < g.NY
@@ -281,6 +302,7 @@ func (g *Grid) AddWire(x, y, l int, delta float64) {
 		// accounting bug, so fail loudly.
 		panic(fmt.Sprintf("grid: wire usage of edge (%d,%d,l%d) went negative", x, y, l))
 	}
+	g.refreshEdge(x, y, l)
 }
 
 // ViaCount returns the number of vias between layers l and l+1 at GCell (x,y).
@@ -307,6 +329,16 @@ func (g *Grid) AddVia(x, y, l int, delta float64) {
 	if g.vias[l][i] < -1e-9 {
 		panic(fmt.Sprintf("grid: via count at (%d,%d,l%d) went negative", x, y, l))
 	}
+	// The stack enters V of Eq. 9 for the edges leaving and arriving at
+	// (x,y) on both layers it joins.
+	for _, vl := range [2]int{l, l + 1} {
+		g.refreshEdge(x, y, vl)
+		if g.horiz[vl] {
+			g.refreshEdge(x-1, y, vl)
+		} else {
+			g.refreshEdge(x, y-1, vl)
+		}
+	}
 }
 
 // viasAt returns the total via count incident to GCell (x,y) on layer l
@@ -322,12 +354,16 @@ func (g *Grid) viasAt(x, y, l int) float64 {
 	return v
 }
 
-// Demand computes D_e (Eq. 9) for the edge leaving (x,y) on layer l.
+// Demand computes D_e (Eq. 9) for the edge leaving (x,y) on layer l; an
+// edge that does not exist has no demand.
 func (g *Grid) Demand(x, y, l int) float64 {
+	if !g.HasEdge(x, y, l) {
+		return 0
+	}
 	i := g.idx(x, y)
 	vSrc := g.viasAt(x, y, l)
 	var vDst float64
-	if g.Tech.Layer(l).Dir == tech.Horizontal {
+	if g.horiz[l] {
 		vDst = g.viasAt(x+1, y, l)
 	} else {
 		vDst = g.viasAt(x, y+1, l)
@@ -336,56 +372,104 @@ func (g *Grid) Demand(x, y, l int) float64 {
 	return g.wire[l][i] + g.fixed[l][i] + g.Params.Beta*delta
 }
 
-// Penalty computes the logistic congestion penalty of the edge (see the
+// Penalty returns the logistic congestion penalty of the edge (see the
 // package comment about the paper's sign typo). It lies in (0,1), crossing
-// 0.5 exactly when demand equals capacity.
+// 0.5 exactly when demand equals capacity; an edge that does not exist is
+// maximally penalised (1).
 func (g *Grid) Penalty(x, y, l int) float64 {
-	d := g.Demand(x, y, l)
-	c := g.Capacity(x, y, l)
-	return logistic(g.Params.Slope, c-d)
+	if !g.HasEdge(x, y, l) {
+		return 1
+	}
+	return g.pen[l][g.idx(x, y)]
 }
 
 func logistic(s, x float64) float64 { return 1 / (1 + math.Exp(s*x)) }
 
-// WireEdgeCost computes Eq. 10 for the planar edge leaving (x,y) on layer l.
+// WireEdgeCost returns Eq. 10 for the planar edge leaving (x,y) on layer l.
 // Dist(e) is the Manhattan distance between GCell centers in GCell units
 // (1 per step), keeping costs comparable across layers.
 func (g *Grid) WireEdgeCost(x, y, l int) float64 {
 	if !g.HasEdge(x, y, l) {
 		return math.Inf(1)
 	}
-	return g.Params.UnitWire * 1 * (1 + g.Penalty(x, y, l))
+	return g.Params.UnitWire * 1 * (1 + g.pen[l][g.idx(x, y)])
 }
 
-// ViaEdgeCost computes Eq. 10 for the via edge between layers l and l+1 at
+// ViaEdgeCost returns Eq. 10 for the via edge between layers l and l+1 at
 // GCell (x,y). A via's Dist is one unit; its penalty is the mean of the
-// planar penalties at the two layers it joins, so stacking vias into a
-// congested GCell is discouraged.
+// planar penalties at the two layers it joins (see nodePenalty), so
+// stacking vias into a congested GCell is discouraged.
 func (g *Grid) ViaEdgeCost(x, y, l int) float64 {
 	if l < 0 || l >= g.NL-1 || !g.InBounds(x, y) {
 		return math.Inf(1)
 	}
-	p := (g.planarPenaltyAt(x, y, l) + g.planarPenaltyAt(x, y, l+1)) / 2
+	i := g.idx(x, y)
+	p := (g.viaPen[l][i] + g.viaPen[l+1][i]) / 2
 	return g.Params.UnitVia * 1 * (1 + p)
 }
 
-// planarPenaltyAt samples the congestion around GCell (x,y) on layer l using
-// the edge leaving it, falling back to the edge arriving when (x,y) is on
-// the far boundary.
-func (g *Grid) planarPenaltyAt(x, y, l int) float64 {
-	if l <= 0 || l >= g.NL {
-		return 1 // unroutable layer: maximally penalised
+// edgePenalty evaluates the penalty of the edge leaving (x,y) on layer l
+// from demand and capacity: the value pen caches for it.
+func (g *Grid) edgePenalty(x, y, l int) float64 {
+	if !g.HasEdge(x, y, l) {
+		return 1
 	}
-	if g.HasEdge(x, y, l) {
-		return g.Penalty(x, y, l)
-	}
-	if g.Tech.Layer(l).Dir == tech.Horizontal && x > 0 && g.HasEdge(x-1, y, l) {
-		return g.Penalty(x-1, y, l)
-	}
-	if g.Tech.Layer(l).Dir == tech.Vertical && y > 0 && g.HasEdge(x, y-1, l) {
-		return g.Penalty(x, y-1, l)
+	return logistic(g.Params.Slope, g.cap[l][g.idx(x, y)]-g.Demand(x, y, l))
+}
+
+// nodePenalty samples the congestion around GCell (x,y) on layer l for the
+// vias touching it: the penalty of the edge leaving it, else of the edge
+// arriving when (x,y) is on the far boundary, else 1 (unroutable layer).
+// It is the value viaPen caches, read from pen.
+func (g *Grid) nodePenalty(x, y, l int) float64 {
+	switch {
+	case g.HasEdge(x, y, l):
+		return g.pen[l][g.idx(x, y)]
+	case g.horiz[l] && g.HasEdge(x-1, y, l):
+		return g.pen[l][g.idx(x-1, y)]
+	case !g.horiz[l] && g.HasEdge(x, y-1, l):
+		return g.pen[l][g.idx(x, y-1)]
 	}
 	return 1
+}
+
+// refreshEdge re-prices the planar edge leaving (x,y) on layer l after its
+// demand changed, then the via penalties of its two end GCells — every
+// price entry that reads the edge's penalty. Out-of-lattice coordinates
+// name no entry and are ignored.
+func (g *Grid) refreshEdge(x, y, l int) {
+	if !g.InBounds(x, y) {
+		return
+	}
+	g.pen[l][g.idx(x, y)] = g.edgePenalty(x, y, l)
+	g.refreshNode(x, y, l)
+	if g.horiz[l] {
+		g.refreshNode(x+1, y, l)
+	} else {
+		g.refreshNode(x, y+1, l)
+	}
+}
+
+func (g *Grid) refreshNode(x, y, l int) {
+	if g.InBounds(x, y) {
+		g.viaPen[l][g.idx(x, y)] = g.nodePenalty(x, y, l)
+	}
+}
+
+// fillPrices evaluates every price entry from the demand arrays.
+func (g *Grid) fillPrices() {
+	for l := 0; l < g.NL; l++ {
+		for y := 0; y < g.NY; y++ {
+			for x := 0; x < g.NX; x++ {
+				g.pen[l][g.idx(x, y)] = g.edgePenalty(x, y, l)
+			}
+		}
+		for y := 0; y < g.NY; y++ {
+			for x := 0; x < g.NX; x++ {
+				g.viaPen[l][g.idx(x, y)] = g.nodePenalty(x, y, l)
+			}
+		}
+	}
 }
 
 // DemandState is a deep copy of the grid's mutable routing demand: wire
@@ -419,7 +503,8 @@ func (g *Grid) ExportDemand() DemandState {
 }
 
 // RestoreDemand overwrites the grid's wire and via demand with a prior
-// ExportDemand, advancing the epoch so every cost cache revalidates.
+// ExportDemand, re-pricing every edge and advancing the epoch so every cost
+// cache revalidates.
 func (g *Grid) RestoreDemand(s DemandState) error {
 	if g.journal != nil {
 		// A bulk overwrite cannot be expressed as journal deltas; restoring
@@ -452,6 +537,7 @@ func (g *Grid) RestoreDemand(s DemandState) error {
 	for l := range g.vias {
 		copy(g.vias[l], s.Vias[l])
 	}
+	g.fillPrices()
 	g.epoch++
 	return nil
 }

@@ -222,6 +222,37 @@ func TestSlopeSharpensPenalty(t *testing.T) {
 	}
 }
 
+// An edge that does not exist has no demand and the maximal penalty: its
+// Demand must not read a neighbouring GCell's vias through the dense
+// layout, nor index past it.
+func TestMissingEdgeDemandAndPenalty(t *testing.T) {
+	g := newGrid(t)
+	// Vias at the first GCell of row 1 — the dense-layout successor of the
+	// last column of row 0.
+	g.AddVia(0, 1, 2, 5)
+	for _, tc := range []struct {
+		name    string
+		x, y, l int
+	}{
+		{"last column, horizontal layer", g.NX - 1, 0, 2},
+		{"last row, vertical layer", 0, g.NY - 1, 1},
+		{"layer 0", 2, 2, 0},
+		{"out of bounds", g.NX, g.NY - 1, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if g.HasEdge(tc.x, tc.y, tc.l) {
+				t.Fatal("fixture: the edge exists")
+			}
+			if d := g.Demand(tc.x, tc.y, tc.l); d != 0 {
+				t.Errorf("Demand = %v, want 0", d)
+			}
+			if p := g.Penalty(tc.x, tc.y, tc.l); p != 1 {
+				t.Errorf("Penalty = %v, want 1", p)
+			}
+		})
+	}
+}
+
 func TestWireEdgeCost(t *testing.T) {
 	g := newGrid(t)
 	x, y, l := 2, 2, 2

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"github.com/crp-eda/crp/internal/geom"
-	"github.com/crp-eda/crp/internal/tech"
 )
 
 // The 3D maze router: Dijkstra over the full GCell lattice with the Eq. 10
@@ -37,37 +36,39 @@ type heapItem struct {
 type pq []heapItem
 
 func (h *pq) push(it heapItem) {
-	*h = append(*h, it)
-	i := len(*h) - 1
+	q := append(*h, it)
+	*h = q
+	i := len(q) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if (*h)[p].cost <= (*h)[i].cost {
+		if q[p].cost <= q[i].cost {
 			break
 		}
-		(*h)[p], (*h)[i] = (*h)[i], (*h)[p]
+		q[p], q[i] = q[i], q[p]
 		i = p
 	}
 }
 
 func (h *pq) pop() heapItem {
-	old := *h
-	top := old[0]
-	last := len(old) - 1
-	old[0] = old[last]
-	*h = old[:last]
+	q := *h
+	top := q[0]
+	last := len(q) - 1
+	q[0] = q[last]
+	q = q[:last]
+	*h = q
 	i := 0
 	for {
 		l, rr, s := 2*i+1, 2*i+2, i
-		if l < last && (*h)[l].cost < (*h)[s].cost {
+		if l < last && q[l].cost < q[s].cost {
 			s = l
 		}
-		if rr < last && (*h)[rr].cost < (*h)[s].cost {
+		if rr < last && q[rr].cost < q[s].cost {
 			s = rr
 		}
 		if s == i {
 			break
 		}
-		(*h)[i], (*h)[s] = (*h)[s], (*h)[i]
+		q[i], q[s] = q[s], q[i]
 		i = s
 	}
 	return top
@@ -91,12 +92,13 @@ func (r *Router) mazeRoute(a, b geom.Point) *path {
 		return true
 	}
 
-	h := pq{}
+	h := &r.heap
+	*h = (*h)[:0]
 	visit(src, 0, -1)
 	h.push(heapItem{0, src})
 
 	pops := 0
-	for len(h) > 0 {
+	for len(*h) > 0 {
 		// A cancelled context aborts the search as "unreachable": the
 		// caller's pattern/forced-L fallback still produces a complete
 		// route, so demand accounting stays consistent. The check is
@@ -135,19 +137,19 @@ func (r *Router) mazeRoute(a, b geom.Point) *path {
 		}
 		// Planar moves along the layer's preferred direction.
 		if l > 0 {
-			if r.G.Tech.Layer(l).Dir == tech.Horizontal {
+			if r.G.Horizontal(l) {
 				if x+1 < r.G.NX {
-					r.tryPlanar(&h, it, x, y, l, x+1, y, x, y, visit)
+					r.tryPlanar(h, it, x, y, l, x+1, y, x, y, visit)
 				}
 				if x > 0 {
-					r.tryPlanar(&h, it, x, y, l, x-1, y, x-1, y, visit)
+					r.tryPlanar(h, it, x, y, l, x-1, y, x-1, y, visit)
 				}
 			} else {
 				if y+1 < r.G.NY {
-					r.tryPlanar(&h, it, x, y, l, x, y+1, x, y, visit)
+					r.tryPlanar(h, it, x, y, l, x, y+1, x, y, visit)
 				}
 				if y > 0 {
-					r.tryPlanar(&h, it, x, y, l, x, y-1, x, y-1, visit)
+					r.tryPlanar(h, it, x, y, l, x, y-1, x, y-1, visit)
 				}
 			}
 		}

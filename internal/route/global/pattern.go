@@ -142,7 +142,7 @@ func runEdges(rn run, l int) []geom.Point3 {
 // match or an edge is missing. Edges are walked in leaving-GCell order
 // without materialising them.
 func (r *Router) runCost(rn run, l int) float64 {
-	if l <= 0 || l >= r.G.NL || r.G.Tech.Layer(l).Dir != rn.dir {
+	if l <= 0 || l >= r.G.NL || r.G.Horizontal(l) != (rn.dir == tech.Horizontal) {
 		return math.Inf(1)
 	}
 	cost := 0.0

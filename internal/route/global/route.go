@@ -61,8 +61,10 @@ type Config struct {
 	FinalReroutePasses int
 	// DisableEstimateCache turns off the epoch-validated estimation caches
 	// (two-pin segment costs, Steiner topologies, per-net committed costs).
-	// Results are bit-identical either way — the flag exists so benchmarks
-	// and correctness tests can compare against the cache-free path.
+	// Results are bit-identical either way; only the differential referees
+	// set it (TestEstimateCacheMatchesFresh here and crp's cold/warm/uncached
+	// determinism test). It does not cover the grid's edge prices, which
+	// have a single path (see grid.Grid).
 	DisableEstimateCache bool
 }
 
@@ -86,6 +88,7 @@ type Router struct {
 	seen    []uint32
 	settled []uint32
 	gen     uint32
+	heap    pq
 
 	// bld accumulates path segments while committing a net (serial paths
 	// only, like the maze scratch above).

@@ -450,6 +450,35 @@ func BenchmarkRouteAll(b *testing.B) {
 	}
 }
 
+// BenchmarkCommitRipUp prices demand writes alone: one op rips up and
+// re-commits every route of a routed, congested fixture without routing
+// anything — the write-side cost of keeping the grid's prices current.
+func BenchmarkCommitRipUp(b *testing.B) {
+	r := newRouter(b, 80, 300, 15)
+	r.RouteAll()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for id := range r.Routes {
+			if rt := r.RipUp(int32(id)); rt != nil {
+				r.Commit(rt)
+			}
+		}
+	}
+}
+
+// BenchmarkRerouteNet is CR&P's update-database path on the same fixture:
+// one op rips up, re-routes and re-commits every net.
+func BenchmarkRerouteNet(b *testing.B) {
+	r := newRouter(b, 80, 300, 15)
+	r.RouteAll()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for id := range r.D.Nets {
+			r.RerouteNet(int32(id))
+		}
+	}
+}
+
 func BenchmarkEstimateTerminalCost(b *testing.B) {
 	d := routeDesign(b, 100, 80, 21)
 	g := grid.New(d, grid.DefaultParams())
