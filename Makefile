@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: check fmt vet build bench-build test race race-solver race-shard lint-state bench-smoke flake fuzz-smoke chaos crash-chaos service-chaos failover-chaos eco-chaos
+.PHONY: check fmt vet build bench-build test race race-solver lint-state bench-smoke flake fuzz-smoke chaos crash-chaos service-chaos failover-chaos eco-chaos
 
 ## check: the full pre-merge gate — gofmt, vet, build, benchmark-module
 ## build, state lint, race-enabled tests, bench smoke, flake gate, chaos
 ## suite, crash-chaos suite, service-chaos suite, failover-chaos suite,
 ## eco-chaos suite, fuzz smoke.
-check: fmt vet build bench-build lint-state race-solver race-shard race bench-smoke flake chaos crash-chaos service-chaos failover-chaos eco-chaos fuzz-smoke
+check: fmt vet build bench-build lint-state race-solver race bench-smoke flake chaos crash-chaos service-chaos failover-chaos eco-chaos fuzz-smoke
 
 ## fmt: fails, listing the files, when any Go file is not gofmt-clean.
 fmt:
@@ -37,15 +37,6 @@ race:
 ## only lock-coordinated hot paths, so race them first and with -count=1.
 race-solver:
 	$(GO) test -race -count=1 ./internal/ilp/... ./internal/legal/... ./internal/crp/...
-
-## race-shard: race gate over the region-sharded iteration loop — the
-## speculative region pipelines, the worker-overlay fan-out, and the
-## journal-segmented merge are the concurrency added by the sharding PR
-## (see DESIGN.md, "Sharding architecture").
-race-shard:
-	$(GO) test -race -count=1 ./internal/shard/...
-	$(GO) test -race -count=1 -run 'TestSharded' ./internal/crp
-	$(GO) test -race -count=1 -run 'TestChaosShard|TestResumeBitIdentityEveryBoundarySharded' ./internal/flow
 
 ## bench-smoke: one-shot Fig. 3 breakdown and one pass of every layer
 ## micro-benchmark under internal/ — catches benchmark rot without paying
@@ -123,7 +114,6 @@ fuzz-smoke:
 	$(GO) test ./internal/lefdef -fuzz 'FuzzDEFRoundTrip$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x
 	$(GO) test ./internal/checkpoint -fuzz 'FuzzCheckpointDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x
 	$(GO) test ./internal/view -fuzz 'FuzzOverlayCommit$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x
-	$(GO) test ./internal/view -fuzz 'FuzzShardMerge$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x
 	$(GO) test ./internal/ilp -fuzz 'FuzzILPSolve$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x
 	$(GO) test ./internal/service -fuzz 'FuzzSpecDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x
 	$(GO) test ./internal/service -fuzz 'FuzzLeaseRecord$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x

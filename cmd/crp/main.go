@@ -72,8 +72,6 @@ func main() {
 		ckptDir     = flag.String("checkpoint-dir", "", "journal crash-safe checkpoints into this directory")
 		ckptKeep    = flag.Int("checkpoint-keep", 0, "checkpoints to retain (0 = default 2)")
 		resume      = flag.Bool("resume", false, "continue from the newest checkpoint in -checkpoint-dir (fresh start if none)")
-		shardRegs   = flag.Int("shard-regions", 0, "target region count for sharded CR&P iterations (0 = serial)")
-		shardHalo   = flag.Int("shard-halo", 0, "GCell halo inflating region merge footprints (0 = default)")
 		ecoFrom     = flag.String("eco-from", "", "incremental re-run: checkpoint directory of the parent run")
 		ecoDelta    = flag.String("eco-delta", "", "incremental re-run: JSON delta file (moves/nets/adds/removes)")
 		ecoHalo     = flag.Int("eco-halo", 0, "ECO dirty-region halo in GCells (0 = default)")
@@ -121,8 +119,6 @@ func main() {
 	}
 	cfg.CRP.Gamma = *gamma
 	cfg.CRP.Seed = *seed
-	cfg.CRP.ShardRegions = *shardRegs
-	cfg.CRP.ShardHalo = *shardHalo
 	cfg.Budgets.Flow = *timeout
 	cfg.Budgets.CRPIteration = *iterTimeout
 	ctx := context.Background()

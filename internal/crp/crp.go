@@ -70,12 +70,6 @@ type Hooks struct {
 	// PostUD fires after the update-database phase, before the iteration's
 	// invariant check — the seam the chaos suite uses to prove rollback.
 	PostUD func(iter int)
-	// ShardRegion fires at the start of region pipeline `region` (ordinal
-	// within the iteration's partition) of a sharded iteration, inside the
-	// region's worker goroutine. A panic here quarantines the region, which
-	// the engine then redoes on the serial path — the seam the sharded
-	// chaos tests use for worker-panic and budget-expiry faults.
-	ShardRegion func(iter, region int)
 	// SolveSelection replaces the selection-ILP solve (Eq. 12) entirely;
 	// tests use it to force LimitReached/Infeasible outcomes.
 	SolveSelection func(m *ilp.Model, opt ilp.Options) ilp.Solution
@@ -127,24 +121,6 @@ type Config struct {
 	// SelectMaxNodes caps the selection ILP's branch & bound nodes;
 	// 0 means the historical default of 200k nodes.
 	SelectMaxNodes int
-	// ShardRegions enables the region-sharded iteration mode when > 0: the
-	// critical set is partitioned into up to roughly this many spatial
-	// regions whose legalizer windows cannot interact, each region's
-	// generate→estimate→select pipeline runs concurrently on the worker
-	// pool, and the results are merged speculatively through the iteration
-	// transaction with journal-based conflict detection (serial replay on
-	// conflict). 0 (the default) keeps the seed serial iteration verbatim.
-	// Selections are bit-identical to the serial mode by construction; see
-	// DESIGN.md, "Sharding architecture".
-	ShardRegions int
-	// ShardHalo inflates every region's interaction rectangle and merge
-	// footprint by this many GCells (<=0: default 2), so routing-demand
-	// interactions just outside a window or net bounding box are captured.
-	ShardHalo int
-	// ShardRegionBudget caps each region pipeline's wall clock (0: none).
-	// A region that exceeds it is discarded and redone on the serial path,
-	// recorded as a "shard-region-budget" degradation.
-	ShardRegionBudget time.Duration
 	// Scope, when non-nil, restricts Algorithm 1's candidate pool: only
 	// cells the predicate admits may be labelled critical. The ECO engine
 	// points it at the dirty-region tracker so re-labeling stays local to
@@ -211,37 +187,6 @@ type IterStats struct {
 	DeadlineHit    bool // the iteration deadline expired mid-iteration
 	// Degradations details every robustness event of this iteration.
 	Degradations []Degradation
-
-	// Shard reports the region-sharded pipeline's behaviour; nil unless the
-	// iteration ran in sharded mode (Config.ShardRegions > 0). Differential
-	// referees zero it (alongside SolverNodes) before comparing against a
-	// serial run — everything else in IterStats must match exactly.
-	Shard *ShardIterStats
-}
-
-// ShardIterStats records what one sharded iteration's region pipelines and
-// speculative merge did.
-type ShardIterStats struct {
-	// Regions is the number of regions the partition produced.
-	Regions int
-	// ConcurrentPeak is the maximum number of region pipelines observed in
-	// flight at once (>= 2 proves the concurrency was not vacuous).
-	ConcurrentPeak int
-	// SerialRedo counts regions whose pipeline was discarded (panic or
-	// budget expiry) and redone on the serial path.
-	SerialRedo int
-	// SelectFallback is set when the per-region selections could not be
-	// merged (a region solve was not optimal, or a region was redone) and
-	// the global serial selection ILP ran instead.
-	SelectFallback bool
-	// MergeConflicts counts cross-region demand-edge conflicts the journal
-	// intersection test detected; MazeReroutes counts reroutes that fell
-	// back to the maze router (whose unbounded read set always forces the
-	// serial merge). MergeSerialized is set when the update-database phase
-	// ran (or re-ran) in the exact serial order instead of region-major.
-	MergeConflicts  int
-	MazeReroutes    int
-	MergeSerialized bool
 }
 
 // Result aggregates a full CR&P run.
@@ -314,8 +259,7 @@ type Engine struct {
 	broken bool
 
 	// estimates counts Algorithm 3 candidate pricings over the engine's
-	// lifetime; atomic because pricing runs under parallelFor workers and
-	// the sharded region pipelines.
+	// lifetime; atomic because pricing runs under parallelFor workers.
 	estimates atomic.Int64
 }
 
@@ -533,9 +477,8 @@ func (e *Engine) generateCandidates(ctx context.Context, critical []int32) ([][]
 }
 
 // generateOne builds critical cell i's candidate list — the current
-// position plus the legalizer's output — on worker w's scratch. It is the
-// per-item body of the generation fan-out, shared verbatim by the serial
-// mode's parallelFor and the sharded mode's region pipelines.
+// position plus the legalizer's output — on worker w's scratch: the
+// per-item body of the generation fan-out.
 func (e *Engine) generateOne(w, i int, cid int32) []candidate {
 	if h := e.Cfg.Hooks.GCP; h != nil {
 		h(e.iter, i)
@@ -582,8 +525,7 @@ func (e *Engine) estimateCosts(ctx context.Context, cands [][]candidate) []quara
 }
 
 // estimateGroup prices every candidate of group i on overlay ov — the
-// per-item body of the estimation fan-out, shared verbatim by the serial
-// mode's parallelFor and the sharded mode's region pipelines.
+// per-item body of the estimation fan-out.
 func (e *Engine) estimateGroup(ov *view.Overlay, i int, group []candidate) {
 	if h := e.Cfg.Hooks.ECC; h != nil {
 		h(e.iter, i)

@@ -2,6 +2,7 @@ package crp
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"github.com/crp-eda/crp/internal/grid"
@@ -11,9 +12,9 @@ import (
 
 // flowOutcome runs a small full CR&P flow on one of the synthetic ISPD
 // testcases and captures everything the run decided.
-func flowOutcome(t *testing.T, idx, iters, workers int) runOutcome {
+func flowOutcome(t *testing.T, idx int, scale float64, iters, workers int) runOutcome {
 	t.Helper()
-	spec := ispd.Suite(0.02)[idx]
+	spec := ispd.Suite(scale)[idx]
 	d, err := ispd.Generate(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -30,12 +31,27 @@ func flowOutcome(t *testing.T, idx, iters, workers int) runOutcome {
 
 // TestFlowWorkerCountInvariant: the candidate-generation and costing
 // fan-outs merge results by item index, so the worker count must never
-// change the outcome — 1 worker and 8 workers are bit-identical.
+// change the outcome — 2 and 8 workers are bit-identical to 1, at the
+// default configuration, on crp_test1, crp_test2 and the Fig. 3 circuit
+// crp_test7.
 func TestFlowWorkerCountInvariant(t *testing.T) {
-	serial := flowOutcome(t, 0, 3, 1)
-	wide := flowOutcome(t, 0, 3, 8)
-	if !sameOutcome(serial, wide) {
-		t.Error("worker count changed the run outcome")
+	for _, tc := range []struct {
+		idx   int
+		scale float64
+		iters int
+	}{
+		{0, 0.02, 3},  // crp_test1
+		{1, 0.02, 3},  // crp_test2
+		{6, 0.004, 2}, // crp_test7
+	} {
+		t.Run(fmt.Sprintf("crp_test%d", tc.idx+1), func(t *testing.T) {
+			serial := flowOutcome(t, tc.idx, tc.scale, tc.iters, 1)
+			for _, w := range []int{2, 8} {
+				if !sameOutcome(serial, flowOutcome(t, tc.idx, tc.scale, tc.iters, w)) {
+					t.Errorf("%d workers changed the run outcome", w)
+				}
+			}
+		})
 	}
 }
 

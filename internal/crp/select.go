@@ -24,9 +24,6 @@ import (
 // design. Cfg.IterTimeout (and any deadline already on ctx) bounds the
 // iteration; expiry stops it before the next uncommitted phase.
 func (e *Engine) Iterate(ctx context.Context) IterStats {
-	if e.Cfg.ShardRegions > 0 {
-		return e.iterateSharded(ctx)
-	}
 	e.iter++
 	// The demand version at iteration entry: the read phases (label, GCP,
 	// ECC, selection) must not mutate demand, which the transaction's epoch
@@ -189,9 +186,7 @@ type cellCands struct {
 // dominated and dropped; cells left with no improving candidate are fixed
 // to their current position (returned in ascending cell-index order, the
 // prefix of the serial chosen order). The remaining cells come back as the
-// active set, also ascending. It is a pure function of the candidates'
-// costs, so the sharded merge can re-run it globally to reconstruct the
-// serial chosen order from per-region solutions.
+// active set, also ascending.
 func pruneDominated(cands [][]candidate) (fixed []*candidate, active []cellCands) {
 	for i, cs := range cands {
 		curIdx := -1
@@ -460,29 +455,11 @@ func (e *Engine) selectCandidates(ctx context.Context, cands [][]candidate) (_ [
 
 // applyMoves is the Update Database phase: commit the selected moves and
 // rip-up & reroute every net touching a moved cell, all through the
-// iteration's view transaction (which captures what a discard needs). It
-// returns the moved cell IDs — history marking is deferred until the
-// transaction's invariant check passes.
+// iteration's view transaction (which captures what a discard needs). The
+// EstBefore/EstAfter sums run in chosen order — float addition order is part
+// of the bit-identity contract. It returns the moved cell IDs — history
+// marking is deferred until the transaction's invariant check passes.
 func (e *Engine) applyMoves(txn *view.Txn, chosen []*candidate, curCost map[int32]float64, st *IterStats) (moved []int32) {
-	movedCells := e.applyMoveSet(txn, chosen, curCost, st)
-
-	// Reroute all nets touching moved cells, in deterministic order; the
-	// transaction records each net's pre-iteration route on first touch.
-	nets := e.affectedNets(movedCells)
-	for _, nid := range nets {
-		txn.RerouteNet(nid)
-	}
-	st.ReroutedNets = len(nets)
-	return sortedCellIDs(movedCells)
-}
-
-// applyMoveSet commits the position half of the Update Database phase:
-// every selected non-current candidate's move group goes through the
-// transaction, with the estimation bookkeeping (EstBefore/EstAfter sums in
-// chosen order — float addition order is part of the bit-identity contract)
-// and the skipped-move accounting. The reroute half is the caller's; the
-// sharded merge interleaves it with conflict tracking.
-func (e *Engine) applyMoveSet(txn *view.Txn, chosen []*candidate, curCost map[int32]float64, st *IterStats) map[int32]bool {
 	movedCells := map[int32]bool{}
 	for _, c := range chosen {
 		if c.isCurrent {
@@ -505,7 +482,15 @@ func (e *Engine) applyMoveSet(txn *view.Txn, chosen []*candidate, curCost map[in
 		}
 	}
 	st.MovedCells = len(movedCells)
-	return movedCells
+
+	// Reroute all nets touching moved cells, in deterministic order; the
+	// transaction records each net's pre-iteration route on first touch.
+	nets := e.affectedNets(movedCells)
+	for _, nid := range nets {
+		txn.RerouteNet(nid)
+	}
+	st.ReroutedNets = len(nets)
+	return sortedCellIDs(movedCells)
 }
 
 // affectedNets returns every net touching a moved cell, ascending.

@@ -3,11 +3,10 @@ package eco
 import "github.com/crp-eda/crp/internal/geom"
 
 // Tracker maintains the ECO dirty region: a set of halo-inflated rectangles
-// covering everything a delta (and the re-run's own moves) perturbed. It is
-// the same interaction-rect idea internal/shard partitions by — a cell whose
-// legalizer window rectangle is disjoint from the dirty region cannot have
-// been affected by the edit — inverted: instead of splitting independent
-// work, it scopes which cells are re-labeling candidates.
+// covering everything a delta (and the re-run's own moves) perturbed. A cell
+// whose neighbourhood is disjoint from the dirty region cannot have been
+// affected by the edit, so the region scopes which cells are re-labeling
+// candidates.
 //
 // The region only ever grows. Add reports whether coverage actually grew,
 // which is the convergence ladder's early-exit signal: when a whole re-label

@@ -59,18 +59,6 @@ type Plan struct {
 	// the Nth solve on (0 disables), forcing LimitReached and the greedy
 	// fallback.
 	StarveSelectionFromCall int
-	// PanicAtShardRegionCall panics at the Nth sharded-region pipeline
-	// start (0 disables). The sharded engine must quarantine the region and
-	// redo it serially. Region starts are keyed on their own counter — not
-	// the global GCP/ECC counters — because the region schedule, and hence
-	// those counters' interleaving, is worker-count-dependent.
-	PanicAtShardRegionCall int
-	// SlowShardRegionFromCall sleeps ShardRegionDelay at every sharded-
-	// region start from the Nth on (0 disables), pushing those regions past
-	// their Config.ShardRegionBudget so the budget-expiry degradation fires
-	// deterministically regardless of machine speed.
-	SlowShardRegionFromCall int
-	ShardRegionDelay        time.Duration
 	// CrashStage / CrashAtCall terminate the whole process (exit status
 	// CrashExitCode) at the Nth call of the named stage hook — the "kill -9
 	// at a deterministic point" fault class. Empty stage or zero count
@@ -113,7 +101,6 @@ type Injector struct {
 	gcpCalls    atomic.Int64
 	eccCalls    atomic.Int64
 	selCalls    atomic.Int64
-	shardCalls  atomic.Int64
 	postUDCalls atomic.Int64
 	ckptCalls   atomic.Int64
 	renewCalls  atomic.Int64
@@ -200,29 +187,6 @@ func (in *Injector) ECCHook() func(iter, i int) {
 		if in.plan.PanicAtECCCall > 0 && n == int64(in.plan.PanicAtECCCall) {
 			in.record(StageECC, n, fmt.Sprintf("ecc-panic call=%d iter=%d item=%d", n, iter, i))
 			panic(fmt.Sprintf("faultinject: ECC worker panic (call %d)", n))
-		}
-	}
-}
-
-// ShardRegionHook returns the crp.Hooks.ShardRegion function, or nil when
-// the plan injects no sharded-region faults. The hook runs at the start of
-// every speculative region pipeline, inside the worker pool — a panic here
-// quarantines exactly that region.
-func (in *Injector) ShardRegionHook() func(iter, region int) {
-	if in.plan.PanicAtShardRegionCall <= 0 &&
-		(in.plan.SlowShardRegionFromCall <= 0 || in.plan.ShardRegionDelay <= 0) {
-		return nil
-	}
-	return func(iter, region int) {
-		n := in.shardCalls.Add(1)
-		if in.plan.SlowShardRegionFromCall > 0 && in.plan.ShardRegionDelay > 0 &&
-			n >= int64(in.plan.SlowShardRegionFromCall) {
-			in.record("shard-region", n, fmt.Sprintf("shard-region-slow call=%d iter=%d region=%d", n, iter, region))
-			time.Sleep(in.plan.ShardRegionDelay)
-		}
-		if in.plan.PanicAtShardRegionCall > 0 && n == int64(in.plan.PanicAtShardRegionCall) {
-			in.record("shard-region", n, fmt.Sprintf("shard-region-panic call=%d iter=%d region=%d", n, iter, region))
-			panic(fmt.Sprintf("faultinject: sharded region panic (call %d)", n))
 		}
 	}
 }

@@ -100,11 +100,8 @@ func TestCheckpointingEnabledBitIdentical(t *testing.T) {
 // benchmark circuit: for every checkpoint boundary b, a run killed right
 // after the bth checkpoint commit and then resumed produces the exact
 // bytes of the uninterrupted run.
-func resumeBitIdentityEveryBoundary(t *testing.T, idx, k int, tune func(*Config)) {
+func resumeBitIdentityEveryBoundary(t *testing.T, idx, k int) {
 	cfg := quickConfig()
-	if tune != nil {
-		tune(&cfg)
-	}
 	ck := &Checkpointing{Manager: openManager(t, t.TempDir(), 0)}
 	saves := 0
 	ck.AfterSave = func(n int) { saves = n }
@@ -155,28 +152,14 @@ func resumeBitIdentityEveryBoundary(t *testing.T, idx, k int, tune func(*Config)
 }
 
 func TestResumeBitIdentityEveryBoundaryTest1(t *testing.T) {
-	resumeBitIdentityEveryBoundary(t, 0, 3, nil)
+	resumeBitIdentityEveryBoundary(t, 0, 3)
 }
 
 func TestResumeBitIdentityEveryBoundaryTest2(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crp_test2 sweep is the long half of the crash suite")
 	}
-	resumeBitIdentityEveryBoundary(t, 1, 2, nil)
-}
-
-// TestResumeBitIdentityEveryBoundarySharded reruns the boundary sweep with
-// region sharding on (sparse criticals so crp_test2 genuinely splits):
-// checkpoints commit only at iteration boundaries, where the sharded and
-// serial paths have the same committed state, so every kill-and-resume must
-// still reproduce the uninterrupted run's bytes.
-func TestResumeBitIdentityEveryBoundarySharded(t *testing.T) {
-	resumeBitIdentityEveryBoundary(t, 1, 2, func(cfg *Config) {
-		cfg.CRP.ShardRegions = 16
-		cfg.CRP.Gamma = 0.03
-		cfg.CRP.Legal.NSites = 8
-		cfg.CRP.Legal.NRows = 3
-	})
+	resumeBitIdentityEveryBoundary(t, 1, 2)
 }
 
 func TestResumeFallsBackAcrossCorruptCheckpoint(t *testing.T) {

@@ -18,9 +18,8 @@ import (
 // ECOOptions tunes the incremental re-run. The zero value takes the
 // defaults.
 type ECOOptions struct {
-	// HaloGCells sizes the dirty region's halo in GCells (0: 4) — the same
-	// interaction-margin idea as crp.Config.ShardHalo, inverted to scope
-	// work instead of splitting it.
+	// HaloGCells sizes the dirty region's halo in GCells (0: 4): the margin
+	// around every edit inside which cells may still interact with it.
 	HaloGCells int
 }
 

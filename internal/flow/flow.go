@@ -46,10 +46,6 @@ type Budgets struct {
 	// ILP caps every single ILP solve: CR&P's selection ILP and the
 	// legalizer's window ILPs.
 	ILP time.Duration
-	// ShardRegion caps each speculative region pipeline of a sharded CR&P
-	// iteration (crp.Config.ShardRegionBudget); an overrunning region is
-	// redone serially, not killed.
-	ShardRegion time.Duration
 	// DR caps detailed routing / evaluation.
 	DR time.Duration
 }
@@ -190,9 +186,6 @@ func crpConfig(cfg Config, k int) crp.Config {
 	}
 	if ccfg.Legal.TimeLimit == 0 {
 		ccfg.Legal.TimeLimit = cfg.Budgets.ILP
-	}
-	if ccfg.ShardRegionBudget == 0 {
-		ccfg.ShardRegionBudget = cfg.Budgets.ShardRegion
 	}
 	return ccfg
 }

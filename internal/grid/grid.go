@@ -292,9 +292,6 @@ func (g *Grid) AddWire(x, y, l int, delta float64) {
 		k := EdgeKey{L: int32(l), I: int32(i)}
 		g.journal.Wire[k] += delta
 		g.journal.Mutations++
-		if g.journal.recordOps {
-			g.journal.Ops = append(g.journal.Ops, JournalOp{Key: k, Delta: delta})
-		}
 	}
 	g.wire[l][i] += delta
 	if g.wire[l][i] < 0 {
@@ -321,9 +318,6 @@ func (g *Grid) AddVia(x, y, l int, delta float64) {
 		k := EdgeKey{L: int32(l), I: int32(i)}
 		g.journal.Vias[k] += delta
 		g.journal.Mutations++
-		if g.journal.recordOps {
-			g.journal.Ops = append(g.journal.Ops, JournalOp{Key: k, Delta: delta, Via: true})
-		}
 	}
 	g.vias[l][i] += delta
 	if g.vias[l][i] < -1e-9 {

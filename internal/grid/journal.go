@@ -24,34 +24,12 @@ type Journal struct {
 	Vias map[EdgeKey]float64
 	// Mutations counts every AddWire/AddVia recorded.
 	Mutations uint64
-
-	// Ops is the ordered per-mutation log, populated only after EnableOps:
-	// the aggregate Wire/Vias maps lose the order and attribution of writes,
-	// which the sharded merge needs to segment one transaction's mutations
-	// by region (see view.Txn.BeginSegment).
-	Ops       []JournalOp
-	recordOps bool
-}
-
-// JournalOp is one recorded demand mutation.
-type JournalOp struct {
-	Key   EdgeKey
-	Delta float64
-	Via   bool // false: wire edge, true: via stack
 }
 
 // NewJournal returns an empty journal ready to attach.
 func NewJournal() *Journal {
 	return &Journal{Wire: map[EdgeKey]float64{}, Vias: map[EdgeKey]float64{}}
 }
-
-// EnableOps switches on the ordered per-mutation log. Mutations recorded
-// before the switch are only in the aggregate maps; the op log starts empty.
-func (j *Journal) EnableOps() { j.recordOps = true }
-
-// Len reports the number of distinct wire and via edges touched so far —
-// the journal's O(Δ) working-set size.
-func (j *Journal) Len() (wires, vias int) { return len(j.Wire), len(j.Vias) }
 
 // AttachJournal starts recording every demand mutation into j. Exactly one
 // journal may be attached at a time; the transactional layer owns the
@@ -70,25 +48,6 @@ func (g *Grid) DetachJournal() *Journal {
 	j := g.journal
 	g.journal = nil
 	return j
-}
-
-// JournalMutations reports the mutation count of the attached journal
-// (0, false when none is attached) — the read-only accessor the shard
-// conflict tests use to assert journal sizes without reaching into the
-// transaction layer.
-func (g *Grid) JournalMutations() (uint64, bool) {
-	if g.journal == nil {
-		return 0, false
-	}
-	return g.journal.Mutations, true
-}
-
-// EdgeCell decodes an EdgeKey's dense GCell index back to (x, y)
-// coordinates — the inverse of WireKey/ViaKey's I component. Wire keys name
-// the edge leaving the cell (its other endpoint is (x+1,y) or (x,y+1));
-// via keys name the stack at the cell itself.
-func (g *Grid) EdgeCell(k EdgeKey) (x, y int) {
-	return int(k.I) % g.NX, int(k.I) / g.NX
 }
 
 // WireKey returns the journal key of the planar edge leaving (x,y) on layer l.

@@ -227,33 +227,6 @@ func (l *Legalizer) windowAround(c *db.Cell) window {
 	return w
 }
 
-// WindowRect returns the DBU rectangle the legalizer would work in for the
-// cell: every candidate slot and every conflict relocation of a Run lies
-// inside it. The Y extent covers the window's rows plus the cell's height
-// (a relocated cell placed in the top row extends above the row bottom),
-// and the X extent is padded by the widest macro so a slot near the window
-// edge plus the cell's width stays inside. The sharded iteration partitions
-// critical cells by these rectangles: cells whose rectangles are disjoint
-// cannot share a target site or a relocated cell, so their selection
-// sub-problems are independent.
-func (l *Legalizer) WindowRect(cellID int32) geom.Rect {
-	d := l.D
-	c := d.Cells[cellID]
-	w := l.windowAround(c)
-	y0, y1 := c.Pos.Y, c.Pos.Y+c.Macro.Height
-	if len(w.rows) > 0 {
-		y0 = d.Rows[w.rows[0]].Y
-		y1 = d.Rows[w.rows[len(w.rows)-1]].Y
-	}
-	maxH := 0
-	maxW := 0
-	for i := range d.Macros {
-		maxH = max(maxH, d.Macros[i].Height)
-		maxW = max(maxW, d.Macros[i].Width)
-	}
-	return geom.R(w.x0-maxW, y0, w.x1+maxW, y1+maxH)
-}
-
 // Run generates legal candidates for the critical cell. The current
 // position is not included (CR&P's Algorithm 2 adds it separately); every
 // returned candidate differs from the cell's current position. Candidates

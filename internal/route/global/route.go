@@ -283,18 +283,6 @@ func (r *Router) RerouteNet(id int32) {
 	r.Commit(rt)
 }
 
-// RerouteNetInfo is RerouteNet additionally reporting whether any segment
-// fell back to the maze router. Pattern routing reads demand only inside
-// the segment bounding boxes; the maze explores the whole grid, so callers
-// that reason about a reroute's read footprint (the sharded merge's
-// conflict detector) must treat a maze reroute as having read everything.
-func (r *Router) RerouteNetInfo(id int32) (usedMaze bool) {
-	r.RipUp(id)
-	rt, m := r.routeNet(id)
-	r.Commit(rt)
-	return m
-}
-
 // Commit adds the route's demand to the grid and records it.
 func (r *Router) Commit(rt *Route) {
 	if rt == nil {

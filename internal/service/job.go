@@ -78,8 +78,6 @@ type Spec struct {
 	// daemon a job must not grab the whole machine, so 0 means 2 here,
 	// not GOMAXPROCS.
 	Workers int `json:"workers,omitempty"`
-	// ShardRegions enables region-sharded iterations when > 0.
-	ShardRegions int `json:"shard_regions,omitempty"`
 
 	// Per-job budgets in milliseconds, mapped onto flow.Budgets
 	// (0: unlimited). Admission pressure never shrinks these: a job
@@ -128,8 +126,6 @@ const (
 	maxBudgetMS = int64(7 * 24 * time.Hour / time.Millisecond)
 	// maxSpecWorkers bounds a job's parallelism request.
 	maxSpecWorkers = 4096
-	// maxShardRegions bounds the region-sharding grid.
-	maxShardRegions = 1 << 16
 	// maxInlineDesignBytes bounds each inline LEF/DEF text individually
 	// (the HTTP layer separately bounds the whole body).
 	maxInlineDesignBytes = 60 << 20
@@ -180,9 +176,6 @@ func (sp *Spec) Validate() error {
 	if sp.Workers < 0 || sp.Workers > maxSpecWorkers {
 		return fmt.Errorf("workers %d outside [0, %d]: %w", sp.Workers, maxSpecWorkers, errInvalidValue)
 	}
-	if sp.ShardRegions < 0 || sp.ShardRegions > maxShardRegions {
-		return fmt.Errorf("shard_regions %d outside [0, %d]: %w", sp.ShardRegions, maxShardRegions, errInvalidValue)
-	}
 	for _, b := range []struct {
 		name string
 		ms   int64
@@ -205,10 +198,10 @@ func (sp *Spec) Validate() error {
 		}
 		if math.IsNaN(sy.Utilisation) || math.IsInf(sy.Utilisation, 0) ||
 			math.IsNaN(sy.IOFraction) || math.IsInf(sy.IOFraction, 0) {
-			return fmt.Errorf("synthetic utilisation/io_fraction is not finite: %w", errInvalidValue)
+			return fmt.Errorf("synthetic utilisation/iofraction is not finite: %w", errInvalidValue)
 		}
 		if sy.Utilisation < 0 || sy.Utilisation > 1 || sy.IOFraction < 0 || sy.IOFraction > 1 {
-			return fmt.Errorf("synthetic utilisation/io_fraction outside [0, 1]: %w", errInvalidValue)
+			return fmt.Errorf("synthetic utilisation/iofraction outside [0, 1]: %w", errInvalidValue)
 		}
 	}
 	if len(sp.AdmissionDegradations) > 0 {
@@ -235,7 +228,6 @@ func (sp *Spec) FlowConfig() flow.Config {
 	if cfg.CRP.Workers <= 0 {
 		cfg.CRP.Workers = 2
 	}
-	cfg.CRP.ShardRegions = sp.ShardRegions
 	cfg.Budgets = flow.Budgets{
 		Flow:         time.Duration(sp.FlowBudgetMS) * time.Millisecond,
 		CRPIteration: time.Duration(sp.IterationBudgetMS) * time.Millisecond,

@@ -82,9 +82,14 @@ func (s *Service) Handler() http.Handler {
 	return mux
 }
 
+// handleSubmit decodes a client's spec strictly: an unknown key (a typo,
+// or a field an older daemon accepted) is a bad_spec naming the key, never
+// a silently defaulted parameter. Specs persisted on disk are decoded
+// leniently, so a job written by an older daemon still resumes.
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec Spec
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
 		writeErr(w, errBadSpec("decoding spec: "+err.Error()))
 		return

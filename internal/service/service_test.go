@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -299,6 +300,60 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if _, err := svc.Status("j999999"); err == nil {
 		t.Error("Status of unknown job must fail")
+	}
+}
+
+// TestSubmitRejectsUnknownFields checks that POST /v1/jobs decodes
+// strictly: a key the spec does not define, at the top level or inside the
+// synthetic design, is a 400 bad_spec naming the key instead of a run with
+// a defaulted parameter. The README's example body must still be admitted.
+func TestSubmitRejectsUnknownFields(t *testing.T) {
+	svc := newService(t, Config{Workers: 1})
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	post := func(body string) (int, APIError) {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var api APIError
+		if resp.StatusCode != http.StatusAccepted {
+			if err := json.NewDecoder(resp.Body).Decode(&api); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return resp.StatusCode, api
+	}
+
+	for _, tc := range []struct{ field, body string }{
+		{"shard_regions", `{"synthetic":{"name":"x","cells":10,"nets":5},"shard_regions":4}`},
+		{"gama", `{"synthetic":{"name":"x","cells":10,"nets":5},"gama":0.3}`},
+		{"rows", `{"synthetic":{"name":"x","cells":10,"nets":5,"rows":7}}`},
+	} {
+		code, api := post(tc.body)
+		if code != http.StatusBadRequest || api.Code != "bad_spec" {
+			t.Errorf("unknown field %q: status %d code %q, want 400 bad_spec", tc.field, code, api.Code)
+		}
+		if !strings.Contains(api.Message, `"`+tc.field+`"`) {
+			t.Errorf("unknown field %q: message %q does not name it", tc.field, api.Message)
+		}
+	}
+	if n := len(svc.List()); n != 0 {
+		t.Fatalf("rejected submissions created %d jobs", n)
+	}
+
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`(?s)/v1/jobs -d '(\{.*?\})'`).FindSubmatch(readme)
+	if m == nil {
+		t.Fatal("README has no POST /v1/jobs example")
+	}
+	if code, api := post(string(m[1])); code != http.StatusAccepted {
+		t.Fatalf("README example body: status %d (%+v), want 202", code, api)
 	}
 }
 

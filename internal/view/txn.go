@@ -41,24 +41,6 @@ type Txn struct {
 	swapped  map[int32]bool
 	netSwaps []netSwap
 	done     bool
-
-	// segs marks region boundaries in the journal's op log (sharded merge);
-	// empty unless BeginSegment was called.
-	segs []segMark
-}
-
-// segMark is one BeginSegment call: ops recorded at index >= start (and
-// before the next mark) belong to tag.
-type segMark struct {
-	tag   int
-	start int
-}
-
-// Segment is one tagged slice of the transaction's demand mutations, in
-// execution order — the per-region demand journal of the sharded merge.
-type Segment struct {
-	Tag int
-	Ops []grid.JournalOp
 }
 
 // routeSwap records one net's pre-transaction route (nil = was unrouted).
@@ -193,73 +175,6 @@ func (t *Txn) ApplyDelta(ops DeltaOps) error {
 		t.RerouteNet(nid)
 	}
 	return nil
-}
-
-// RerouteNetTracked is RerouteNet reporting whether the reroute fell back
-// to the maze router — the signal that its demand reads were not confined
-// to the net's bounding box (see the sharded merge's conflict detection).
-func (t *Txn) RerouteNetTracked(nid int32) (usedMaze bool) {
-	if !t.swapped[nid] {
-		t.swapped[nid] = true
-		t.swaps = append(t.swaps, routeSwap{nid: nid, old: t.v.r.Routes[nid]})
-	}
-	return t.v.r.RerouteNetInfo(nid)
-}
-
-// BeginSegment starts a new tagged segment of the transaction's demand
-// journal: every AddWire/AddVia from here to the next BeginSegment (or the
-// transaction's end) is attributed to tag. The first call enables the
-// journal's ordered op log (mutations before it are not attributed).
-func (t *Txn) BeginSegment(tag int) {
-	t.journal.EnableOps()
-	t.segs = append(t.segs, segMark{tag: tag, start: len(t.journal.Ops)})
-}
-
-// Segments returns the tagged journal slices in execution order. The Ops
-// slices alias the journal's log; callers must not mutate them.
-func (t *Txn) Segments() []Segment {
-	out := make([]Segment, len(t.segs))
-	for i, m := range t.segs {
-		end := len(t.journal.Ops)
-		if i+1 < len(t.segs) {
-			end = t.segs[i+1].start
-		}
-		out[i] = Segment{Tag: m.tag, Ops: t.journal.Ops[m.start:end]}
-	}
-	return out
-}
-
-// JournalStats exposes the transaction journal's size read-only: distinct
-// wire and via edges touched, and the total mutation count — what the shard
-// conflict tests assert against without reflection.
-func (t *Txn) JournalStats() (wires, vias int, mutations uint64) {
-	wires, vias = t.journal.Len()
-	return wires, vias, t.journal.Mutations
-}
-
-// IntersectOps returns the demand edges two op sequences both touch —
-// the cross-region demand-edge intersection the sharded merge's conflict
-// detector and its fuzz referee are built on. Keys are reported in first-
-// appearance order of a; wire and via edges are tracked separately.
-func IntersectOps(a, b []grid.JournalOp) []grid.EdgeKey {
-	type spaceKey struct {
-		k   grid.EdgeKey
-		via bool
-	}
-	inB := make(map[spaceKey]bool, len(b))
-	for _, op := range b {
-		inB[spaceKey{op.Key, op.Via}] = true
-	}
-	var out []grid.EdgeKey
-	seen := map[spaceKey]bool{}
-	for _, op := range a {
-		sk := spaceKey{op.Key, op.Via}
-		if inB[sk] && !seen[sk] {
-			seen[sk] = true
-			out = append(out, op.Key)
-		}
-	}
-	return out
 }
 
 // Check verifies the transaction's invariants against its own diff, in

@@ -92,14 +92,3 @@ func (v *View) Version() uint64 { return v.g.Epoch() }
 // worker keeps its own; overlays are not safe for concurrent use, but
 // distinct overlays over one view are.
 func (v *View) Overlay() *Overlay { return &Overlay{v: v} }
-
-// Overlays forks n independent overlays over this view — the per-worker
-// set the engine hands its estimation fan-out and a sharded iteration hands
-// its region pipelines. Distinct overlays are safe to use concurrently.
-func (v *View) Overlays(n int) []*Overlay {
-	out := make([]*Overlay, n)
-	for i := range out {
-		out[i] = v.Overlay()
-	}
-	return out
-}

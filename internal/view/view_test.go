@@ -3,6 +3,7 @@ package view_test
 import (
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -117,6 +118,91 @@ func TestOverlayDiscardLeavesBaseUntouched(t *testing.T) {
 	}
 	if st1 := v.Materialize(); !reflect.DeepEqual(st0, st1) {
 		t.Fatal("base state changed across Overlay stage/Discard")
+	}
+}
+
+// TestOverlays pins the per-worker overlay contract: overlays forked from
+// one view are independent — each sees its own staged positions only — and
+// Discard returns an overlay to the base.
+func TestOverlays(t *testing.T) {
+	v := buildView(t, fixtureSpec())
+	d := v.Design()
+	a, b := v.Overlay(), v.Overlay()
+	var mover int32 = -1
+	for _, c := range d.Cells {
+		if !c.Fixed {
+			mover = c.ID
+			break
+		}
+	}
+	if mover < 0 {
+		t.Fatal("fixture has no movable cell")
+	}
+	base := b.Pos(mover)
+	staged := base.Add(geom.Point{X: 1})
+	a.Stage(mover, staged)
+	if got := a.Pos(mover); got != staged {
+		t.Errorf("staging overlay reads %v, staged %v", got, staged)
+	}
+	if got := b.Pos(mover); got != base {
+		t.Errorf("sibling overlay reads %v, want base %v — overlays are not independent", got, base)
+	}
+	a.Discard()
+	if got := a.Pos(mover); got != base {
+		t.Errorf("after Discard overlay reads %v, want base %v", got, base)
+	}
+}
+
+// TestTxnCheckCatchesOutOfBandDemand makes each of Check's demand checks
+// fire: a grid write just before Begin breaks the epoch accounting, and a
+// wire or via write that bypasses the transaction's route swaps while it is
+// open leaves a journalled delta the routes do not explain.
+func TestTxnCheckCatchesOutOfBandDemand(t *testing.T) {
+	cases := []struct {
+		name string
+		// before runs between reading the version and Begin; during runs
+		// with the transaction open, after one legitimate reroute.
+		before, during func(g *grid.Grid)
+		want           string
+	}{
+		{
+			name:   "write-before-begin",
+			before: func(g *grid.Grid) { g.AddWire(0, 0, 1, 1) },
+			want:   "demand mutated outside the transaction",
+		},
+		{
+			name:   "wire-during-txn",
+			during: func(g *grid.Grid) { g.AddWire(0, 0, 1, 1) },
+			want:   "grid wire demand drift",
+		},
+		{
+			name:   "via-during-txn",
+			during: func(g *grid.Grid) { g.AddVia(0, 0, 0, 1) },
+			want:   "grid via demand drift",
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			v := buildView(t, fixtureSpec())
+			g := v.Grid()
+			epoch0 := v.Version()
+			if tc.before != nil {
+				tc.before(g)
+			}
+			txn := v.Begin(epoch0)
+			defer txn.Discard()
+			txn.RerouteNet(0)
+			if tc.during != nil {
+				tc.during(g)
+			}
+			err := txn.Check()
+			if err == nil {
+				t.Fatalf("Check passed; want an error containing %q", tc.want)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Check error %q does not contain %q", err, tc.want)
+			}
+		})
 	}
 }
 
