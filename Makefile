@@ -119,3 +119,4 @@ fuzz-smoke:
 	$(GO) test ./internal/service -fuzz 'FuzzLeaseRecord$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x
 	$(GO) test ./internal/eco -fuzz 'FuzzDeltaApply$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x
 	$(GO) test ./internal/grid -fuzz 'FuzzGridPrices$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x
+	$(GO) test ./internal/route/global -fuzz 'FuzzMazeGate$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x

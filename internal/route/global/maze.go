@@ -12,6 +12,22 @@ import (
 // segments; the maze is the escape hatch for congested regions, where the
 // negotiated penalty makes detours around hot spots cheaper than pushing
 // through them.
+//
+// Most segments whose pattern route crosses an overflowed edge have no
+// cheaper lattice path, so the Dijkstra is gated: cheaperPathExists, a
+// bounded A* that only decides whether any path undercuts the pattern cost,
+// runs first, and the Dijkstra — still the only code that picks a
+// replacement path — runs only when it answers yes.
+
+const (
+	// mazeOnOverflow makes a segment a maze candidate when its pattern
+	// route would push some planar edge's demand/capacity ratio above it.
+	mazeOnOverflow = 1.0
+	// mazeGateTol is the relative margin by which a lattice path must
+	// undercut the pattern cost for the maze to run: a path that wins only
+	// by float rounding leaves the pattern route in place.
+	mazeGateTol = 1e-9
+)
 
 // nodeID packs (x, y, l) into a single index.
 func (r *Router) nodeID(x, y, l int) int32 {
@@ -179,6 +195,90 @@ func (r *Router) mazeRoute(a, b geom.Point) *path {
 		cur = from
 	}
 	return p
+}
+
+// cheaperPathExists reports whether some lattice path from (a, layer 0) to
+// (b, layer 0) costs less than limit, over the moves mazeRoute makes. It is
+// an A* search on the maze's scratch (dist, seen, settled, heap under a
+// fresh gen) with the lower bound
+//
+//	h(x,y,l) = UnitWire·(|x−bx| + |y−by|) + UnitVia·v,
+//
+// v being the vias still needed to reach layer 0 at b: l, or 2 on layer 0
+// anywhere but b. Eq. 10's penalty is never negative, so every wire costs at
+// least UnitWire and every via at least UnitVia: h never overestimates and
+// drops by at most the price of any move, so the first time a node settles
+// its cost is final. Every push whose cost plus bound reaches limit is
+// pruned, and the answer is yes as soon as b settles. A cancelled search
+// answers no, which keeps the caller's pattern route, as a cancelled maze
+// does.
+func (r *Router) cheaperPathExists(a, b geom.Point, limit float64) bool {
+	uw, uv := r.G.Params.UnitWire, r.G.Params.UnitVia
+	r.gen++
+	gen := r.gen
+	h := &r.heap
+	*h = (*h)[:0]
+	relax := func(x, y, l int, c float64) {
+		n := r.nodeID(x, y, l)
+		if r.seen[n] == gen && r.dist[n] <= c {
+			return
+		}
+		v := l
+		if l == 0 && (x != b.X || y != b.Y) {
+			v = 2
+		}
+		f := c + uw*float64(geom.Abs(x-b.X)+geom.Abs(y-b.Y)) + uv*float64(v)
+		if f >= limit {
+			return
+		}
+		r.seen[n] = gen
+		r.dist[n] = c
+		h.push(heapItem{f, n})
+	}
+
+	dst := r.nodeID(b.X, b.Y, 0)
+	relax(a.X, a.Y, 0, 0)
+	pops := 0
+	for len(*h) > 0 {
+		if pops++; pops&4095 == 0 && r.cancelled() {
+			return false
+		}
+		it := h.pop()
+		if r.settled[it.node] == gen {
+			continue
+		}
+		r.settled[it.node] = gen
+		if it.node == dst {
+			return true
+		}
+		// The first pop of a node carries its smallest pushed cost, which
+		// is the one dist holds.
+		g := r.dist[it.node]
+		x, y, l := r.nodeCoords(it.node)
+		// Every move below exists, so its price is finite.
+		if l+1 < r.G.NL {
+			relax(x, y, l+1, g+r.G.ViaEdgeCost(x, y, l))
+		}
+		if l > 0 {
+			relax(x, y, l-1, g+r.G.ViaEdgeCost(x, y, l-1))
+			if r.G.Horizontal(l) {
+				if x+1 < r.G.NX {
+					relax(x+1, y, l, g+r.G.WireEdgeCost(x, y, l))
+				}
+				if x > 0 {
+					relax(x-1, y, l, g+r.G.WireEdgeCost(x-1, y, l))
+				}
+			} else {
+				if y+1 < r.G.NY {
+					relax(x, y+1, l, g+r.G.WireEdgeCost(x, y, l))
+				}
+				if y > 0 {
+					relax(x, y-1, l, g+r.G.WireEdgeCost(x, y-1, l))
+				}
+			}
+		}
+	}
+	return false
 }
 
 // tryPlanar relaxes the planar move from (x,y,l) to (nx,ny,l); the edge is

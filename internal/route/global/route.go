@@ -4,9 +4,10 @@
 // segment with 3D pattern routing: candidate L- and Z-shaped planar paths
 // whose straight runs are assigned to layers by dynamic programming over the
 // junction layers, with via-stack costs between runs and down to the pin
-// layer at both ends. Segments that pattern routing cannot realise cheaply
-// are re-routed by a full 3D Dijkstra maze. A negotiated rip-up & reroute
-// loop clears residual overflow.
+// layer at both ends. A segment whose pattern route would overflow an edge
+// is re-routed by a 3D Dijkstra maze over the full lattice, but only when a
+// bounded A* first proves that a strictly cheaper lattice path exists. A
+// negotiated rip-up & reroute loop clears residual overflow.
 //
 // The same pattern-routing machinery, without committing demand, implements
 // the paper's "fast 3D pattern route" used by Algorithm 3 to estimate the
@@ -52,9 +53,6 @@ type Config struct {
 	// ZSamples is the number of intermediate Z-bend positions tried per
 	// axis during pattern routing (in addition to the two L shapes).
 	ZSamples int
-	// MazeOnOverflow re-routes a segment with the 3D maze when the best
-	// pattern path crosses an edge with congestion above this ratio.
-	MazeOnOverflow float64
 	// FinalReroutePasses re-routes every net once per pass at settled
 	// congestion prices after RRR, the way CUGR's later phases revisit
 	// early nets that were routed against an empty (mispriced) grid.
@@ -70,7 +68,7 @@ type Config struct {
 
 // DefaultConfig returns the configuration used by the experiments.
 func DefaultConfig() Config {
-	return Config{RRRIterations: 3, ZSamples: 3, MazeOnOverflow: 1.0, FinalReroutePasses: 1}
+	return Config{RRRIterations: 3, ZSamples: 3, FinalReroutePasses: 1}
 }
 
 // Router holds routing state for one design.
@@ -161,11 +159,20 @@ func (r *Router) AdoptRoutes(routes []*Route) error {
 
 // Stats summarises a routing run.
 type Stats struct {
-	RoutedNets    int
+	// RoutedNets counts the nets of degree >= 2 the initial pass routed.
+	RoutedNets int
+	// PatternRoutes counts initial-pass nets built from pattern routes
+	// alone (RoutedNets − MazeRoutes).
 	PatternRoutes int
-	MazeRoutes    int
-	RRRPasses     int
-	Overflow      grid.OverflowStats
+	// MazeRoutes counts initial-pass nets that took at least one maze
+	// path: a segment no pattern realises, or one whose maze path is
+	// cheaper than its pattern route by more than mazeGateTol relative.
+	// Nets re-routed by RRR or the final pass are not counted.
+	MazeRoutes int
+	// RRRPasses counts the rip-up & reroute passes that ran.
+	RRRPasses int
+	// Overflow is the grid's overflow when the run ends.
+	Overflow grid.OverflowStats
 	// Cancelled reports that the run's context expired before all phases
 	// completed; already-committed routes are valid, later nets may be
 	// unrouted and the RRR/final passes may have been cut short.
@@ -434,8 +441,12 @@ func (r *Router) routeNet(id int32) (*Route, bool) {
 }
 
 // routeTerminals routes a terminal set: Steiner topology, then pattern
-// routing per segment with maze fallback. Serial use only (it reuses the
-// Router's builder scratch).
+// routing per segment. A segment no pattern realises goes to the maze
+// directly; one whose pattern route would overflow an edge goes to the maze
+// only when cheaperPathExists finds a path undercutting the pattern cost by
+// more than mazeGateTol relative, and the maze's path replaces the pattern
+// route when it prices lower. Serial use only (it reuses the Router's
+// builder and maze scratch).
 func (r *Router) routeTerminals(id int32, gcells []geom.Point) (*Route, bool) {
 	b := &r.bld
 	b.reset()
@@ -447,7 +458,7 @@ func (r *Router) routeTerminals(id int32, gcells []geom.Point) (*Route, bool) {
 	for _, e := range tree.Edges {
 		a, c := tree.Nodes[e[0]], tree.Nodes[e[1]]
 		path, cost, worst := r.patternRoute(a, c)
-		if path == nil || (r.Cfg.MazeOnOverflow > 0 && worst > r.Cfg.MazeOnOverflow) {
+		if path == nil || (worst > mazeOnOverflow && r.cheaperPathExists(a, c, cost*(1-mazeGateTol))) {
 			if mp := r.mazeRoute(a, c); mp != nil {
 				mcost := r.pathCost(mp)
 				if path == nil || mcost < cost {

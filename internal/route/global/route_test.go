@@ -450,6 +450,18 @@ func BenchmarkRouteAll(b *testing.B) {
 	}
 }
 
+// BenchmarkRouteAllCongested routes the congested RRR fixture from scratch:
+// unlike BenchmarkRouteAll's fixture, it sends nets to the maze and runs
+// RRR passes.
+func BenchmarkRouteAllCongested(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		r := newRouter(b, 80, 300, 15)
+		b.StartTimer()
+		r.RouteAll()
+	}
+}
+
 // BenchmarkCommitRipUp prices demand writes alone: one op rips up and
 // re-commits every route of a routed, congested fixture without routing
 // anything — the write-side cost of keeping the grid's prices current.
@@ -522,14 +534,32 @@ func TestFinalRerouteNeverIncreasesCost(t *testing.T) {
 }
 
 func TestRouteAllStatsConsistent(t *testing.T) {
-	r := newRouter(t, 60, 40, 31)
-	st := r.RouteAll()
-	if st.PatternRoutes+st.MazeRoutes != st.RoutedNets {
-		t.Errorf("pattern %d + maze %d != routed %d",
-			st.PatternRoutes, st.MazeRoutes, st.RoutedNets)
-	}
-	if st.RRRPasses < 0 || st.RRRPasses > r.Cfg.RRRIterations {
-		t.Errorf("RRRPasses = %d out of [0,%d]", st.RRRPasses, r.Cfg.RRRIterations)
+	for _, tc := range []struct {
+		name          string
+		nCells, nNets int
+		seed          int64
+		congested     bool
+	}{
+		{"sparse", 60, 40, 31, false},
+		// The RRR fixture, also BenchmarkRouteAllCongested's: some nets
+		// must still take a strictly cheaper maze path, or the maze gate
+		// has gone blind.
+		{"congested", 80, 300, 15, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRouter(t, tc.nCells, tc.nNets, tc.seed)
+			st := r.RouteAll()
+			if st.PatternRoutes+st.MazeRoutes != st.RoutedNets {
+				t.Errorf("pattern %d + maze %d != routed %d",
+					st.PatternRoutes, st.MazeRoutes, st.RoutedNets)
+			}
+			if st.RRRPasses < 0 || st.RRRPasses > r.Cfg.RRRIterations {
+				t.Errorf("RRRPasses = %d out of [0,%d]", st.RRRPasses, r.Cfg.RRRIterations)
+			}
+			if tc.congested && (st.MazeRoutes == 0 || st.RRRPasses == 0) {
+				t.Errorf("congested fixture took no maze path or ran no RRR pass: %+v", st)
+			}
+		})
 	}
 }
 
