@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build bench-build test race race-solver lint-state bench-smoke flake fuzz-smoke chaos crash-chaos service-chaos failover-chaos eco-chaos
+.PHONY: check fmt vet build bench-build test race race-solver lint-state bench-smoke flake fuzz-smoke chaos crash-chaos service-chaos failover-chaos eco-chaos experiments-check
 
 ## check: the full pre-merge gate — gofmt, vet, build, benchmark-module
 ## build, state lint, race-enabled tests, bench smoke, flake gate, chaos
@@ -33,8 +33,8 @@ race:
 	$(GO) test -race ./...
 
 ## race-solver: fast early race gate over the GCP fast path — the shared
-## solve/window caches and the parallel candidate-generation fan-out are the
-## only lock-coordinated hot paths, so race them first and with -count=1.
+## solve cache and the parallel candidate-generation fan-out are the only
+## lock-coordinated hot paths, so race them first and with -count=1.
 race-solver:
 	$(GO) test -race -count=1 ./internal/ilp/... ./internal/legal/... ./internal/crp/...
 
@@ -120,3 +120,11 @@ fuzz-smoke:
 	$(GO) test ./internal/eco -fuzz 'FuzzDeltaApply$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x
 	$(GO) test ./internal/grid -fuzz 'FuzzGridPrices$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x
 	$(GO) test ./internal/route/global -fuzz 'FuzzMazeGate$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x
+	$(GO) test ./internal/route/global -fuzz 'FuzzEstimateLowerBound$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x
+
+## experiments-check: regenerates Tables II and III at scale 0.02 (~2 min)
+## and fails, listing the differing rows, when either differs from the block
+## EXPERIMENTS.md records. Both tables are deterministic, so any difference
+## is drift. Nightly only; not part of check.
+experiments-check:
+	bash scripts/experiments-check.sh

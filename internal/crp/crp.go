@@ -9,7 +9,9 @@
 //  2. Generate Candidate Positions (Algorithm 2): each critical cell keeps
 //     its current position and receives extra legal positions from the
 //     ILP-based legalizer, each paired with the conflict-cell relocations
-//     that make it legal.
+//     that make it legal. The stay-put candidate is priced first, and a
+//     target slot that provably cannot undercut it is neither relocated nor
+//     priced (the stay-put bound, see dominated).
 //  3. Candidate Cost Estimation (Algorithm 3): every candidate is priced by
 //     the fast 3D pattern router over the nets of every cell the candidate
 //     moves, with all other cells fixed.
@@ -30,6 +32,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -445,6 +448,8 @@ type candidate struct {
 	conflicts map[int32]geom.Point
 	cost      float64
 	isCurrent bool
+	// priced marks a stay-put candidate whose cost GCP already computed.
+	priced bool
 }
 
 // movedCells lists every cell the candidate repositions.
@@ -477,18 +482,66 @@ func (e *Engine) generateCandidates(ctx context.Context, critical []int32) ([][]
 }
 
 // generateOne builds critical cell i's candidate list — the current
-// position plus the legalizer's output — on worker w's scratch: the
-// per-item body of the generation fan-out.
+// position, priced first, plus the legalizer's output under the stay-put
+// bound — on worker w's scratch and overlay: the per-item body of the
+// generation fan-out.
 func (e *Engine) generateOne(w, i int, cid int32) []candidate {
 	if h := e.Cfg.Hooks.GCP; h != nil {
 		h(e.iter, i)
 	}
-	cur := e.V.Pos(cid)
-	cands := []candidate{{cell: cid, pos: cur, conflicts: map[int32]geom.Point{}, isCurrent: true}}
-	for _, lc := range e.L.RunScratch(cid, e.scratch[w]) {
+	ov := e.ovs[w]
+	cands := e.stayPutOnly(cid)
+	cands[0].cost, cands[0].priced = e.estimateCandidate(&cands[0], ov, math.Inf(1)), true
+	limit := dominanceLimit(cands[0].cost)
+	bound := func(pos geom.Point, conflicts []int32) bool {
+		return e.dominated(ov, cid, pos, conflicts, limit)
+	}
+	for _, lc := range e.L.RunScratch(cid, e.scratch[w], bound) {
 		cands = append(cands, candidate{cell: cid, pos: lc.Pos, conflicts: lc.Conflicts})
 	}
 	return cands
+}
+
+// dominated is the stay-put bound, the legal.Bound of critical cell cid:
+// it reports whether every candidate that puts cid at pos and relocates
+// conflicts costs at least limit (the cell's dominanceLimit), wherever the
+// conflict cells go — so pruneDominated would drop it. Staging the conflict
+// cells where they stand yields the candidate's exact Algorithm 3 net order,
+// which depends on which cells are staged, not where. A net with no pin on
+// a conflict cell has the candidate's terminals and is priced exactly; one
+// with such a pin is bounded over its other terminals (netLowerBound). Each
+// term is at most the candidate's own for every relocation, and float
+// addition of non-negative terms is monotone, so the running sum never
+// exceeds the candidate's cost.
+func (e *Engine) dominated(ov *view.Overlay, cid int32, pos geom.Point, conflicts []int32, limit float64) bool {
+	ov.Reset()
+	ov.Stage(cid, pos)
+	for _, id := range conflicts {
+		ov.Stage(id, e.V.Pos(id))
+	}
+	total := 0.0
+	for _, nid := range ov.AffectedNets() {
+		pts := ov.NetTerminals(nid)
+		// NetTerminals lists the net's pins in order, then its IO
+		// terminals; the conflict cells' pins are dropped in place.
+		pins := e.D.Nets[nid].Pins
+		others := pts[:0]
+		for k, p := range pts {
+			if k < len(pins) && slices.Contains(conflicts, pins[k].Cell) {
+				continue
+			}
+			others = append(others, p)
+		}
+		if len(others) == len(pts) {
+			total += e.netCost(pts)
+		} else {
+			total += e.netLowerBound(others)
+		}
+		if total >= limit {
+			return true
+		}
+	}
+	return false
 }
 
 // stayPutOnly is the quarantine fallback candidate list: exactly the
@@ -502,15 +555,10 @@ func (e *Engine) stayPutOnly(cid int32) []candidate {
 // with the candidate's positions applied hypothetically and every other
 // cell fixed. Each worker prices on its own view overlay.
 //
-// Costs are prefilled with +Inf so a group abandoned mid-pricing (panic or
-// cancellation) can never look attractive: such groups are reset to "stay
-// put is free, every move is infinitely expensive".
+// A group abandoned mid-pricing (panic or cancellation) can never look
+// attractive: it is reset to "stay put is free, every move is infinitely
+// expensive".
 func (e *Engine) estimateCosts(ctx context.Context, cands [][]candidate) []quarantined {
-	for i := range cands {
-		for j := range cands[i] {
-			cands[i][j].cost = math.Inf(1)
-		}
-	}
 	done := make([]bool, len(cands))
 	quar := e.parallelFor(ctx, len(cands), func(w, i int) {
 		e.estimateGroup(e.ovs[w], i, cands[i])
@@ -525,13 +573,20 @@ func (e *Engine) estimateCosts(ctx context.Context, cands [][]candidate) []quara
 }
 
 // estimateGroup prices every candidate of group i on overlay ov — the
-// per-item body of the estimation fan-out.
+// per-item body of the estimation fan-out. The stay-put candidate comes
+// first (GCP priced it unless the cell fell back to stayPutOnly), and a
+// move's sum stops once it reaches the stay-put's dominanceLimit:
+// pruneDominated drops that move whatever the remaining nets add.
 func (e *Engine) estimateGroup(ov *view.Overlay, i int, group []candidate) {
 	if h := e.Cfg.Hooks.ECC; h != nil {
 		h(e.iter, i)
 	}
-	for j := range group {
-		group[j].cost = e.estimateCandidate(&group[j], ov)
+	if !group[0].priced {
+		group[0].cost = e.estimateCandidate(&group[0], ov, math.Inf(1))
+	}
+	limit := dominanceLimit(group[0].cost)
+	for j := 1; j < len(group); j++ {
+		group[j].cost = e.estimateCandidate(&group[j], ov, limit)
 	}
 }
 
@@ -547,7 +602,10 @@ func resetGroupCosts(group []candidate) {
 	}
 }
 
-func (e *Engine) estimateCandidate(c *candidate, ov *view.Overlay) float64 {
+// estimateCandidate prices candidate c on overlay ov, stopping as soon as
+// the running sum reaches limit (+Inf prices the whole candidate). Every
+// net cost is non-negative, so a stopped sum is still at least limit.
+func (e *Engine) estimateCandidate(c *candidate, ov *view.Overlay, limit float64) float64 {
 	e.estimates.Add(1)
 	// The hypothetical moves: the critical cell first, then the conflict
 	// cells in ascending ID order. Fixed order matters — the per-net costs
@@ -560,19 +618,31 @@ func (e *Engine) estimateCandidate(c *candidate, ov *view.Overlay) float64 {
 	// Cost the union of nets over all moved cells, each net once.
 	total := 0.0
 	for _, nid := range ov.AffectedNets() {
-		total += e.estimateNet(nid, ov)
+		total += e.netCost(ov.NetTerminals(nid))
+		if total >= limit {
+			break
+		}
 	}
 	return total
 }
 
-// estimateNet prices one net as seen through the overlay's staged moves.
-func (e *Engine) estimateNet(nid int32, ov *view.Overlay) float64 {
-	pts := ov.NetTerminals(nid)
+// netCost prices one net's terminals: Algorithm 3's per-net term.
+func (e *Engine) netCost(pts []geom.Point) float64 {
 	if e.Cfg.CostMode == LengthOnly {
 		tree := steiner.Build(pts)
 		return float64(tree.Length())
 	}
 	return e.R.EstimateTerminalCost(pts)
+}
+
+// netLowerBound bounds netCost from below over every terminal set that
+// contains pts. A Steiner tree spans its terminals' bounding box, so in
+// LengthOnly mode the half-perimeter of pts bounds its length.
+func (e *Engine) netLowerBound(pts []geom.Point) float64 {
+	if e.Cfg.CostMode == LengthOnly {
+		return float64(steiner.HPWL(pts))
+	}
+	return e.R.EstimateLowerBound(pts)
 }
 
 // quarantined records a work item whose worker panicked: the pool contains

@@ -73,6 +73,11 @@ func (e *Engine) Iterate(ctx context.Context) IterStats {
 	if n := ls1.BudgetDropped - ls0.BudgetDropped; n > 0 {
 		deg("legal-dropped", fmt.Sprintf("%d legalizer ILPs hit their budget with no incumbent; candidates dropped", n))
 	}
+	// A slot the stay-put bound proved counts as a candidate and as a
+	// pricing, as it did when it was relocated and priced.
+	bounded := ls1.Bounded - ls0.Bounded
+	e.estimates.Add(bounded)
+	st.Candidates = int(bounded)
 	for _, cs := range cands {
 		st.Candidates += len(cs)
 	}
@@ -181,6 +186,11 @@ type cellCands struct {
 	list []int // candidate indices within cands[ci], current first
 }
 
+// dominanceLimit is the cost a move must stay below to improve on a
+// stay-put cost of cur: pruneDominated keeps exactly the moves that do, and
+// the stay-put bound and ECC's early exit test against the same value.
+func dominanceLimit(cur float64) float64 { return cur - 1e-9 }
+
 // pruneDominated is the exact pruning pass of the Eq. 12 selection: a move
 // candidate whose estimated cost is not below its cell's stay-put cost is
 // dominated and dropped; cells left with no improving candidate are fixed
@@ -199,10 +209,10 @@ func pruneDominated(cands [][]candidate) (fixed []*candidate, active []cellCands
 		if curIdx < 0 {
 			curIdx = 0 // defensive: treat the first as current
 		}
-		cur := cs[curIdx].cost
+		limit := dominanceLimit(cs[curIdx].cost)
 		keep := []int{curIdx}
 		for j := range cs {
-			if j != curIdx && cs[j].cost < cur-1e-9 {
+			if j != curIdx && cs[j].cost < limit {
 				keep = append(keep, j)
 			}
 		}

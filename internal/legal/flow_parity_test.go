@@ -61,7 +61,7 @@ func runFlow(t *testing.T, idx int, seed bool) flowOutcome {
 
 // TestFlowFastVsDenseParity is the flow half of the differential-parity
 // ladder: full CR&P runs through the shipped engine (sparse fast path,
-// presolve, window + solve caches, relocation shortcut) and through the
+// presolve, solve cache, relocation shortcut, stay-put bound) and through the
 // seed engine (seed legalizer, SolveDense selection) must make identical
 // moves and end with identical placements, statistics and routing cost on
 // crp_test1 and crp_test2.

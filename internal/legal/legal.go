@@ -15,8 +15,8 @@
 package legal
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -64,8 +64,16 @@ type Candidate struct {
 	Displacement float64
 }
 
+// Bound is a caller's lower-bound test on a target slot: it reports whether
+// the candidate that puts the critical cell at pos and relocates the
+// conflict cells (IDs ascending; the slice is valid only during the call)
+// is provably not worth keeping, wherever the relocation ILP would put
+// them. A proven slot that is feasible still counts toward MaxCandidates,
+// but it is neither relocated nor returned.
+type Bound func(pos geom.Point, conflicts []int32) bool
+
 // Stats counts the degradation-ladder outcomes of budgeted relocation
-// ILPs. All-zero when no budget is configured (the default).
+// ILPs, the solve-cache outcomes and the slots a Bound proved.
 type Stats struct {
 	// IncumbentKept counts relocation solves that hit their budget but
 	// whose best incumbent was adopted (still a fully legal candidate).
@@ -73,7 +81,9 @@ type Stats struct {
 	// BudgetDropped counts candidate slots dropped because the budget
 	// expired with no usable incumbent.
 	BudgetDropped int64
-	// WindowHits / WindowMisses count window-signature cache outcomes.
+	// WindowHits / WindowMisses are always 0: the window-result cache
+	// they counted is gone. They stay until the benchmark stops reading
+	// them.
 	WindowHits   int64
 	WindowMisses int64
 	// SolveHits / SolveMisses count relocation-ILP solution cache outcomes.
@@ -82,6 +92,9 @@ type Stats struct {
 	// ShortcutSolves counts relocation models answered by the unique-
 	// optimum shortcut without invoking the solver.
 	ShortcutSolves int64
+	// Bounded counts feasible target slots a Bound proved, which were
+	// counted toward MaxCandidates without a relocation ILP.
+	Bounded int64
 }
 
 // Legalizer generates candidates against a design.
@@ -94,6 +107,7 @@ type Legalizer struct {
 	incumbentKept  atomic.Int64
 	budgetDropped  atomic.Int64
 	shortcutSolves atomic.Int64
+	bounded        atomic.Int64
 
 	// noShortcut suppresses the unique-optimum relocation shortcut; set
 	// only by the differential test that certifies the shortcut against
@@ -118,23 +132,19 @@ type Legalizer struct {
 	obsFree [][]geom.Interval // per row: obstacle X intervals blocking sites
 
 	solveCache *ilp.SolveCache
-	winCache   *windowCache
 }
 
 // Stats snapshots the degradation and cache counters.
 func (l *Legalizer) Stats() Stats {
 	s := Stats{
-		IncumbentKept: l.incumbentKept.Load(),
-		BudgetDropped: l.budgetDropped.Load(),
-	}
-	if l.winCache != nil {
-		s.WindowHits = l.winCache.hits.Load()
-		s.WindowMisses = l.winCache.misses.Load()
+		IncumbentKept:  l.incumbentKept.Load(),
+		BudgetDropped:  l.budgetDropped.Load(),
+		ShortcutSolves: l.shortcutSolves.Load(),
+		Bounded:        l.bounded.Load(),
 	}
 	if l.solveCache != nil {
 		s.SolveHits, s.SolveMisses = l.solveCache.Stats()
 	}
-	s.ShortcutSolves = l.shortcutSolves.Load()
 	return s
 }
 
@@ -176,14 +186,21 @@ func New(d *db.Design, cfg Config) *Legalizer {
 			}
 		}
 	}
-	// Result caches are only sound on budget-less solves: a budgeted
+	// The solve cache is only sound on budget-less solves: a budgeted
 	// outcome depends on wall-clock and node order and must never leak
 	// across calls (checkpoint/resume bit-identity).
-	if cfg.MaxNodes == 0 && cfg.TimeLimit == 0 {
+	if !l.budgeted() {
 		l.solveCache = ilp.NewSolveCache(0)
-		l.winCache = newWindowCache(0)
 	}
 	return l
+}
+
+// budgeted reports whether relocation ILPs run under a node or time budget.
+// A budgeted solve can drop a slot the model admits, so every shortcut
+// around the solver (the solve cache, the unique-optimum shortcut, the
+// feasibility test of bounded slots) is off.
+func (l *Legalizer) budgeted() bool {
+	return l.Cfg.MaxNodes != 0 || l.Cfg.TimeLimit != 0
 }
 
 // window is the site/row extent the legalizer works in.
@@ -232,13 +249,16 @@ func (l *Legalizer) windowAround(c *db.Cell) window {
 // returned candidate differs from the cell's current position. Candidates
 // are sorted by ascending displacement.
 func (l *Legalizer) Run(cellID int32) []Candidate {
-	return l.RunScratch(cellID, nil)
+	return l.RunScratch(cellID, nil, nil)
 }
 
-// RunScratch is Run with caller-provided per-worker scratch buffers, the
-// entry point for CR&P's parallel candidate-generation fan-out. scr must
-// not be shared between concurrent callers; nil allocates a fresh one.
-func (l *Legalizer) RunScratch(cellID int32, scr *Scratch) []Candidate {
+// RunScratch is Run with caller-provided per-worker scratch buffers and an
+// optional Bound, the entry point for CR&P's parallel candidate-generation
+// fan-out. scr must not be shared between concurrent callers; nil allocates
+// a fresh one. With a bound, the result is Run's minus the candidates at
+// slots the bound proved, in Run's order; a nil bound walks exactly as Run.
+// Budgeted legalizers ignore the bound (see budgeted).
+func (l *Legalizer) RunScratch(cellID int32, scr *Scratch, bound Bound) []Candidate {
 	start := time.Now()
 	defer func() { l.runNS.Add(time.Since(start).Nanoseconds()) }()
 	d := l.D
@@ -252,26 +272,20 @@ func (l *Legalizer) RunScratch(cellID int32, scr *Scratch) []Candidate {
 	if scr == nil {
 		scr = NewScratch()
 	}
+	if l.budgeted() {
+		bound = nil
+	}
 	scr.reset(l.medEpoch.Load())
 	w := l.windowAround(c)
 	l.buildOccupancy(w, scr)
-	if l.winCache == nil {
-		return l.runWindow(c, w, scr)
-	}
-	key := l.windowKey(c, w, scr)
-	if cands, ok := l.winCache.get(key); ok {
-		return cands
-	}
-	out := l.runWindow(c, w, scr)
-	l.winCache.put(key, out)
-	return out
+	return l.runWindow(c, w, bound, scr)
 }
 
-// runWindow is the cold path: enumerate target slots for the critical cell
-// — every site-aligned position in the window where the cell fits inside
-// the row span — ranked by the critical cell's own Eq. 11 displacement,
-// then try them in order until MaxCandidates succeed.
-func (l *Legalizer) runWindow(c *db.Cell, w window, scr *Scratch) []Candidate {
+// runWindow enumerates target slots for the critical cell — every
+// site-aligned position in the window where the cell fits inside the row
+// span — ranked by the critical cell's own Eq. 11 displacement, then tries
+// them in order until MaxCandidates are feasible.
+func (l *Legalizer) runWindow(c *db.Cell, w window, bound Bound, scr *Scratch) []Candidate {
 	d := l.D
 	med := l.medianOf(scr, c.ID)
 	sw := d.Tech.Site.Width
@@ -350,16 +364,25 @@ func (l *Legalizer) runWindow(c *db.Cell, w window, scr *Scratch) []Candidate {
 	})
 
 	var out []Candidate
+	feasible := 0
 	for _, s := range slots {
-		if len(out) >= l.Cfg.MaxCandidates {
+		if feasible >= l.Cfg.MaxCandidates {
 			break
 		}
-		cand, ok := l.trySlot(c, s.pos, s.wi, w, med, scr)
-		if ok {
-			out = append(out, cand)
+		cand, ok, proven := l.trySlot(c, s.pos, s.wi, w, med, bound, scr)
+		if !ok {
+			continue
 		}
+		feasible++
+		if proven {
+			l.bounded.Add(1)
+			continue
+		}
+		out = append(out, cand)
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Displacement < out[b].Displacement })
+	// Stable, so dropping the proven slots leaves every other candidate in
+	// the order the unbounded walk returns it.
+	slices.SortStableFunc(out, func(a, b Candidate) int { return cmp.Compare(a.Displacement, b.Displacement) })
 	return out
 }
 
@@ -370,10 +393,12 @@ func (l *Legalizer) displacement(pos, med geom.Point) float64 {
 	return float64(geom.Abs(pos.X-med.X) + geom.Abs(pos.Y-med.Y))
 }
 
-// tryslot checks whether the critical cell can take pos. If cells are in
+// trySlot checks whether the critical cell can take pos. If cells are in
 // the way, the conflict cells (at most MaxCells-1) are relocated inside the
-// window by the ILP; failure to relocate rejects the slot.
-func (l *Legalizer) trySlot(c *db.Cell, pos geom.Point, wi int, w window, med geom.Point, scr *Scratch) (Candidate, bool) {
+// window by the ILP; failure to relocate rejects the slot. A slot with at
+// most two conflict cells that bound proves is only tested for feasibility
+// (relocatable) and comes back with proven set and no candidate.
+func (l *Legalizer) trySlot(c *db.Cell, pos geom.Point, wi int, w window, med geom.Point, bound Bound, scr *Scratch) (cand Candidate, ok, proven bool) {
 	d := l.D
 	span := geom.Iv(pos.X, pos.X+c.Macro.Width)
 
@@ -386,30 +411,72 @@ func (l *Legalizer) trySlot(c *db.Cell, pos geom.Point, wi int, w window, med ge
 			continue
 		}
 		if blk.fixed {
-			return Candidate{}, false // cannot displace fixed cells
+			return Candidate{}, false, false // cannot displace fixed cells
 		}
 		conflicts = append(conflicts, d.Cells[blk.id])
 	}
 	if len(conflicts) > l.Cfg.MaxCells-1 {
-		return Candidate{}, false // paper caps the execution at |cells|=3
+		return Candidate{}, false, false // paper caps the execution at |cells|=3
+	}
+	if bound != nil && len(conflicts) <= 2 {
+		ids := scr.boundIDs[:0]
+		for _, cc := range conflicts {
+			ids = append(ids, cc.ID)
+		}
+		slices.Sort(ids)
+		scr.boundIDs = ids
+		if bound(pos, ids) {
+			return Candidate{}, l.relocatable(c, pos, conflicts, w, scr), true
+		}
 	}
 	if len(conflicts) == 0 {
 		return Candidate{
 			Pos:          pos,
 			Conflicts:    map[int32]geom.Point{},
 			Displacement: l.displacement(pos, med),
-		}, true
+		}, true, false
 	}
 
 	moves, cost, ok := l.relocateConflicts(c, pos, conflicts, w, scr)
 	if !ok {
-		return Candidate{}, false
+		return Candidate{}, false, false
 	}
 	return Candidate{
 		Pos:          pos,
 		Conflicts:    moves,
 		Displacement: l.displacement(pos, med) + cost,
-	}, true
+	}, true, false
+}
+
+// relocatable reports, without the ILP, whether relocateConflicts would
+// relocate at most two conflict cells: with none there is nothing to move,
+// one needs a slot in its filtered list, and two need a pair from their two
+// lists that does not overlap. That is exactly the feasibility of the Eq. 11
+// model (one slot per cell, no site taken twice), which an unbudgeted
+// solve always decides.
+func (l *Legalizer) relocatable(c *db.Cell, pos geom.Point, conflicts []*db.Cell, w window, scr *Scratch) bool {
+	if len(conflicts) == 0 {
+		return true
+	}
+	filt, offs, ok := l.filteredSlots(c, pos, conflicts, w, scr)
+	if !ok || len(conflicts) == 1 {
+		return ok
+	}
+	wa, wb := conflicts[0].Macro.Width, conflicts[1].Macro.Width
+	for _, sa := range filt[offs[0]:offs[1]] {
+		for _, sb := range filt[offs[1]:offs[2]] {
+			if !slotsOverlap(sa, wa, sb, wb) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// slotsOverlap reports whether cells of widths wa and wb at slots a and b
+// would share a site.
+func slotsOverlap(a conSlot, wa int, b conSlot, wb int) bool {
+	return a.p.Y == b.p.Y && a.p.X < b.p.X+wb && b.p.X < a.p.X+wa
 }
 
 // relocateConflicts builds and solves the Eq. 11 ILP for the conflict
@@ -419,47 +486,10 @@ func (l *Legalizer) trySlot(c *db.Cell, pos geom.Point, wi int, w window, med ge
 func (l *Legalizer) relocateConflicts(c *db.Cell, pos geom.Point, conflicts []*db.Cell, w window, scr *Scratch) (map[int32]geom.Point, float64, bool) {
 	d := l.D
 	sw := d.Tech.Site.Width
-	ignore := append(scr.ignore[:0], c.ID)
-	for _, cc := range conflicts {
-		ignore = append(ignore, cc.ID)
+	filt, offs, ok := l.filteredSlots(c, pos, conflicts, w, scr)
+	if !ok {
+		return nil, 0, false // nowhere to put some conflict cell
 	}
-	scr.ignore = ignore[:0]
-	targetSpan := geom.Iv(pos.X, pos.X+c.Macro.Width)
-
-	// Phase 1: each conflict cell's feasible slot list, sorted by the
-	// (cost, Y, X) total order — memoised across the target slots of this
-	// Run (conflictSlots). Slots overlapping the critical cell's target are
-	// filtered out here, and only the cheapest few kept: the ILP never
-	// benefits from far-away relocations (Eq. 11 minimises displacement),
-	// and the cap keeps the model tiny. Filtering the sorted list is the
-	// same as sorting the filtered set (total order), so the memo never
-	// changes the built model. Lists live concatenated in scr.conSlots with
-	// offs[k] marking conflict k's start.
-	maxSlots := l.Cfg.MaxSlotsPerConflict
-	filt := scr.conSlots[:0]
-	offs := scr.filtOff[:0]
-	for _, cc := range conflicts {
-		med := l.medianOf(scr, cc.ID)
-		full := l.conflictSlots(cc, conflicts, med, w, ignore, scr)
-		n0 := len(filt)
-		offs = append(offs, int32(n0))
-		for _, s := range full {
-			// Same row as the target iff same Y; rows sit at distinct Y.
-			if s.p.Y == pos.Y && geom.Iv(s.p.X, s.p.X+cc.Macro.Width).Overlaps(targetSpan) {
-				continue
-			}
-			filt = append(filt, s)
-			if maxSlots > 0 && len(filt)-n0 == maxSlots {
-				break
-			}
-		}
-		if len(filt) == n0 {
-			scr.conSlots, scr.filtOff = filt[:0], offs[:0]
-			return nil, 0, false // nowhere to put this conflict cell
-		}
-	}
-	offs = append(offs, int32(len(filt)))
-	scr.conSlots, scr.filtOff = filt[:0], offs[:0]
 
 	// Phase 2: unique-optimum shortcut. When every conflict cell's cheapest
 	// slot is strictly cheaper than its second-cheapest, the sum of the
@@ -473,7 +503,7 @@ func (l *Legalizer) relocateConflicts(c *db.Cell, pos geom.Point, conflicts []*d
 	// TestRelocationShortcutBitIdentical; budgeted configs skip the
 	// shortcut because their degradation outcomes depend on node accounting
 	// the shortcut does not perform.
-	if !l.noShortcut && l.Cfg.MaxNodes == 0 && l.Cfg.TimeLimit == 0 {
+	if !l.noShortcut && !l.budgeted() {
 		unique := true
 		for k := range conflicts {
 			s := filt[offs[k]:offs[k+1]]
@@ -485,10 +515,8 @@ func (l *Legalizer) relocateConflicts(c *db.Cell, pos geom.Point, conflicts []*d
 		if unique {
 			feasible := true
 			for a := 0; a < len(conflicts) && feasible; a++ {
-				sa, wa := filt[offs[a]], conflicts[a].Macro.Width
 				for b := a + 1; b < len(conflicts); b++ {
-					sb, wb := filt[offs[b]], conflicts[b].Macro.Width
-					if sa.p.Y == sb.p.Y && sa.p.X < sb.p.X+wb && sb.p.X < sa.p.X+wa {
+					if slotsOverlap(filt[offs[a]], conflicts[a].Macro.Width, filt[offs[b]], conflicts[b].Macro.Width) {
 						feasible = false
 						break
 					}
@@ -649,6 +677,50 @@ func (l *Legalizer) relocateConflicts(c *db.Cell, pos geom.Point, conflicts []*d
 		}
 	}
 	return moves, sol.Objective, true
+}
+
+// filteredSlots is phase 1 of relocateConflicts: each conflict cell's
+// feasible slot list, sorted by the (cost, Y, X) total order — memoised
+// across the target slots of this Run (conflictSlots). Slots overlapping the
+// critical cell's target are filtered out here, and only the cheapest few
+// kept: the ILP never benefits from far-away relocations (Eq. 11 minimises
+// displacement), and the cap keeps the model tiny. Filtering the sorted list
+// is the same as sorting the filtered set (total order), so the memo never
+// changes the built model. Lists live concatenated in scr.conSlots with
+// offs[k] marking conflict k's start and offs[len(conflicts)] the end. ok is
+// false when some conflict cell has no slot left.
+func (l *Legalizer) filteredSlots(c *db.Cell, pos geom.Point, conflicts []*db.Cell, w window, scr *Scratch) (filt []conSlot, offs []int32, ok bool) {
+	ignore := append(scr.ignore[:0], c.ID)
+	for _, cc := range conflicts {
+		ignore = append(ignore, cc.ID)
+	}
+	scr.ignore = ignore[:0]
+	targetSpan := geom.Iv(pos.X, pos.X+c.Macro.Width)
+	maxSlots := l.Cfg.MaxSlotsPerConflict
+	filt, offs = scr.conSlots[:0], scr.filtOff[:0]
+	for _, cc := range conflicts {
+		med := l.medianOf(scr, cc.ID)
+		full := l.conflictSlots(cc, conflicts, med, w, ignore, scr)
+		n0 := len(filt)
+		offs = append(offs, int32(n0))
+		for _, s := range full {
+			// Same row as the target iff same Y; rows sit at distinct Y.
+			if s.p.Y == pos.Y && geom.Iv(s.p.X, s.p.X+cc.Macro.Width).Overlaps(targetSpan) {
+				continue
+			}
+			filt = append(filt, s)
+			if maxSlots > 0 && len(filt)-n0 == maxSlots {
+				break
+			}
+		}
+		if len(filt) == n0 {
+			scr.conSlots, scr.filtOff = filt[:0], offs[:0]
+			return nil, nil, false
+		}
+	}
+	offs = append(offs, int32(len(filt)))
+	scr.conSlots, scr.filtOff = filt[:0], offs[:0]
+	return filt, offs, true
 }
 
 // Apply commits a candidate: the critical cell and its conflict cells move

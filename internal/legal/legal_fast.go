@@ -1,10 +1,7 @@
 package legal
 
 import (
-	"encoding/binary"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/crp-eda/crp/internal/db"
@@ -15,18 +12,14 @@ import (
 // This file holds the GCP fast-path machinery around Run:
 //
 //   - Scratch: per-worker reusable buffers (median memo, window occupancy,
-//     signature bytes) so the parallel candidate-generation fan-out
+//     relocation-model arenas) so the parallel candidate-generation fan-out
 //     allocates almost nothing per critical cell;
 //   - a one-pass window occupancy snapshot that replaces the repeated
 //     db.FreeSitesIn scans (bit-exact: the same blocking intervals feed the
 //     same site walk);
-//   - a window-signature result cache: Run's output is a pure function of
-//     the critical cell, its window geometry, the cells occupying the
-//     window, and the net medians of every cell that could move — all of
-//     which are folded into an exact byte key. A hit returns a deep copy of
-//     what a cold Run computed, so cached and uncached runs are
-//     bit-identical; the cache is disabled whenever solver budgets are set,
-//     keeping checkpoint/resume determinism intact.
+//   - a per-Run memo of each conflict cell's relocation-slot list
+//     (conflictSlots), shared by the relocation ILP and the combinatorial
+//     feasibility test of bounded slots (relocatable).
 
 // Scratch holds reusable per-worker state for RunScratch. It must not be
 // shared between concurrent callers.
@@ -39,7 +32,7 @@ type Scratch struct {
 	rowOK    []bool
 	blocks   []geom.Interval
 	free     []int
-	sig      []byte
+	boundIDs []int32 // the conflict IDs handed to a Bound, ascending
 
 	// Relocation-model build buffers (relocateConflicts). The site* slices
 	// back the dense per-window site grid that replaced the former
@@ -289,132 +282,6 @@ func (l *Legalizer) conflictSlots(cc *db.Cell, conflicts []*db.Cell, med geom.Po
 	scr.memoSlots = append(scr.memoSlots, slots...)
 	scr.slotMemo[key] = memoSpan{off: off, n: int32(len(slots))}
 	return scr.memoSlots[off : off+int32(len(slots))]
-}
-
-// windowKey folds every input Run depends on into an exact byte signature:
-// the critical cell (identity, position, macro extent, net median), the
-// window frame, and per row each occupying cell's identity, span and fixed
-// bit — plus the net median of every movable cell that could become a
-// conflict (footprint reaching left of x1). Geometry, obstacles and Config
-// are static per Legalizer and need no encoding.
-func (l *Legalizer) windowKey(c *db.Cell, w window, scr *Scratch) string {
-	b := scr.sig[:0]
-	put := func(v int) { b = binary.AppendVarint(b, int64(v)) }
-	put(int(c.ID))
-	put(c.Pos.X)
-	put(c.Pos.Y)
-	put(c.Macro.Width)
-	put(c.Macro.Height)
-	put(w.x0)
-	put(w.x1)
-	if len(w.rows) > 0 {
-		put(int(w.rows[0]))
-	}
-	put(len(w.rows))
-	med := l.medianOf(scr, c.ID)
-	put(med.X)
-	put(med.Y)
-	for wi := range w.rows {
-		blocks := scr.occ[scr.occOff[wi]:scr.occOff[wi+1]]
-		put(len(blocks))
-		for _, blk := range blocks {
-			put(int(blk.id))
-			put(blk.a)
-			put(blk.b)
-			if blk.fixed {
-				b = append(b, 1)
-				continue
-			}
-			b = append(b, 0)
-			if blk.a < w.x1 {
-				m := l.medianOf(scr, blk.id)
-				put(m.X)
-				put(m.Y)
-			}
-		}
-	}
-	scr.sig = b
-	return string(b)
-}
-
-// windowCache memoises Run results by window signature, sharded for the
-// concurrent candidate-generation fan-out. Values are deep-copied both in
-// and out, so cache content never aliases caller state; eviction clears a
-// full shard, which can only affect hit rate, never results.
-type windowCache struct {
-	shards   [windowCacheShards]windowShard
-	perShard int
-	hits     atomic.Int64
-	misses   atomic.Int64
-}
-
-const windowCacheShards = 16
-
-type windowShard struct {
-	mu sync.Mutex
-	m  map[string][]Candidate
-}
-
-func newWindowCache(capacity int) *windowCache {
-	if capacity <= 0 {
-		capacity = 1 << 13
-	}
-	c := &windowCache{perShard: (capacity + windowCacheShards - 1) / windowCacheShards}
-	if c.perShard < 1 {
-		c.perShard = 1
-	}
-	return c
-}
-
-func (c *windowCache) shard(key string) *windowShard {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
-	}
-	return &c.shards[h%windowCacheShards]
-}
-
-func (c *windowCache) get(key string) ([]Candidate, bool) {
-	s := c.shard(key)
-	s.mu.Lock()
-	v, ok := s.m[key]
-	s.mu.Unlock()
-	if !ok {
-		c.misses.Add(1)
-		return nil, false
-	}
-	c.hits.Add(1)
-	return copyCandidates(v), true
-}
-
-func (c *windowCache) put(key string, cands []Candidate) {
-	v := copyCandidates(cands)
-	s := c.shard(key)
-	s.mu.Lock()
-	if s.m == nil {
-		s.m = make(map[string][]Candidate)
-	} else if len(s.m) >= c.perShard {
-		clear(s.m)
-	}
-	s.m[key] = v
-	s.mu.Unlock()
-}
-
-func copyCandidates(in []Candidate) []Candidate {
-	if in == nil {
-		return nil
-	}
-	out := make([]Candidate, len(in))
-	for i, c := range in {
-		cc := c
-		cc.Conflicts = make(map[int32]geom.Point, len(c.Conflicts))
-		for id, p := range c.Conflicts {
-			cc.Conflicts[id] = p
-		}
-		out[i] = cc
-	}
-	return out
 }
 
 // BeginPass declares the start of a candidate-generation pass: the caller

@@ -509,6 +509,32 @@ func (r *Router) EstimateTerminalCost(pts []geom.Point) float64 {
 	return total
 }
 
+// EstimateLowerBound bounds EstimateTerminalCost from below for every
+// terminal set that contains pts, at any grid demand. Over the k distinct
+// GCells of pts it is
+//
+//	UnitWire·(bounding-box width + height) + 2·UnitVia·(k − 1).
+//
+// Eq. 10's penalty is never negative, so every planar edge costs at least
+// UnitWire and every via at least UnitVia. A pattern segment between
+// distinct GCells is a monotone path that climbs from the pin layer and
+// returns to it (layerCost's two end stacks); a Steiner tree over k distinct
+// GCells has at least k − 1 such segments, and together they cover the
+// bounding box. The relative 1e-12 shave keeps the bound below the float sum
+// for any UnitWire/UnitVia; with the defaults (0.5/2.0) every term is exact.
+func (r *Router) EstimateLowerBound(pts []geom.Point) float64 {
+	s := r.getScratch()
+	defer r.putScratch(s)
+	s.gcells = r.gcellsInto(s.gcells[:0], pts)
+	k := len(s.gcells)
+	if k < 2 {
+		return 0
+	}
+	p := r.G.Params
+	lb := p.UnitWire*float64(steiner.HPWL(s.gcells)) + 2*p.UnitVia*float64(k-1)
+	return lb * (1 - 1e-12)
+}
+
 // builder accumulates path segments into a deduplicated route. The append
 // buffers persist on the Router between nets; route() sorts, dedups, and
 // copies out exact-size slices.
