@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: check fmt vet build bench-build test race race-solver lint-state bench-smoke flake fuzz-smoke chaos crash-chaos service-chaos failover-chaos eco-chaos experiments-check
+.PHONY: check fmt vet build bench-build test race race-solver lint-state examples bench-smoke flake fuzz-smoke chaos crash-chaos service-chaos failover-chaos eco-chaos experiments-check loc
 
 ## check: the full pre-merge gate — gofmt, vet, build, benchmark-module
-## build, state lint, race-enabled tests, bench smoke, flake gate, chaos
-## suite, crash-chaos suite, service-chaos suite, failover-chaos suite,
-## eco-chaos suite, fuzz smoke.
-check: fmt vet build bench-build lint-state race-solver race bench-smoke flake chaos crash-chaos service-chaos failover-chaos eco-chaos fuzz-smoke
+## build, state lint, race-enabled tests, examples, bench smoke, flake gate,
+## chaos suite, crash-chaos suite, service-chaos suite, failover-chaos
+## suite, eco-chaos suite, fuzz smoke.
+check: fmt vet build bench-build lint-state race-solver race examples bench-smoke flake chaos crash-chaos service-chaos failover-chaos eco-chaos fuzz-smoke
 
 ## fmt: fails, listing the files, when any Go file is not gofmt-clean.
 fmt:
@@ -37,6 +37,19 @@ race:
 ## lock-coordinated hot paths, so race them first and with -count=1.
 race-solver:
 	$(GO) test -race -count=1 ./internal/ilp/... ./internal/legal/... ./internal/crp/...
+
+## examples: runs every example end to end (about 2 s together) and fails
+## on the first non-zero exit; `go build` only compiles them.
+EXAMPLES := quickstart congestion fileflow sweep
+examples:
+	@set -e; for e in $(EXAMPLES); do \
+		echo "examples: $$e"; $(GO) run ./examples/$$e >/dev/null; \
+	done
+
+## loc: prints the non-test and _test.go Go line counts of the root module
+## (crpbench/ and .bench_build/ left out).
+loc:
+	@bash scripts/loc.sh
 
 ## bench-smoke: one-shot Fig. 3 breakdown and one pass of every layer
 ## micro-benchmark under internal/ — catches benchmark rot without paying

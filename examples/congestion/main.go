@@ -51,15 +51,21 @@ func main() {
 	cfg := crp.DefaultConfig()
 	cfg.Iterations = 6
 	engine := crp.New(d, g, r, cfg)
-	res := engine.Run(context.Background())
+	var iters []crp.IterStats
+	moved := 0
+	for k := 0; k < cfg.Iterations; k++ {
+		it := engine.Iterate(context.Background())
+		iters = append(iters, it)
+		moved += it.MovedCells
+	}
 
 	after := g.Overflow()
 	fmt.Printf("\nafter %d CR&P iterations (%d cells moved): %d overflowed edges, total overflow %.1f, route cost %.0f\n",
-		cfg.Iterations, res.TotalMoved, after.OverflowedEdges, after.TotalOverflow, r.TotalCost())
+		cfg.Iterations, moved, after.OverflowedEdges, after.TotalOverflow, r.TotalCost())
 	printHottest(g, 5)
 
 	fmt.Println("\nper-iteration effect:")
-	for i, it := range res.Iterations {
+	for i, it := range iters {
 		fmt.Printf("  k=%d: %d critical, %d candidates, %d moved, %d nets rerouted (est. cost %.1f -> %.1f)\n",
 			i+1, it.Criticals, it.Candidates, it.MovedCells, it.ReroutedNets, it.EstBefore, it.EstAfter)
 	}

@@ -38,19 +38,9 @@ import (
 type Config struct {
 	// ClusterSize is the number of cells per ILP (default 48).
 	ClusterSize int
-	// CandidatesPerCell is how many free slots near the median each cell
-	// contributes to the ILP (default 8).
-	CandidatesPerCell int
-	// SearchSites/SearchRows bound the free-slot search around the median.
-	SearchSites int
-	SearchRows  int
 	// TimeBudget aborts the run (reporting Failed) when exceeded; zero
 	// means unlimited.
 	TimeBudget time.Duration
-	// WorkBudget aborts the run (reporting Failed) once the total branch &
-	// bound nodes spent across cluster ILPs exceeds it; zero means
-	// unlimited.
-	WorkBudget int
 	// MaxCells fails the run outright when the design has more movable
 	// cells; zero means unlimited. This models the published behaviour of
 	// [18], whose monolithic ILP formulation "is exponential and suffering
@@ -58,13 +48,11 @@ type Config struct {
 	// the experiments place this budget between the two largest suite
 	// circuits, machine-independently reproducing the paper's Failed row.
 	MaxCells int
-	// MaxNodesPerILP bounds each cluster ILP's branch & bound.
-	MaxNodesPerILP int
 }
 
 // DefaultConfig returns the configuration used by the experiments.
 func DefaultConfig() Config {
-	return Config{ClusterSize: 48, CandidatesPerCell: 8, SearchSites: 40, SearchRows: 7, MaxNodesPerILP: 20000}
+	return Config{ClusterSize: 48}
 }
 
 // Result reports a baseline run.
@@ -86,21 +74,8 @@ type Result struct {
 // baseline has no partial-result mode (matching [18]'s crash-or-complete
 // behaviour the paper reproduces).
 func Run(ctx context.Context, d *db.Design, g *grid.Grid, r *global.Router, cfg Config) *Result {
-	def := DefaultConfig()
 	if cfg.ClusterSize <= 0 {
-		cfg.ClusterSize = def.ClusterSize
-	}
-	if cfg.SearchSites <= 0 {
-		cfg.SearchSites = def.SearchSites
-	}
-	if cfg.SearchRows <= 0 {
-		cfg.SearchRows = def.SearchRows
-	}
-	if cfg.MaxNodesPerILP <= 0 {
-		cfg.MaxNodesPerILP = def.MaxNodesPerILP
-	}
-	if cfg.CandidatesPerCell <= 0 {
-		cfg.CandidatesPerCell = def.CandidatesPerCell
+		cfg.ClusterSize = DefaultConfig().ClusterSize
 	}
 	start := time.Now()
 	var deadline time.Time
@@ -139,11 +114,8 @@ func Run(ctx context.Context, d *db.Design, g *grid.Grid, r *global.Router, cfg 
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			return fail()
 		}
-		if cfg.WorkBudget > 0 && res.SolverNodes > cfg.WorkBudget {
-			return fail()
-		}
 		hi := min(lo+cfg.ClusterSize, len(ids))
-		moved, nodes := runCluster(d, g, cfg, ids[lo:hi], movedNets, deadline)
+		moved, nodes := runCluster(d, g, ids[lo:hi], movedNets, deadline)
 		res.MovedCells += moved
 		res.SolverNodes += nodes
 		res.Clusters++
@@ -169,9 +141,12 @@ func Run(ctx context.Context, d *db.Design, g *grid.Grid, r *global.Router, cfg 
 	return res
 }
 
+// maxNodesPerILP bounds each cluster ILP's branch & bound.
+const maxNodesPerILP = 20000
+
 // runCluster builds and solves one cluster's ILP and applies its moves,
 // returning the moved-cell count and the solver nodes spent.
-func runCluster(d *db.Design, g *grid.Grid, cfg Config, ids []int32, movedNets map[int32]bool, deadline time.Time) (int, int) {
+func runCluster(d *db.Design, g *grid.Grid, ids []int32, movedNets map[int32]bool, deadline time.Time) (int, int) {
 	type option struct {
 		cell int32
 		pos  geom.Point
@@ -185,7 +160,7 @@ func runCluster(d *db.Design, g *grid.Grid, cfg Config, ids []int32, movedNets m
 	for _, id := range ids {
 		c := d.Cells[id]
 		med := d.NetMedianOf(id)
-		targets := nearestFreeSlots(d, c, med, cfg)
+		targets := nearestFreeSlots(d, c, med)
 		stay := m.AddBinary("", netCostAt(d, id, c.Pos))
 		opts = append(opts, option{id, c.Pos, false})
 		terms := []ilp.Term{{Var: stay, Coef: 1}}
@@ -237,14 +212,14 @@ func runCluster(d *db.Design, g *grid.Grid, cfg Config, ids []int32, movedNets m
 	}
 
 	// Monolithic solve: [18]'s formulation is one model, not decomposed.
-	solveOpts := ilp.Options{DisableDecomposition: true, MaxNodes: cfg.MaxNodesPerILP}
+	solveOpts := ilp.Options{DisableDecomposition: true, MaxNodes: maxNodesPerILP}
 	if !deadline.IsZero() {
 		solveOpts.TimeLimit = time.Until(deadline)
 	}
 	sol := m.Solve(solveOpts)
 	// Degradation ladder for this call site: anything short of Optimal —
 	// Infeasible (cannot happen: "stay" is always feasible, but handled
-	// anyway) or LimitReached (MaxNodesPerILP or the run deadline fired) —
+	// anyway) or LimitReached (maxNodesPerILP or the run deadline fired) —
 	// skips the cluster, the documented fallback. Even a LimitReached
 	// incumbent is not applied: [18]'s published behaviour is
 	// solve-or-skip, and applying partial cluster solutions would change
@@ -311,10 +286,19 @@ func netCostAt(d *db.Design, id int32, pos geom.Point) float64 {
 	return total
 }
 
-// nearestFreeSlots finds up to CandidatesPerCell legal free slots closest
+// The free-slot search around a cell's median: each cell contributes its
+// candidatesPerCell nearest free slots to the ILP, searched in a window of
+// searchSites sites by searchRows rows.
+const (
+	candidatesPerCell = 8
+	searchSites       = 40
+	searchRows        = 7
+)
+
+// nearestFreeSlots finds up to candidatesPerCell legal free slots closest
 // to the median within the search window. Unlike CR&P's legalizer it cannot
 // displace other cells — the limitation the paper calls out.
-func nearestFreeSlots(d *db.Design, c *db.Cell, med geom.Point, cfg Config) []geom.Point {
+func nearestFreeSlots(d *db.Design, c *db.Cell, med geom.Point) []geom.Point {
 	sw := d.Tech.Site.Width
 	rh := d.Tech.Site.Height
 	baseRow, ok := d.RowAt(geom.SnapDown(med.Y-d.Die.Lo.Y, rh) + d.Die.Lo.Y)
@@ -330,14 +314,14 @@ func nearestFreeSlots(d *db.Design, c *db.Cell, med geom.Point, cfg Config) []ge
 	}
 	var cands []cand
 	ignore := map[int32]bool{c.ID: true}
-	for dr := -cfg.SearchRows / 2; dr <= cfg.SearchRows/2; dr++ {
+	for dr := -searchRows / 2; dr <= searchRows/2; dr++ {
 		ri := int(baseRow.Index) + dr
 		if ri < 0 || ri >= len(d.Rows) {
 			continue
 		}
 		row := &d.Rows[ri]
-		x0 := med.X - cfg.SearchSites*sw/2
-		x1 := med.X + cfg.SearchSites*sw/2
+		x0 := med.X - searchSites*sw/2
+		x1 := med.X + searchSites*sw/2
 		for _, x := range d.FreeSitesIn(int32(ri), x0, x1, c.Macro.Width, ignore) {
 			p := geom.Pt(x, row.Y)
 			if d.CheckLegal(c, p) != nil {
@@ -358,7 +342,7 @@ func nearestFreeSlots(d *db.Design, c *db.Cell, med geom.Point, cfg Config) []ge
 		}
 		return cands[a].pos.X < cands[b].pos.X
 	})
-	n := min(cfg.CandidatesPerCell, len(cands))
+	n := min(candidatesPerCell, len(cands))
 	out := make([]geom.Point, 0, n)
 	for _, cd := range cands[:n] {
 		out = append(out, cd.pos)

@@ -112,10 +112,9 @@ func TestClusterCount(t *testing.T) {
 
 func TestNearestFreeSlotPrefersMedian(t *testing.T) {
 	d, _, _ := fixture(t, 150, 100, 6)
-	cfg := DefaultConfig()
 	for _, c := range d.Cells[:20] {
 		med := d.NetMedianOf(c.ID)
-		for _, slot := range nearestFreeSlots(d, c, med, cfg) {
+		for _, slot := range nearestFreeSlots(d, c, med) {
 			if err := d.CheckLegal(c, slot); err != nil {
 				t.Fatalf("cell %d: slot %v illegal: %v", c.ID, slot, err)
 			}

@@ -101,8 +101,6 @@ type Config struct {
 	Iterations int
 	// Gamma caps the critical set at Gamma*|C| (paper: 0.6).
 	Gamma float64
-	// T is the simulated-annealing temperature of Algorithm 1 (paper: 1).
-	T float64
 	// Seed drives the selection randomness; runs are reproducible.
 	Seed int64
 	// Workers sizes the parallel phases; 0 means GOMAXPROCS.
@@ -121,9 +119,6 @@ type Config struct {
 	// ILPTimeLimit caps each selection-ILP solve (0: none). On expiry the
 	// greedy improving selection takes over (degradation ladder).
 	ILPTimeLimit time.Duration
-	// SelectMaxNodes caps the selection ILP's branch & bound nodes;
-	// 0 means the historical default of 200k nodes.
-	SelectMaxNodes int
 	// Scope, when non-nil, restricts Algorithm 1's candidate pool: only
 	// cells the predicate admits may be labelled critical. The ECO engine
 	// points it at the dirty-region tracker so re-labeling stays local to
@@ -140,7 +135,6 @@ func DefaultConfig() Config {
 	return Config{
 		Iterations: 10,
 		Gamma:      0.6,
-		T:          1.0,
 		Seed:       1,
 		Legal:      legal.DefaultConfig(),
 	}
@@ -258,7 +252,7 @@ type Engine struct {
 	resWire float64
 	resVia  float64
 	// broken latches an unrecoverable invariant violation (rollback did
-	// not restore consistency); Run stops iterating once set.
+	// not restore consistency); the iteration loop stops once set.
 	broken bool
 
 	// estimates counts Algorithm 3 candidate pricings over the engine's
@@ -279,14 +273,8 @@ func New(d *db.Design, g *grid.Grid, r *global.Router, cfg Config) *Engine {
 	if cfg.Gamma <= 0 {
 		cfg.Gamma = DefaultConfig().Gamma
 	}
-	if cfg.T <= 0 {
-		cfg.T = 1
-	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.SelectMaxNodes <= 0 {
-		cfg.SelectMaxNodes = 200_000
 	}
 	v := view.New(d, g, r)
 	ovs := make([]*view.Overlay, cfg.Workers)
@@ -312,30 +300,6 @@ func New(d *db.Design, g *grid.Grid, r *global.Router, cfg Config) *Engine {
 	e.resWire = g.TotalWireUsage() - sumW
 	e.resVia = g.TotalViaCount() - sumV
 	return e
-}
-
-// Run executes Cfg.Iterations CR&P iterations under the context: ctx
-// cancellation (or a deadline) stops the loop between iterations, and
-// Cfg.IterTimeout bounds each individual iteration. The design is always
-// left in a consistent, legal state.
-func (e *Engine) Run(ctx context.Context) *Result {
-	res := &Result{}
-	for k := 0; k < e.Cfg.Iterations; k++ {
-		if err := ctx.Err(); err != nil {
-			res.Degradations = append(res.Degradations,
-				Degradation{Iter: e.iter + 1, Kind: "run-cancelled", Detail: err.Error()})
-			break
-		}
-		st := e.Iterate(ctx)
-		res.Iterations = append(res.Iterations, st)
-		res.TotalMoved += st.MovedCells
-		res.Degradations = append(res.Degradations, st.Degradations...)
-		if e.broken {
-			break
-		}
-	}
-	res.CandidateEstimates = e.EstimateCount()
-	return res
 }
 
 // routeDemand sums the grid demand explained by the router's committed
@@ -367,6 +331,10 @@ func (e *Engine) cellCost(id int32) float64 {
 	}
 	return cost
 }
+
+// temperature is T, the simulated-annealing temperature of Algorithm 1
+// (paper: 1).
+const temperature = 1.0
 
 // labelCriticalCells is Algorithm 1.
 func (e *Engine) labelCriticalCells() []int32 {
@@ -430,7 +398,7 @@ func (e *Engine) labelCriticalCells() []int32 {
 		if d.WasMoved(s.id) {
 			hist++
 		}
-		accept := math.Exp(-hist / e.Cfg.T)
+		accept := math.Exp(-hist / temperature)
 		if accept > e.rng.Float64() {
 			inSet[s.id] = true
 			critical = append(critical, s.id)

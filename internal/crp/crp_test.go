@@ -27,6 +27,23 @@ func fixture(t testing.TB, cells, nets int, seed int64) (*db.Design, *grid.Grid,
 	return d, g, r
 }
 
+// iterate drives e through Cfg.Iterations iterations, stopping once the
+// engine latches Broken, and folds their statistics into a Result.
+func iterate(e *Engine) *Result {
+	res := &Result{}
+	for k := 0; k < e.Cfg.Iterations; k++ {
+		st := e.Iterate(context.Background())
+		res.Iterations = append(res.Iterations, st)
+		res.TotalMoved += st.MovedCells
+		res.Degradations = append(res.Degradations, st.Degradations...)
+		if e.Broken() {
+			break
+		}
+	}
+	res.CandidateEstimates = e.EstimateCount()
+	return res
+}
+
 func smallConfig(iters int) Config {
 	cfg := DefaultConfig()
 	cfg.Iterations = iters
@@ -64,7 +81,7 @@ func TestRunReducesRoutingCost(t *testing.T) {
 	d, g, r := fixture(t, 400, 350, 3)
 	before := r.TotalCost()
 	e := New(d, g, r, smallConfig(3))
-	res := e.Run(context.Background())
+	res := iterate(e)
 	after := r.TotalCost()
 	if res.TotalMoved == 0 {
 		t.Skip("no moves selected on this instance")
@@ -197,7 +214,7 @@ func TestNoPriorityAblationDiffers(t *testing.T) {
 func TestNetsStayConnectedAfterCRP(t *testing.T) {
 	d, g, r := fixture(t, 300, 250, 9)
 	e := New(d, g, r, smallConfig(2))
-	e.Run(context.Background())
+	iterate(e)
 	// Every spanning net must still have a committed route.
 	for _, n := range d.Nets {
 		if n.Degree() < 2 {
@@ -214,7 +231,7 @@ func TestDeterministicRuns(t *testing.T) {
 	run := func() (int, float64) {
 		d, g, r := fixture(t, 250, 200, 10)
 		e := New(d, g, r, smallConfig(2))
-		res := e.Run(context.Background())
+		res := iterate(e)
 		return res.TotalMoved, r.TotalCost()
 	}
 	m1, c1 := run()

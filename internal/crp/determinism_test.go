@@ -1,7 +1,6 @@
 package crp
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
@@ -85,7 +84,7 @@ func TestDeterminismColdWarmAndUncached(t *testing.T) {
 			}
 		}
 		e := New(d, g, r, smallConfig(3))
-		return outcomeOf(t, d, r, e.Run(context.Background()))
+		return outcomeOf(t, d, r, iterate(e))
 	}
 
 	cold := run(false, false)

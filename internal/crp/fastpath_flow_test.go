@@ -1,7 +1,6 @@
 package crp
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
@@ -26,7 +25,7 @@ func flowOutcome(t *testing.T, idx int, scale float64, iters, workers int) runOu
 	cfg.Iterations = iters
 	cfg.Workers = workers
 	e := New(d, g, r, cfg)
-	return outcomeOf(t, d, r, e.Run(context.Background()))
+	return outcomeOf(t, d, r, iterate(e))
 }
 
 // TestFlowWorkerCountInvariant: the candidate-generation and costing
@@ -71,7 +70,7 @@ func TestGCPTimingSplit(t *testing.T) {
 	cfg.Iterations = 2
 	cfg.Workers = 2
 	e := New(d, g, r, cfg)
-	res := e.Run(context.Background())
+	res := iterate(e)
 	times := res.Times()
 	if times.GCP <= 0 {
 		t.Fatal("no GCP time recorded")

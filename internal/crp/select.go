@@ -225,6 +225,9 @@ func pruneDominated(cands [][]candidate) (fixed []*candidate, active []cellCands
 	return fixed, active
 }
 
+// selectMaxNodes caps the selection ILP's branch & bound nodes.
+const selectMaxNodes = 200_000
+
 // selectCandidates builds and solves the Eq. 12 selection ILP: one
 // candidate per critical cell; candidates of different cells that move the
 // same cell or whose moved footprints overlap exclude each other.
@@ -342,11 +345,11 @@ func (e *Engine) selectCandidates(ctx context.Context, cands [][]candidate) (_ [
 		}
 	}
 
-	// Solve budget: the configured node cap, the configured per-solve time
+	// Solve budget: the node cap, the configured per-solve time
 	// limit, and whatever remains of the iteration deadline — whichever is
 	// tightest. A deadline already in the past skips the solve entirely.
 	opt := ilp.Options{
-		MaxNodes:  e.Cfg.SelectMaxNodes,
+		MaxNodes:  selectMaxNodes,
 		TimeLimit: e.Cfg.ILPTimeLimit,
 	}
 	skipSolve := false

@@ -87,8 +87,8 @@ func (e *Engine) RestoreState(s State) error {
 }
 
 // Broken reports whether the engine latched an unrecoverable invariant
-// violation; Run stops iterating once set, and external iteration loops
-// (the checkpointing flow) must do the same.
+// violation; the iteration loop that drives Iterate (the checkpointing
+// flow's) must stop once it is set.
 func (e *Engine) Broken() bool { return e.broken }
 
 // CheckInvariants runs the transactional-iteration invariant check (grid

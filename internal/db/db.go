@@ -388,14 +388,6 @@ func (d *Design) ImportHistory(critical, moved []bool) error {
 	return nil
 }
 
-// ResetHistory clears both history sets (used between independent runs).
-func (d *Design) ResetHistory() {
-	for i := range d.criticalHist {
-		d.criticalHist[i] = false
-		d.movedSet[i] = false
-	}
-}
-
 // Stats summarises the design for Table II-style reporting.
 type Stats struct {
 	Cells       int

@@ -335,28 +335,6 @@ func TestHPWL(t *testing.T) {
 	}
 }
 
-func TestNetPinPositionsWithMove(t *testing.T) {
-	d := testDesign(t)
-	rh := d.Tech.Site.Height
-	n0 := d.Nets[0]
-	base := d.NetPinPositions(n0)
-	moved := d.NetPinPositionsWithMove(n0, 0, geom.Pt(0, 2*rh))
-	if len(base) != len(moved) {
-		t.Fatal("length mismatch")
-	}
-	// c1's pin unchanged; c0's pin displaced by the move delta.
-	if moved[1] != base[1] {
-		t.Error("unmoved cell pin changed")
-	}
-	if moved[0].Y == base[0].Y {
-		t.Error("moved cell pin did not move")
-	}
-	// The database itself is untouched.
-	if d.Cells[0].Pos != (geom.Point{X: 0, Y: 0}) {
-		t.Error("hypothetical move mutated the DB")
-	}
-}
-
 func TestConnectedCells(t *testing.T) {
 	d := testDesign(t)
 	got := d.ConnectedCells(1) // nets 0 (c0) and 1 (c2, c3)
@@ -402,10 +380,6 @@ func TestHistory(t *testing.T) {
 	if !d.WasCritical(0) || !d.WasMoved(0) {
 		t.Error("marks not recorded")
 	}
-	d.ResetHistory()
-	if d.WasCritical(0) || d.WasMoved(0) {
-		t.Error("ResetHistory did not clear")
-	}
 }
 
 func TestSnapshotRestore(t *testing.T) {
@@ -444,21 +418,5 @@ func TestStats(t *testing.T) {
 	}
 	if s.Node != "45nm" {
 		t.Errorf("Node = %q", s.Node)
-	}
-}
-
-func TestCellsTouchingRect(t *testing.T) {
-	d := testDesign(t)
-	sw, rh := d.Tech.Site.Width, d.Tech.Site.Height
-	got := d.CellsTouchingRect(geom.R(0, 0, 3*sw, 2*rh))
-	// c0 (row 0, sites [0,2)) and c2 (row 1, sites [0,2)).
-	want := map[int32]bool{0: true, 2: true}
-	if len(got) != 2 {
-		t.Fatalf("CellsTouchingRect = %v", got)
-	}
-	for _, id := range got {
-		if !want[id] {
-			t.Errorf("unexpected cell %d", id)
-		}
 	}
 }

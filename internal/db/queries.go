@@ -41,30 +41,6 @@ func (d *Design) NetPinPositions(n *Net) []geom.Point {
 	return pts
 }
 
-// NetPinPositionsWithMove is NetPinPositions but with cell `moved` assumed
-// to be at hypothetical position pos (orientation taken from the target
-// row). Used by candidate cost estimation: "only one cell is allowed to be
-// moved and the other connected cells are fixed" (Algorithm 3).
-func (d *Design) NetPinPositionsWithMove(n *Net, moved int32, pos geom.Point) []geom.Point {
-	orient := d.Cells[moved].Orient
-	if row, ok := d.RowAt(pos.Y); ok {
-		orient = row.Orient
-	}
-	pts := make([]geom.Point, 0, n.Degree())
-	for _, pr := range n.Pins {
-		c := d.Cells[pr.Cell]
-		if pr.Cell == moved {
-			pts = append(pts, d.PinPositionAt(c, pr.Pin, pos, orient))
-		} else {
-			pts = append(pts, d.PinPosition(c, pr.Pin))
-		}
-	}
-	for _, io := range n.IOs {
-		pts = append(pts, io.Pos)
-	}
-	return pts
-}
-
 // HPWL returns the half-perimeter wirelength of net n in DBU.
 func (d *Design) HPWL(n *Net) int64 {
 	pts := d.NetPinPositions(n)
@@ -165,23 +141,4 @@ func (d *Design) NetMedianOfScratch(id int32, s *MedianScratch) geom.Point {
 		return c.Pos
 	}
 	return geom.Pt(geom.MedianInPlace(xs), geom.MedianInPlace(ys))
-}
-
-// CellsTouchingRect returns the IDs of movable cells whose footprint
-// intersects r, in no particular order.
-func (d *Design) CellsTouchingRect(r geom.Rect) []int32 {
-	var out []int32
-	h := d.Tech.Site.Height
-	if len(d.Rows) == 0 {
-		return nil
-	}
-	base := d.Rows[0].Y
-	r0 := (r.Lo.Y - base) / h
-	r1 := (r.Hi.Y - base + h - 1) / h
-	r0 = max(r0, 0)
-	r1 = min(r1, len(d.Rows))
-	for ri := r0; ri < r1; ri++ {
-		out = append(out, d.CellsInRowRange(int32(ri), r.Lo.X, r.Hi.X)...)
-	}
-	return out
 }

@@ -45,14 +45,9 @@ type Metrics struct {
 	NetVias []int64
 }
 
-// Evaluate runs detailed routing and scores the result (no deadline).
-func Evaluate(d *db.Design, g *grid.Grid, routes []*global.Route, cfg detail.Config) Metrics {
-	return EvaluateCtx(context.Background(), d, g, routes, cfg)
-}
-
-// EvaluateCtx is Evaluate under a cancellation context: the detailed router
-// stops at the next panel boundary once ctx expires and the metrics are
-// flagged Truncated.
+// EvaluateCtx runs detailed routing and scores the result under a
+// cancellation context: the detailed router stops at the next panel
+// boundary once ctx expires and the metrics are flagged Truncated.
 func EvaluateCtx(ctx context.Context, d *db.Design, g *grid.Grid, routes []*global.Route, cfg detail.Config) Metrics {
 	res := detail.RouteCtx(ctx, d, g, routes, cfg)
 	m := Metrics{

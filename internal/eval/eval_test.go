@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -23,7 +24,7 @@ func evaluated(t *testing.T, seed int64) Metrics {
 	g := grid.New(d, grid.DefaultParams())
 	r := global.New(d, g, global.DefaultConfig())
 	r.RouteAll()
-	return Evaluate(d, g, r.Routes, detail.DefaultConfig())
+	return EvaluateCtx(context.Background(), d, g, r.Routes, detail.DefaultConfig())
 }
 
 func TestEvaluateProducesMetrics(t *testing.T) {
@@ -130,7 +131,7 @@ func TestWorstNetsRankedByCost(t *testing.T) {
 	g := grid.New(d, grid.DefaultParams())
 	r := global.New(d, g, global.DefaultConfig())
 	r.RouteAll()
-	m := Evaluate(d, g, r.Routes, detail.DefaultConfig())
+	m := EvaluateCtx(context.Background(), d, g, r.Routes, detail.DefaultConfig())
 	rows := WorstNets(d, m, 10)
 	if len(rows) == 0 {
 		t.Fatal("no report rows")
@@ -168,7 +169,7 @@ func TestWriteNetReport(t *testing.T) {
 	g := grid.New(d, grid.DefaultParams())
 	r := global.New(d, g, global.DefaultConfig())
 	r.RouteAll()
-	m := Evaluate(d, g, r.Routes, detail.DefaultConfig())
+	m := EvaluateCtx(context.Background(), d, g, r.Routes, detail.DefaultConfig())
 	var buf strings.Builder
 	if err := WriteNetReport(&buf, d, m, 5); err != nil {
 		t.Fatal(err)

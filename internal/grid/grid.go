@@ -27,8 +27,6 @@ import (
 // Params collects the tunables of the demand/cost model with the paper's
 // values as defaults (see DefaultParams).
 type Params struct {
-	// Beta weights the via estimate in demand (Eq. 9); the paper uses 1.5.
-	Beta float64
 	// Slope is S in the logistic penalty; larger values harden overflow.
 	Slope float64
 	// UnitWire and UnitVia are the Unit_e weights of Eq. 10. The ISPD-2018
@@ -36,24 +34,14 @@ type Params struct {
 	// notes makes vias 4x as expensive — the root of CR&P's via focus.
 	UnitWire float64
 	UnitVia  float64
-	// RowsPerGCell sets the GCell height in placement rows; GCells are
-	// square-ish, the width is the same DBU extent rounded to sites.
-	RowsPerGCell int
-	// PinViaWeight is the via-count seed contributed by each cell pin in a
-	// GCell (pins need access vias in detailed routing, so pin-dense
-	// GCells must look via-crowded to Eq. 9 before any routing exists).
-	PinViaWeight float64
 }
 
 // DefaultParams returns the paper's parameter values.
 func DefaultParams() Params {
 	return Params{
-		Beta:         1.5,
-		Slope:        1.0,
-		UnitWire:     0.5,
-		UnitVia:      2.0,
-		RowsPerGCell: 3,
-		PinViaWeight: 1.0,
+		Slope:    1.0,
+		UnitWire: 0.5,
+		UnitVia:  2.0,
 	}
 }
 
@@ -100,15 +88,16 @@ type Grid struct {
 // shared, so the initial epoch value is immaterial to cache correctness.
 func (g *Grid) Epoch() uint64 { return g.epoch }
 
+// rowsPerGCell sets the GCell height in placement rows; GCells are
+// square-ish, the width is the same DBU extent rounded to sites.
+const rowsPerGCell = 3
+
 // New builds the grid for a design: sizes the GCell lattice, derives edge
 // capacities from track counts, seeds fixed usage from obstacles, and seeds
 // via counts from pin density.
 func New(d *db.Design, p Params) *Grid {
-	if p.RowsPerGCell <= 0 {
-		p.RowsPerGCell = DefaultParams().RowsPerGCell
-	}
 	t := d.Tech
-	cellH := p.RowsPerGCell * t.Site.Height
+	cellH := rowsPerGCell * t.Site.Height
 	cellW := geom.SnapNearest(cellH, t.Site.Width)
 	if cellW <= 0 {
 		cellW = t.Site.Width
@@ -209,7 +198,12 @@ func (g *Grid) addAreaUsage(l int, r geom.Rect) {
 	}
 }
 
-// seedViasFromPins adds PinViaWeight to the metal1→metal2 via count of each
+// pinViaWeight is the via-count seed contributed by each cell pin in a
+// GCell (pins need access vias in detailed routing, so pin-dense GCells
+// must look via-crowded to Eq. 9 before any routing exists).
+const pinViaWeight = 1.0
+
+// seedViasFromPins adds pinViaWeight to the metal1→metal2 via count of each
 // pin's GCell: every pin will need an access via stack in detailed routing.
 func (g *Grid) seedViasFromPins(d *db.Design) {
 	if g.NL < 2 {
@@ -220,11 +214,11 @@ func (g *Grid) seedViasFromPins(d *db.Design) {
 			c := d.Cells[pr.Cell]
 			p := d.PinPosition(c, pr.Pin)
 			x, y := g.GCellOf(p)
-			g.vias[0][g.idx(x, y)] += g.Params.PinViaWeight
+			g.vias[0][g.idx(x, y)] += pinViaWeight
 		}
 		for _, io := range n.IOs {
 			x, y := g.GCellOf(io.Pos)
-			g.vias[0][g.idx(x, y)] += g.Params.PinViaWeight
+			g.vias[0][g.idx(x, y)] += pinViaWeight
 		}
 	}
 }
@@ -348,6 +342,9 @@ func (g *Grid) viasAt(x, y, l int) float64 {
 	return v
 }
 
+// beta weights the via estimate in demand (Eq. 9); the paper uses 1.5.
+const beta = 1.5
+
 // Demand computes D_e (Eq. 9) for the edge leaving (x,y) on layer l; an
 // edge that does not exist has no demand.
 func (g *Grid) Demand(x, y, l int) float64 {
@@ -363,7 +360,7 @@ func (g *Grid) Demand(x, y, l int) float64 {
 		vDst = g.viasAt(x, y+1, l)
 	}
 	delta := math.Sqrt((vSrc + vDst) / 2)
-	return g.wire[l][i] + g.fixed[l][i] + g.Params.Beta*delta
+	return g.wire[l][i] + g.fixed[l][i] + beta*delta
 }
 
 // Penalty returns the logistic congestion penalty of the edge (see the

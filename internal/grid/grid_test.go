@@ -172,7 +172,7 @@ func TestDemandEquation(t *testing.T) {
 	// prior vias at either end.
 	g2 := newGrid(t)
 	g2.AddVia(x, y, 1, 2) // vias between M2 and M3 at src
-	want := g2.Params.Beta * math.Sqrt((2+0)/2.0)
+	want := beta * math.Sqrt((2+0)/2.0)
 	got := g2.Demand(x, y, 2) - base
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("via demand delta = %v, want %v", got, want)
@@ -370,8 +370,8 @@ func TestTotalViaCount(t *testing.T) {
 
 func TestDefaultParamsMatchPaper(t *testing.T) {
 	p := DefaultParams()
-	if p.Beta != 1.5 {
-		t.Errorf("Beta = %v, want 1.5 (paper Section IV.A)", p.Beta)
+	if beta != 1.5 {
+		t.Errorf("beta = %v, want 1.5 (paper Section IV.A)", beta)
 	}
 	if p.UnitWire != 0.5 || p.UnitVia != 2.0 {
 		t.Errorf("units = %v/%v, want 0.5/2.0 (ISPD-2018 weights)", p.UnitWire, p.UnitVia)

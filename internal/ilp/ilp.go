@@ -20,7 +20,6 @@ package ilp
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"time"
 )
@@ -91,9 +90,6 @@ func (m *Model) Reset() {
 
 // NumVars returns the number of variables added so far.
 func (m *Model) NumVars() int { return len(m.costs) }
-
-// NumConstraints returns the number of constraints added so far.
-func (m *Model) NumConstraints() int { return len(m.cons) }
 
 // AddBinary adds a binary variable with the given objective cost and
 // returns its ID.
@@ -539,17 +535,6 @@ func mostFractional(x []float64) int {
 		}
 	}
 	return idx
-}
-
-// SortedVarsByName returns variable IDs sorted by name; a debugging aid for
-// deterministic model dumps.
-func (m *Model) SortedVarsByName() []VarID {
-	ids := make([]VarID, len(m.names))
-	for i := range ids {
-		ids[i] = VarID(i)
-	}
-	sort.Slice(ids, func(a, b int) bool { return m.names[ids[a]] < m.names[ids[b]] })
-	return ids
 }
 
 // VarName returns the name a variable was created with.

@@ -352,10 +352,6 @@ func TestVarNames(t *testing.T) {
 	if m.VarName(a) != "alpha" || m.VarName(b) != "beta" {
 		t.Error("VarName wrong")
 	}
-	order := m.SortedVarsByName()
-	if order[0] != a || order[1] != b {
-		t.Errorf("SortedVarsByName = %v", order)
-	}
 }
 
 func TestOpString(t *testing.T) {

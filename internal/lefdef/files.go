@@ -5,15 +5,13 @@ import (
 
 	"github.com/crp-eda/crp/internal/atomicio"
 	"github.com/crp-eda/crp/internal/db"
-	"github.com/crp-eda/crp/internal/grid"
-	"github.com/crp-eda/crp/internal/route/global"
 	"github.com/crp-eda/crp/internal/tech"
 )
 
 // The *File variants are the crash-safe way to put flow outputs on disk:
 // each writes to a temp file in the destination directory, fsyncs, and
 // renames into place, so a crash mid-write can never leave a torn or empty
-// DEF/guide/LEF where a previous good output used to be.
+// DEF/LEF where a previous good output used to be.
 
 // WriteLEFFile atomically writes the LEF to path.
 func WriteLEFFile(path string, t *tech.Tech, macros []*db.Macro) error {
@@ -26,12 +24,5 @@ func WriteLEFFile(path string, t *tech.Tech, macros []*db.Macro) error {
 func WriteDEFFile(path string, d *db.Design) error {
 	return atomicio.WriteFile(path, func(w io.Writer) error {
 		return WriteDEF(w, d)
-	})
-}
-
-// WriteGuidesFile atomically writes the route guides to path.
-func WriteGuidesFile(path string, d *db.Design, g *grid.Grid, routes []*global.Route) error {
-	return atomicio.WriteFile(path, func(w io.Writer) error {
-		return WriteGuides(w, d, g, routes)
 	})
 }

@@ -47,12 +47,13 @@ func runFlow(t *testing.T, idx int, seed bool) flowOutcome {
 	if seed {
 		legal.UseSeed(e.L)
 	}
-	res := e.Run(context.Background())
-	o := flowOutcome{totalCost: r.TotalCost()}
-	for _, it := range res.Iterations {
+	var o flowOutcome
+	for k := 0; k < cfg.Iterations && !e.Broken(); k++ {
+		it := e.Iterate(context.Background())
 		it.Times = crp.PhaseTimes{} // wall-clock is the one thing allowed to differ
 		o.iters = append(o.iters, it)
 	}
+	o.totalCost = r.TotalCost()
 	for _, c := range d.Cells {
 		o.positions = append(o.positions, c.Pos)
 	}

@@ -95,7 +95,7 @@ func (l *Legalizer) trySlotLegacy(c *db.Cell, pos geom.Point, w window, med geom
 		}
 		conflicts = append(conflicts, cc)
 	}
-	if len(conflicts) > l.Cfg.MaxCells-1 {
+	if len(conflicts) > maxCells-1 {
 		return Candidate{}, false // paper caps the execution at |cells|=3
 	}
 	if len(conflicts) == 0 {
@@ -171,8 +171,8 @@ func (l *Legalizer) relocateConflictsLegacy(c *db.Cell, pos geom.Point, conflict
 			}
 			return slots[a].p.X < slots[b].p.X
 		})
-		if cap := l.Cfg.MaxSlotsPerConflict; cap > 0 && len(slots) > cap {
-			slots = slots[:cap]
+		if len(slots) > maxSlotsPerConflict {
+			slots = slots[:maxSlotsPerConflict]
 		}
 		var terms []ilp.Term
 		for _, s := range slots {

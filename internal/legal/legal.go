@@ -26,17 +26,12 @@ import (
 )
 
 // Config sets the window geometry and search effort. The paper uses
-// NSites=20, NRows=5 and at most 3 cells per legalizer execution.
+// NSites=20 and NRows=5 (and at most maxCells cells per legalizer
+// execution).
 type Config struct {
 	NSites        int // window width in sites
 	NRows         int // window height in rows
-	MaxCells      int // cells per ILP execution (critical + conflicts)
 	MaxCandidates int // cap on returned candidates per critical cell
-	// MaxSlotsPerConflict caps each conflict cell's relocation domain to
-	// its cheapest slots; 0 means unlimited. Eq. 11 minimises
-	// displacement, so distant slots never win — the cap only trims the
-	// ILP.
-	MaxSlotsPerConflict int
 	// MaxNodes / TimeLimit budget each relocation ILP; 0 means unlimited
 	// (the default — Eq. 11 models are tiny). When a budget expires the
 	// legalizer degrades per the robustness ladder: the solver's best
@@ -48,7 +43,7 @@ type Config struct {
 
 // DefaultConfig returns the paper's experimental values.
 func DefaultConfig() Config {
-	return Config{NSites: 20, NRows: 5, MaxCells: 3, MaxCandidates: 8, MaxSlotsPerConflict: 12}
+	return Config{NSites: 20, NRows: 5, MaxCandidates: 8}
 }
 
 // Candidate is one legal placement option for a critical cell.
@@ -157,14 +152,8 @@ func New(d *db.Design, cfg Config) *Legalizer {
 	if cfg.NRows <= 0 {
 		cfg.NRows = def.NRows
 	}
-	if cfg.MaxCells <= 0 {
-		cfg.MaxCells = def.MaxCells
-	}
 	if cfg.MaxCandidates <= 0 {
 		cfg.MaxCandidates = def.MaxCandidates
-	}
-	if cfg.MaxSlotsPerConflict <= 0 {
-		cfg.MaxSlotsPerConflict = def.MaxSlotsPerConflict
 	}
 	l := &Legalizer{D: d, Cfg: cfg}
 	for _, c := range d.Cells {
@@ -393,11 +382,15 @@ func (l *Legalizer) displacement(pos, med geom.Point) float64 {
 	return float64(geom.Abs(pos.X-med.X) + geom.Abs(pos.Y-med.Y))
 }
 
+// maxCells caps the cells of one legalizer execution, the critical cell
+// plus its conflict cells (paper: 3).
+const maxCells = 3
+
 // trySlot checks whether the critical cell can take pos. If cells are in
-// the way, the conflict cells (at most MaxCells-1) are relocated inside the
-// window by the ILP; failure to relocate rejects the slot. A slot with at
-// most two conflict cells that bound proves is only tested for feasibility
-// (relocatable) and comes back with proven set and no candidate.
+// the way, the conflict cells (at most maxCells-1) are relocated inside the
+// window by the ILP; failure to relocate rejects the slot. A slot that bound
+// proves is only tested for feasibility (relocatable) and comes back with
+// proven set and no candidate.
 func (l *Legalizer) trySlot(c *db.Cell, pos geom.Point, wi int, w window, med geom.Point, bound Bound, scr *Scratch) (cand Candidate, ok, proven bool) {
 	d := l.D
 	span := geom.Iv(pos.X, pos.X+c.Macro.Width)
@@ -415,10 +408,10 @@ func (l *Legalizer) trySlot(c *db.Cell, pos geom.Point, wi int, w window, med ge
 		}
 		conflicts = append(conflicts, d.Cells[blk.id])
 	}
-	if len(conflicts) > l.Cfg.MaxCells-1 {
+	if len(conflicts) > maxCells-1 {
 		return Candidate{}, false, false // paper caps the execution at |cells|=3
 	}
-	if bound != nil && len(conflicts) <= 2 {
+	if bound != nil {
 		ids := scr.boundIDs[:0]
 		for _, cc := range conflicts {
 			ids = append(ids, cc.ID)
@@ -449,11 +442,11 @@ func (l *Legalizer) trySlot(c *db.Cell, pos geom.Point, wi int, w window, med ge
 }
 
 // relocatable reports, without the ILP, whether relocateConflicts would
-// relocate at most two conflict cells: with none there is nothing to move,
-// one needs a slot in its filtered list, and two need a pair from their two
-// lists that does not overlap. That is exactly the feasibility of the Eq. 11
-// model (one slot per cell, no site taken twice), which an unbudgeted
-// solve always decides.
+// relocate the conflict cells, of which maxCells allows at most two: with
+// none there is nothing to move, one needs a slot in its filtered list, and
+// two need a pair from their two lists that does not overlap. That is
+// exactly the feasibility of the Eq. 11 model (one slot per cell, no site
+// taken twice), which an unbudgeted solve always decides.
 func (l *Legalizer) relocatable(c *db.Cell, pos geom.Point, conflicts []*db.Cell, w window, scr *Scratch) bool {
 	if len(conflicts) == 0 {
 		return true
@@ -679,6 +672,11 @@ func (l *Legalizer) relocateConflicts(c *db.Cell, pos geom.Point, conflicts []*d
 	return moves, sol.Objective, true
 }
 
+// maxSlotsPerConflict caps each conflict cell's relocation domain to its
+// cheapest slots. Eq. 11 minimises displacement, so distant slots never win
+// — the cap only trims the ILP.
+const maxSlotsPerConflict = 12
+
 // filteredSlots is phase 1 of relocateConflicts: each conflict cell's
 // feasible slot list, sorted by the (cost, Y, X) total order — memoised
 // across the target slots of this Run (conflictSlots). Slots overlapping the
@@ -696,7 +694,6 @@ func (l *Legalizer) filteredSlots(c *db.Cell, pos geom.Point, conflicts []*db.Ce
 	}
 	scr.ignore = ignore[:0]
 	targetSpan := geom.Iv(pos.X, pos.X+c.Macro.Width)
-	maxSlots := l.Cfg.MaxSlotsPerConflict
 	filt, offs = scr.conSlots[:0], scr.filtOff[:0]
 	for _, cc := range conflicts {
 		med := l.medianOf(scr, cc.ID)
@@ -709,7 +706,7 @@ func (l *Legalizer) filteredSlots(c *db.Cell, pos geom.Point, conflicts []*db.Ce
 				continue
 			}
 			filt = append(filt, s)
-			if maxSlots > 0 && len(filt)-n0 == maxSlots {
+			if len(filt)-n0 == maxSlotsPerConflict {
 				break
 			}
 		}

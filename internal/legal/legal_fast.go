@@ -49,9 +49,9 @@ type Scratch struct {
 	model     *ilp.Model
 
 	// Per-Run memo of each conflict cell's full sorted relocation-slot list
-	// (see conflictSlots). Keyed by the cell plus the other ignored conflict
-	// cells; spans index into the memoSlots arena.
-	slotMemo     map[[3]int32]memoSpan
+	// (see conflictSlots). Keyed by the cell plus the other conflict cell
+	// (-1 when there is none); spans index into the memoSlots arena.
+	slotMemo     map[[2]int32]memoSpan
 	memoSlots    []conSlot
 	conSlotsFull []conSlot
 
@@ -221,7 +221,7 @@ func (l *Legalizer) freeSitesFast(w window, wi int, ri int32, width int, ignore 
 // conflictSlots returns conflict cell cc's full relocation-slot list —
 // every free position in the window under the ignore set, costed against
 // cc's median and sorted by the (cost, Y, X) total order — WITHOUT the
-// per-target exclusions or the MaxSlotsPerConflict cap, which the caller
+// per-target exclusions or the maxSlotsPerConflict cap, which the caller
 // applies by filtering. The list is a pure function of (cc, ignore set)
 // for the duration of one Run (occupancy snapshot, obstacles and medians
 // are all fixed), so it is memoised across the many target slots trySlot
@@ -229,25 +229,19 @@ func (l *Legalizer) freeSitesFast(w window, wi int, ri int32, width int, ignore 
 // re-derives the same list once per target otherwise. The returned slice
 // is valid until the next call.
 func (l *Legalizer) conflictSlots(cc *db.Cell, conflicts []*db.Cell, med geom.Point, w window, ignore []int32, scr *Scratch) []conSlot {
-	// The memo key is cc plus the other ignored conflict cells (the
-	// critical cell is in every ignore set of a Run). Conflict sets larger
-	// than the key just bypass the memo.
-	memoable := len(conflicts) <= 3
-	var key [3]int32
-	if memoable {
-		key = [3]int32{cc.ID, -1, -1}
-		k := 1
-		for _, o := range conflicts {
-			if o.ID != cc.ID {
-				key[k] = o.ID
-				k++
-			}
+	// The memo key is cc plus the other conflict cell, the rest of the
+	// ignore set (the critical cell is in every ignore set of a Run);
+	// maxCells allows at most two conflict cells.
+	key := [2]int32{cc.ID, -1}
+	for _, o := range conflicts {
+		if o.ID != cc.ID {
+			key[1] = o.ID
 		}
-		if scr.slotMemo == nil {
-			scr.slotMemo = make(map[[3]int32]memoSpan, 32)
-		} else if sp, ok := scr.slotMemo[key]; ok {
-			return scr.memoSlots[sp.off : sp.off+sp.n]
-		}
+	}
+	if scr.slotMemo == nil {
+		scr.slotMemo = make(map[[2]int32]memoSpan, 32)
+	} else if sp, ok := scr.slotMemo[key]; ok {
+		return scr.memoSlots[sp.off : sp.off+sp.n]
 	}
 
 	d := l.D
@@ -275,9 +269,6 @@ func (l *Legalizer) conflictSlots(cc *db.Cell, conflicts []*db.Cell, med geom.Po
 			return a.p.X - b.p.X
 		}
 	})
-	if !memoable {
-		return slots
-	}
 	off := int32(len(scr.memoSlots))
 	scr.memoSlots = append(scr.memoSlots, slots...)
 	scr.slotMemo[key] = memoSpan{off: off, n: int32(len(slots))}

@@ -63,6 +63,10 @@ func (r *Router) patternCost(a, b geom.Point, s *estScratch) float64 {
 	return best
 }
 
+// zSamples is the number of intermediate Z-bend positions tried per axis
+// during pattern routing (in addition to the two L shapes).
+const zSamples = 3
+
 // candidateJunctions appends the planar candidate paths between a and b to
 // dst: the straight/L shapes plus sampled Z shapes.
 func (r *Router) candidateJunctions(dst []junctionSeq, a, b geom.Point) []junctionSeq {
@@ -78,12 +82,12 @@ func (r *Router) candidateJunctions(dst []junctionSeq, a, b geom.Point) []juncti
 		junctionSeq{pts: [4]geom.Point{a, geom.Pt(a.X, b.Y), b}, n: 3},
 	)
 	// Z shapes with sampled interior bends.
-	for s := 1; s <= r.Cfg.ZSamples; s++ {
-		fx := a.X + (b.X-a.X)*s/(r.Cfg.ZSamples+1)
+	for s := 1; s <= zSamples; s++ {
+		fx := a.X + (b.X-a.X)*s/(zSamples+1)
 		if fx != a.X && fx != b.X {
 			dst = append(dst, junctionSeq{pts: [4]geom.Point{a, geom.Pt(fx, a.Y), geom.Pt(fx, b.Y), b}, n: 4})
 		}
-		fy := a.Y + (b.Y-a.Y)*s/(r.Cfg.ZSamples+1)
+		fy := a.Y + (b.Y-a.Y)*s/(zSamples+1)
 		if fy != a.Y && fy != b.Y {
 			dst = append(dst, junctionSeq{pts: [4]geom.Point{a, geom.Pt(a.X, fy), geom.Pt(b.X, fy), b}, n: 4})
 		}

@@ -50,9 +50,6 @@ type Config struct {
 	// RRRIterations is the number of rip-up & reroute passes after the
 	// initial routing.
 	RRRIterations int
-	// ZSamples is the number of intermediate Z-bend positions tried per
-	// axis during pattern routing (in addition to the two L shapes).
-	ZSamples int
 	// FinalReroutePasses re-routes every net once per pass at settled
 	// congestion prices after RRR, the way CUGR's later phases revisit
 	// early nets that were routed against an empty (mispriced) grid.
@@ -68,7 +65,7 @@ type Config struct {
 
 // DefaultConfig returns the configuration used by the experiments.
 func DefaultConfig() Config {
-	return Config{RRRIterations: 3, ZSamples: 3, FinalReroutePasses: 1}
+	return Config{RRRIterations: 3, FinalReroutePasses: 1}
 }
 
 // Router holds routing state for one design.
@@ -115,9 +112,6 @@ type Router struct {
 
 // New creates a router over an existing design and grid.
 func New(d *db.Design, g *grid.Grid, cfg Config) *Router {
-	if cfg.ZSamples < 0 {
-		cfg.ZSamples = 0
-	}
 	n := g.NX * g.NY * g.NL
 	r := &Router{
 		D:            d,

@@ -62,17 +62,17 @@ func jobHash(sp Spec, dataDir string) (string, error) {
 }
 
 // ecoJobHash is the ECO cache key: the spec with Tenant cleared,
-// ParentJob replaced by the parent's own canonical hash (recursively, so
-// ECO-of-ECO chains stay content-addressed), and ECODelta replaced by the
-// delta's canonical JSON. Two ECO submissions naming different parent job
-// ids that ran byte-identical computations therefore share one entry, and
-// any change to the parent's spec or the edit changes the key.
+// ParentJob replaced by the parent's canonical hash (admission only accepts
+// fresh parents), and ECODelta replaced by the delta's canonical JSON. Two
+// ECO submissions naming different parent job ids that ran byte-identical
+// computations therefore share one entry, and any change to the parent's
+// spec or the edit changes the key.
 func ecoJobHash(sp Spec, dataDir string) (string, error) {
 	parentSpec, err := loadSpec(filepath.Join(dataDir, sp.ParentJob))
 	if err != nil {
 		return "", fmt.Errorf("service: loading eco parent spec: %w", err)
 	}
-	parentHash, err := jobHash(*parentSpec, dataDir)
+	parentHash, err := specHash(*parentSpec)
 	if err != nil {
 		return "", err
 	}

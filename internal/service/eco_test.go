@@ -138,12 +138,26 @@ func TestECOSubmitRejections(t *testing.T) {
 	waitStatus(t, svc, parent.ID, isState(StateDone))
 	delta := parentDelta(t, svc, parent.ID, 1, 0, 3)
 
+	// A cache-served copy of the parent is an admissible parent; the ECO
+	// job it parents is not.
+	served, err := svc.Submit(synthSpec(72, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitStatus(t, svc, served.ID, isState(StateDone))
+	child, err := svc.Submit(Spec{ParentJob: served.ID, ECODelta: delta, K: 1})
+	if err != nil {
+		t.Fatalf("ECO against a cache-served parent: %v", err)
+	}
+	waitStatus(t, svc, child.ID, isState(StateDone))
+
 	cases := []struct {
 		name string
 		sp   Spec
 		code string
 	}{
 		{"unknown parent", Spec{ParentJob: "no-such-job", ECODelta: delta, K: 1}, "bad_spec"},
+		{"eco parent", Spec{ParentJob: child.ID, ECODelta: delta, K: 1}, "bad_spec"},
 		{"malformed delta", Spec{ParentJob: parent.ID, ECODelta: json.RawMessage(`{"moves":[`), K: 1}, "invalid_spec"},
 		{"unknown delta field", Spec{ParentJob: parent.ID, ECODelta: json.RawMessage(`{"bogus":1}`), K: 1}, "invalid_spec"},
 		{"delta plus synthetic", func() Spec {

@@ -76,6 +76,11 @@ func errConflict(msg string) *APIError {
 	return &APIError{Status: http.StatusConflict, Code: "conflict", Message: msg}
 }
 
+// errECOParent rejects an ECO submission whose parent is itself an ECO job.
+func errECOParent(id string) *APIError {
+	return errBadSpec("parent job " + id + " is an ECO job; an ECO job's parent must be a fresh job")
+}
+
 // store owns the job table and the admission-controlled queue. The queue
 // is explicitly bounded: a submission beyond capacity is rejected with a
 // structured error and leaves no trace, so overload cannot grow memory
@@ -259,22 +264,36 @@ func (st *store) allocLocked(spec Spec) (*Job, error) {
 }
 
 // resolveParent gates an ECO submission on its parent: the referenced job
-// must exist (here, or on disk under a peer node) and be done — an ECO
-// against a job still running would race its committed output. Unknown
-// parents are structural bad_spec rejections; a live-but-unfinished parent
-// is a conflict the client can retry once the parent completes.
+// must exist (here, or on disk under a peer node), must not itself be an
+// ECO job (an ECO job's design is its parent's, so its attempts could never
+// rebuild one for a child), and must be done — an ECO against a job still
+// running would race its committed output. Unknown and ECO parents are
+// structural bad_spec rejections; a live-but-unfinished parent is a
+// conflict the client can retry once the parent completes.
 func (st *store) resolveParent(sp Spec) error {
 	id := sp.ParentJob
 	if j, err := st.get(id); err == nil {
+		if j.Spec.isECO() {
+			return errECOParent(id)
+		}
 		if s := j.currentState(); s != StateDone {
 			return errConflict(fmt.Sprintf("parent job %s is %s, not done", id, s))
 		}
 		return nil
 	}
-	// Disk fallback: a peer node's job this node has not scanned yet.
-	data, err := os.ReadFile(filepath.Join(st.cfg.DataDir, id, "state.json"))
+	// Disk fallback: a peer node's job this node has not scanned yet. Its
+	// spec.json is written before its state.json.
+	dir := filepath.Join(st.cfg.DataDir, id)
+	data, err := os.ReadFile(filepath.Join(dir, "state.json"))
 	if err != nil {
 		return errBadSpec("unknown parent job: " + id)
+	}
+	ps, err := loadSpec(dir)
+	if err != nil {
+		return errBadSpec("unreadable parent job spec: " + id)
+	}
+	if ps.isECO() {
+		return errECOParent(id)
 	}
 	var rec jobRecord
 	if json.Unmarshal(data, &rec) != nil || rec.State != StateDone {

@@ -63,9 +63,6 @@ func (v *View) Router() *global.Router { return v.r }
 // Pos returns the committed position of cell id.
 func (v *View) Pos(id int32) geom.Point { return v.d.Cells[id].Pos }
 
-// Orient returns the committed orientation of cell id.
-func (v *View) Orient(id int32) db.Orient { return v.d.Cells[id].Orient }
-
 // Demand returns the committed routing demand D_e (Eq. 9) of the edge
 // leaving GCell (x,y) on layer l.
 func (v *View) Demand(x, y, l int) float64 { return v.g.Demand(x, y, l) }
@@ -76,10 +73,6 @@ func (v *View) Route(nid int32) *global.Route { return v.r.Routes[nid] }
 // NetCost returns the live routed cost of net nid (memoised against the
 // demand version; see route/global's estimation caches).
 func (v *View) NetCost(nid int32) float64 { return v.r.NetCost(nid) }
-
-// NetPins returns the pin references of net nid; resolve them against the
-// base with Pos/Orient, or against staged moves with Overlay.NetTerminals.
-func (v *View) NetPins(nid int32) []db.PinRef { return v.d.Nets[nid].Pins }
 
 // Version returns the state version of the view: the grid's demand epoch.
 // It advances on every committed demand mutation, so any value derived from
