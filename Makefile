@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build bench-build test race race-solver lint-state examples bench-smoke flake fuzz-smoke chaos crash-chaos service-chaos failover-chaos eco-chaos experiments-check loc
+.PHONY: check fmt vet build bench-build test race race-solver lint-state examples bench-smoke bench-pairs flake fuzz-smoke chaos crash-chaos service-chaos failover-chaos eco-chaos experiments-check loc
 
 ## check: the full pre-merge gate — gofmt, vet, build, benchmark-module
 ## build, state lint, race-enabled tests, examples, bench smoke, flake gate,
@@ -57,6 +57,18 @@ loc:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig3Breakdown' -benchtime 1x .
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
+
+## bench-pairs: the benchmark's pair protocol as a report, not a gate (not
+## in check): PAIRS alternating 20 s runs of PARENT and the working tree on
+## one workload and seed, then each end-to-end metric's medians [Q1, Q3],
+## the change's wins and a verdict (scripts/bench-pairs.sh), e.g.
+## `make bench-pairs PARENT=HEAD~1 WORKLOAD=flow_fig3 PAIRS=10 SEED=3`.
+PARENT ?= HEAD
+WORKLOAD ?= flow_fig3
+PAIRS ?= 10
+SEED ?= 1
+bench-pairs:
+	bash scripts/bench-pairs.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(SEED)
 
 ## flake: the job service and flow packages, raced, in shuffled order,
 ## three times over — an order- or timing-dependent test fails here before

@@ -365,7 +365,7 @@ func (e *Engine) labelCriticalCells() []int32 {
 		})
 	}
 	limit := int(e.Cfg.Gamma * float64(len(cells)))
-	inSet := make(map[int32]bool, limit)
+	inSet := make([]bool, len(d.Cells))
 	var critical []int32
 	for _, s := range cells {
 		// The γ·|C| cap is checked before inserting so the set can never
@@ -376,15 +376,9 @@ func (e *Engine) labelCriticalCells() []int32 {
 		}
 		// (1) no connected cell may already be critical: moving two
 		// connected cells at once would invalidate Algorithm 3's
-		// one-moving-cell-per-net assumption.
-		conflict := false
-		for _, nb := range d.ConnectedCells(s.id) {
-			if inSet[nb] {
-				conflict = true
-				break
-			}
-		}
-		if conflict {
+		// one-moving-cell-per-net assumption. A cell is connected when it
+		// has a pin on one of s's nets (db.ConnectedCells).
+		if e.sharesNetWith(s.id, inSet) {
 			continue
 		}
 		// (2)+(3) history damping: previously-labelled cells re-enter
@@ -405,6 +399,19 @@ func (e *Engine) labelCriticalCells() []int32 {
 		}
 	}
 	return critical
+}
+
+// sharesNetWith reports whether a cell other than id with a pin on one of
+// id's nets is in set.
+func (e *Engine) sharesNetWith(id int32, set []bool) bool {
+	for _, nid := range e.D.Cells[id].Nets {
+		for _, pr := range e.D.Nets[nid].Pins {
+			if pr.Cell != id && set[pr.Cell] {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // candidate is one placement option of a critical cell, Algorithm 2's

@@ -68,8 +68,9 @@ func (d *Design) TotalHPWL() int64 {
 }
 
 // ConnectedCells returns the IDs of all cells sharing a net with cell id,
-// excluding id itself. Each neighbour appears once. Algorithm 1 uses this to
-// keep connected cells out of the same critical set.
+// excluding id itself. Each neighbour appears once. Algorithm 1 keeps
+// connected cells out of the same critical set; its test walks the same
+// pins without allocating, and the tests check its set against this.
 func (d *Design) ConnectedCells(id int32) []int32 {
 	c := d.Cells[id]
 	seen := map[int32]bool{id: true}

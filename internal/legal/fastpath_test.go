@@ -13,12 +13,12 @@ import (
 // testDesign generates one of the synthetic ISPD-style testcases at a small
 // scale; these include obstacles, mixed cell widths and realistic nets, so
 // they exercise every branch of the window fast path.
-func testDesign(t *testing.T, idx int) *db.Design {
-	t.Helper()
+func testDesign(tb testing.TB, idx int) *db.Design {
+	tb.Helper()
 	spec := ispd.Suite(0.02)[idx]
 	d, err := ispd.Generate(spec)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return d
 }

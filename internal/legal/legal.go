@@ -273,7 +273,10 @@ func (l *Legalizer) RunScratch(cellID int32, scr *Scratch, bound Bound) []Candid
 // runWindow enumerates target slots for the critical cell — every
 // site-aligned position in the window where the cell fits inside the row
 // span — ranked by the critical cell's own Eq. 11 displacement, then tries
-// them in order until MaxCandidates are feasible.
+// them in order until MaxCandidates are feasible. A window holds ~90 slots
+// and the walk stops after ~12, so the slots are popped off a heap in
+// (cost, Y, X) order rather than sorted: the order is total over distinct
+// positions, so the pops are exactly the sorted sequence.
 func (l *Legalizer) runWindow(c *db.Cell, w window, bound Bound, scr *Scratch) []Candidate {
 	d := l.D
 	med := l.medianOf(scr, c.ID)
@@ -335,29 +338,18 @@ func (l *Legalizer) runWindow(c *db.Cell, w window, bound Bound, scr *Scratch) [
 		}
 	}
 	scr.winSlots = slots[:0]
-	// (cost, Y, X) is a total order over distinct positions, so any sort
-	// algorithm yields the same permutation — the generic SortFunc avoids
-	// sort.Slice's per-call reflection swapper.
-	slices.SortFunc(slots, func(a, b winSlot) int {
-		switch {
-		case a.cost != b.cost:
-			if a.cost < b.cost {
-				return -1
-			}
-			return 1
-		case a.pos.Y != b.pos.Y:
-			return a.pos.Y - b.pos.Y
-		default:
-			return a.pos.X - b.pos.X
-		}
-	})
+	for i := len(slots)/2 - 1; i >= 0; i-- {
+		siftDown(slots, i)
+	}
 
 	var out []Candidate
 	feasible := 0
-	for _, s := range slots {
-		if feasible >= l.Cfg.MaxCandidates {
-			break
-		}
+	for len(slots) > 0 && feasible < l.Cfg.MaxCandidates {
+		s := slots[0]
+		n := len(slots) - 1
+		slots[0] = slots[n]
+		slots = slots[:n]
+		siftDown(slots, 0)
 		cand, ok, proven := l.trySlot(c, s.pos, s.wi, w, med, bound, scr)
 		if !ok {
 			continue
@@ -373,6 +365,36 @@ func (l *Legalizer) runWindow(c *db.Cell, w window, bound Bound, scr *Scratch) [
 	// the order the unbounded walk returns it.
 	slices.SortStableFunc(out, func(a, b Candidate) int { return cmp.Compare(a.Displacement, b.Displacement) })
 	return out
+}
+
+// slotBefore is the (cost, Y, X) order of target slots.
+func slotBefore(a, b winSlot) bool {
+	switch {
+	case a.cost != b.cost:
+		return a.cost < b.cost
+	case a.pos.Y != b.pos.Y:
+		return a.pos.Y < b.pos.Y
+	default:
+		return a.pos.X < b.pos.X
+	}
+}
+
+// siftDown restores the slotBefore min-heap property of h below node i.
+func siftDown(h []winSlot, i int) {
+	for {
+		m := i
+		if k := 2*i + 1; k < len(h) && slotBefore(h[k], h[m]) {
+			m = k
+		}
+		if k := 2*i + 2; k < len(h) && slotBefore(h[k], h[m]) {
+			m = k
+		}
+		if m == i {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
 }
 
 // displacement is Eq. 11's cost of a position: the L1 distance from the
@@ -419,7 +441,7 @@ func (l *Legalizer) trySlot(c *db.Cell, pos geom.Point, wi int, w window, med ge
 		slices.Sort(ids)
 		scr.boundIDs = ids
 		if bound(pos, ids) {
-			return Candidate{}, l.relocatable(c, pos, conflicts, w, scr), true
+			return Candidate{}, l.relocatable(c, pos, wi, conflicts, w, scr), true
 		}
 	}
 	if len(conflicts) == 0 {
@@ -430,7 +452,7 @@ func (l *Legalizer) trySlot(c *db.Cell, pos geom.Point, wi int, w window, med ge
 		}, true, false
 	}
 
-	moves, cost, ok := l.relocateConflicts(c, pos, conflicts, w, scr)
+	moves, cost, ok := l.relocateConflicts(c, pos, wi, conflicts, w, scr)
 	if !ok {
 		return Candidate{}, false, false
 	}
@@ -442,23 +464,84 @@ func (l *Legalizer) trySlot(c *db.Cell, pos geom.Point, wi int, w window, med ge
 }
 
 // relocatable reports, without the ILP, whether relocateConflicts would
-// relocate the conflict cells, of which maxCells allows at most two: with
-// none there is nothing to move, one needs a slot in its filtered list, and
-// two need a pair from their two lists that does not overlap. That is
-// exactly the feasibility of the Eq. 11 model (one slot per cell, no site
-// taken twice), which an unbudgeted solve always decides.
-func (l *Legalizer) relocatable(c *db.Cell, pos geom.Point, conflicts []*db.Cell, w window, scr *Scratch) bool {
+// relocate the conflict cells of a target slot at pos on window row wt, of
+// which maxCells allows at most two. That is exactly the feasibility of the
+// Eq. 11 model (one slot per cell, no site taken twice), which an
+// unbudgeted solve always decides. A conflict cell's slots are its free
+// sites that do not overlap the target, cut to the maxSlotsPerConflict
+// cheapest, and a non-empty set is never cut to nothing:
+//
+//   - none: there is nothing to move;
+//   - one: it needs one slot, so the first free site off the target will
+//     do, without costs or order;
+//   - two: they need a pair of slots that does not overlap. While neither
+//     has more than maxSlotsPerConflict sites the cut keeps every site, so
+//     any pair of sites decides; otherwise the pair must come from the
+//     cheapest lists (filteredSlots), as the ILP's would.
+func (l *Legalizer) relocatable(c *db.Cell, pos geom.Point, wt int, conflicts []*db.Cell, w window, scr *Scratch) bool {
 	if len(conflicts) == 0 {
 		return true
 	}
-	filt, offs, ok := l.filteredSlots(c, pos, conflicts, w, scr)
-	if !ok || len(conflicts) == 1 {
-		return ok
+	d := l.D
+	ignore := l.ignoreSet(c, conflicts, scr)
+	targetSpan := geom.Iv(pos.X, pos.X+c.Macro.Width)
+	if len(conflicts) == 1 {
+		cc := conflicts[0]
+		for wi := range w.rows {
+			if wi != wt && len(l.rowFree(c.ID, w, wi, cc.Macro.Width, scr)) > 0 {
+				return true
+			}
+		}
+		for _, x := range l.freeSitesFast(w, wt, w.rows[wt], cc.Macro.Width, ignore, scr) {
+			if !geom.Iv(x, x+cc.Macro.Width).Overlaps(targetSpan) {
+				return true
+			}
+		}
+		return false
 	}
+
+	sites := scr.sites[:0]
+	var offs [3]int
+	capped := false
+	for k, cc := range conflicts {
+		offs[k] = len(sites)
+		for wi, ri := range w.rows {
+			y := d.Rows[ri].Y
+			for _, x := range l.conflictRowSites(c, cc, w, wi, wt, ignore, scr) {
+				if wi == wt && geom.Iv(x, x+cc.Macro.Width).Overlaps(targetSpan) {
+					continue
+				}
+				sites = append(sites, geom.Pt(x, y))
+			}
+		}
+		if n := len(sites) - offs[k]; n == 0 {
+			scr.sites = sites[:0]
+			return false
+		} else if n > maxSlotsPerConflict {
+			capped = true
+			break
+		}
+	}
+	scr.sites = sites[:0]
 	wa, wb := conflicts[0].Macro.Width, conflicts[1].Macro.Width
-	for _, sa := range filt[offs[0]:offs[1]] {
-		for _, sb := range filt[offs[1]:offs[2]] {
-			if !slotsOverlap(sa, wa, sb, wb) {
+	if !capped {
+		offs[2] = len(sites)
+		for _, a := range sites[offs[0]:offs[1]] {
+			for _, b := range sites[offs[1]:offs[2]] {
+				if !slotsOverlap(a, wa, b, wb) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	filt, foffs, ok := l.filteredSlots(c, pos, wt, conflicts, w, scr)
+	if !ok {
+		return false
+	}
+	for _, sa := range filt[foffs[0]:foffs[1]] {
+		for _, sb := range filt[foffs[1]:foffs[2]] {
+			if !slotsOverlap(sa.p, wa, sb.p, wb) {
 				return true
 			}
 		}
@@ -468,18 +551,18 @@ func (l *Legalizer) relocatable(c *db.Cell, pos geom.Point, conflicts []*db.Cell
 
 // slotsOverlap reports whether cells of widths wa and wb at slots a and b
 // would share a site.
-func slotsOverlap(a conSlot, wa int, b conSlot, wb int) bool {
-	return a.p.Y == b.p.Y && a.p.X < b.p.X+wb && b.p.X < a.p.X+wa
+func slotsOverlap(a geom.Point, wa int, b geom.Point, wb int) bool {
+	return a.Y == b.Y && a.X < b.X+wb && b.X < a.X+wa
 }
 
 // relocateConflicts builds and solves the Eq. 11 ILP for the conflict
 // cells: each must take exactly one free slot in the window, slots must not
 // overlap each other or the critical cell's target, and the objective is
 // the summed displacement toward each conflict cell's median.
-func (l *Legalizer) relocateConflicts(c *db.Cell, pos geom.Point, conflicts []*db.Cell, w window, scr *Scratch) (map[int32]geom.Point, float64, bool) {
+func (l *Legalizer) relocateConflicts(c *db.Cell, pos geom.Point, wt int, conflicts []*db.Cell, w window, scr *Scratch) (map[int32]geom.Point, float64, bool) {
 	d := l.D
 	sw := d.Tech.Site.Width
-	filt, offs, ok := l.filteredSlots(c, pos, conflicts, w, scr)
+	filt, offs, ok := l.filteredSlots(c, pos, wt, conflicts, w, scr)
 	if !ok {
 		return nil, 0, false // nowhere to put some conflict cell
 	}
@@ -509,7 +592,7 @@ func (l *Legalizer) relocateConflicts(c *db.Cell, pos geom.Point, conflicts []*d
 			feasible := true
 			for a := 0; a < len(conflicts) && feasible; a++ {
 				for b := a + 1; b < len(conflicts); b++ {
-					if slotsOverlap(filt[offs[a]], conflicts[a].Macro.Width, filt[offs[b]], conflicts[b].Macro.Width) {
+					if slotsOverlap(filt[offs[a]].p, conflicts[a].Macro.Width, filt[offs[b]].p, conflicts[b].Macro.Width) {
 						feasible = false
 						break
 					}
@@ -678,26 +761,22 @@ func (l *Legalizer) relocateConflicts(c *db.Cell, pos geom.Point, conflicts []*d
 const maxSlotsPerConflict = 12
 
 // filteredSlots is phase 1 of relocateConflicts: each conflict cell's
-// feasible slot list, sorted by the (cost, Y, X) total order — memoised
-// across the target slots of this Run (conflictSlots). Slots overlapping the
+// feasible slot list for a target slot at pos on window row wt, sorted by
+// the (cost, Y, X) total order (conflictSlots). Slots overlapping the
 // critical cell's target are filtered out here, and only the cheapest few
 // kept: the ILP never benefits from far-away relocations (Eq. 11 minimises
 // displacement), and the cap keeps the model tiny. Filtering the sorted list
-// is the same as sorting the filtered set (total order), so the memo never
-// changes the built model. Lists live concatenated in scr.conSlots with
-// offs[k] marking conflict k's start and offs[len(conflicts)] the end. ok is
-// false when some conflict cell has no slot left.
-func (l *Legalizer) filteredSlots(c *db.Cell, pos geom.Point, conflicts []*db.Cell, w window, scr *Scratch) (filt []conSlot, offs []int32, ok bool) {
-	ignore := append(scr.ignore[:0], c.ID)
-	for _, cc := range conflicts {
-		ignore = append(ignore, cc.ID)
-	}
-	scr.ignore = ignore[:0]
+// is the same as sorting the filtered set (total order). Lists live
+// concatenated in scr.conSlots with offs[k] marking conflict k's start and
+// offs[len(conflicts)] the end. ok is false when some conflict cell has no
+// slot left.
+func (l *Legalizer) filteredSlots(c *db.Cell, pos geom.Point, wt int, conflicts []*db.Cell, w window, scr *Scratch) (filt []conSlot, offs []int32, ok bool) {
+	ignore := l.ignoreSet(c, conflicts, scr)
 	targetSpan := geom.Iv(pos.X, pos.X+c.Macro.Width)
 	filt, offs = scr.conSlots[:0], scr.filtOff[:0]
 	for _, cc := range conflicts {
 		med := l.medianOf(scr, cc.ID)
-		full := l.conflictSlots(cc, conflicts, med, w, ignore, scr)
+		full := l.conflictSlots(c, cc, med, w, wt, ignore, scr)
 		n0 := len(filt)
 		offs = append(offs, int32(n0))
 		for _, s := range full {
@@ -718,6 +797,17 @@ func (l *Legalizer) filteredSlots(c *db.Cell, pos geom.Point, conflicts []*db.Ce
 	offs = append(offs, int32(len(filt)))
 	scr.conSlots, scr.filtOff = filt[:0], offs[:0]
 	return filt, offs, true
+}
+
+// ignoreSet is the ignore set of a target slot's free-site walks: the
+// critical cell and the slot's conflict cells.
+func (l *Legalizer) ignoreSet(c *db.Cell, conflicts []*db.Cell, scr *Scratch) []int32 {
+	ignore := append(scr.ignore[:0], c.ID)
+	for _, cc := range conflicts {
+		ignore = append(ignore, cc.ID)
+	}
+	scr.ignore = ignore[:0]
+	return ignore
 }
 
 // Apply commits a candidate: the critical cell and its conflict cells move

@@ -17,9 +17,10 @@ import (
 //   - a one-pass window occupancy snapshot that replaces the repeated
 //     db.FreeSitesIn scans (bit-exact: the same blocking intervals feed the
 //     same site walk);
-//   - a per-Run memo of each conflict cell's relocation-slot list
-//     (conflictSlots), shared by the relocation ILP and the combinatorial
-//     feasibility test of bounded slots (relocatable).
+//   - a per-Run memo of each window row's free sites with only the
+//     critical cell ignored (rowFree), from which the relocation ILP's slot
+//     lists (conflictSlots) and the feasibility test of bounded slots
+//     (relocatable) read every row but the target row.
 
 // Scratch holds reusable per-worker state for RunScratch. It must not be
 // shared between concurrent callers.
@@ -37,31 +38,33 @@ type Scratch struct {
 	// Relocation-model build buffers (relocateConflicts). The site* slices
 	// back the dense per-window site grid that replaced the former
 	// map-and-sort site-capacity bookkeeping.
-	ignore    []int32
-	winSlots  []winSlot
-	conSlots  []conSlot
-	filtOff   []int32
-	vars      []varPos
-	siteKLo   []int32
-	siteCol   []int32
-	siteOff   []int32
-	siteTerms []ilp.Term
-	model     *ilp.Model
-
-	// Per-Run memo of each conflict cell's full sorted relocation-slot list
-	// (see conflictSlots). Keyed by the cell plus the other conflict cell
-	// (-1 when there is none); spans index into the memoSlots arena.
-	slotMemo     map[[2]int32]memoSpan
-	memoSlots    []conSlot
+	ignore       []int32
+	winSlots     []winSlot
 	conSlotsFull []conSlot
+	conSlots     []conSlot
+	filtOff      []int32
+	sites        []geom.Point // relocatable's filtered sites
+	vars         []varPos
+	siteKLo      []int32
+	siteCol      []int32
+	siteOff      []int32
+	siteTerms    []ilp.Term
+	model        *ilp.Model
+
+	// Per-Run memo of each window row's free sites with only the critical
+	// cell ignored (see rowFree), keyed by (window row, width); spans index
+	// into the rowSites arena.
+	rowMemo  []rowSpan
+	rowSites []int
 
 	// Median computation scratch (db.NetMedianOfScratch).
 	medScr db.MedianScratch
 }
 
-// memoSpan locates one memoised slot list inside Scratch.memoSlots.
-type memoSpan struct {
-	off, n int32
+// rowSpan locates the memoised free sites of one (window row, width)
+// inside Scratch.rowSites.
+type rowSpan struct {
+	wi, width, off, n int32
 }
 
 // winSlot is one candidate target slot for the critical cell.
@@ -102,8 +105,8 @@ func (s *Scratch) reset(epoch uint64) {
 	}
 	s.occ = s.occ[:0]
 	s.occOff = s.occOff[:0]
-	clear(s.slotMemo)
-	s.memoSlots = s.memoSlots[:0]
+	s.rowMemo = s.rowMemo[:0]
+	s.rowSites = s.rowSites[:0]
 }
 
 // occBlock is one cell's footprint inside the window occupancy snapshot.
@@ -218,38 +221,48 @@ func (l *Legalizer) freeSitesFast(w window, wi int, ri int32, width int, ignore 
 	return out
 }
 
-// conflictSlots returns conflict cell cc's full relocation-slot list —
-// every free position in the window under the ignore set, costed against
-// cc's median and sorted by the (cost, Y, X) total order — WITHOUT the
-// per-target exclusions or the maxSlotsPerConflict cap, which the caller
-// applies by filtering. The list is a pure function of (cc, ignore set)
-// for the duration of one Run (occupancy snapshot, obstacles and medians
-// are all fixed), so it is memoised across the many target slots trySlot
-// probes: sliding the critical cell's target across a conflict cell
-// re-derives the same list once per target otherwise. The returned slice
-// is valid until the next call.
-func (l *Legalizer) conflictSlots(cc *db.Cell, conflicts []*db.Cell, med geom.Point, w window, ignore []int32, scr *Scratch) []conSlot {
-	// The memo key is cc plus the other conflict cell, the rest of the
-	// ignore set (the critical cell is in every ignore set of a Run);
-	// maxCells allows at most two conflict cells.
-	key := [2]int32{cc.ID, -1}
-	for _, o := range conflicts {
-		if o.ID != cc.ID {
-			key[1] = o.ID
+// rowFree returns the free sites of width on window row wi with only the
+// critical cell crit ignored, memoised for the Run. buildOccupancy puts
+// every cell in its own row only, and trySlot takes conflict cells from the
+// target row only, so on every other row this is what freeSitesFast gives
+// under the ignore set of any target slot of the Run.
+func (l *Legalizer) rowFree(crit int32, w window, wi, width int, scr *Scratch) []int {
+	for _, sp := range scr.rowMemo {
+		if sp.wi == int32(wi) && sp.width == int32(width) {
+			return scr.rowSites[sp.off : sp.off+sp.n : sp.off+sp.n]
 		}
 	}
-	if scr.slotMemo == nil {
-		scr.slotMemo = make(map[[2]int32]memoSpan, 32)
-	} else if sp, ok := scr.slotMemo[key]; ok {
-		return scr.memoSlots[sp.off : sp.off+sp.n]
-	}
+	free := l.freeSitesFast(w, wi, w.rows[wi], width, []int32{crit}, scr)
+	off, n := int32(len(scr.rowSites)), int32(len(free))
+	scr.rowSites = append(scr.rowSites, free...)
+	scr.rowMemo = append(scr.rowMemo, rowSpan{wi: int32(wi), width: int32(width), off: off, n: n})
+	return scr.rowSites[off : off+n : off+n]
+}
 
+// conflictRowSites returns conflict cell cc's free sites on window row wi
+// under ignore, the Run's critical cell c plus the conflict cells of a
+// target slot on window row wt: a walk on the target row, the row memo on
+// every other. The result is valid until the next call.
+func (l *Legalizer) conflictRowSites(c, cc *db.Cell, w window, wi, wt int, ignore []int32, scr *Scratch) []int {
+	if wi == wt {
+		return l.freeSitesFast(w, wi, w.rows[wi], cc.Macro.Width, ignore, scr)
+	}
+	return l.rowFree(c.ID, w, wi, cc.Macro.Width, scr)
+}
+
+// conflictSlots returns conflict cell cc's full relocation-slot list for a
+// target slot on window row wt — every free position in the window under
+// ignore, costed against cc's median and sorted by the (cost, Y, X) total
+// order — WITHOUT the per-target exclusions or the maxSlotsPerConflict cap,
+// which the caller applies by filtering. The returned slice is valid until
+// the next call.
+func (l *Legalizer) conflictSlots(c, cc *db.Cell, med geom.Point, w window, wt int, ignore []int32, scr *Scratch) []conSlot {
 	d := l.D
 	slots := scr.conSlotsFull[:0]
 	for wi, ri := range w.rows {
-		row := &d.Rows[ri]
-		for _, x := range l.freeSitesFast(w, wi, ri, cc.Macro.Width, ignore, scr) {
-			p := geom.Pt(x, row.Y)
+		y := d.Rows[ri].Y
+		for _, x := range l.conflictRowSites(c, cc, w, wi, wt, ignore, scr) {
+			p := geom.Pt(x, y)
 			slots = append(slots, conSlot{p, wi, l.displacement(p, med)})
 		}
 	}
@@ -269,10 +282,7 @@ func (l *Legalizer) conflictSlots(cc *db.Cell, conflicts []*db.Cell, med geom.Po
 			return a.p.X - b.p.X
 		}
 	})
-	off := int32(len(scr.memoSlots))
-	scr.memoSlots = append(scr.memoSlots, slots...)
-	scr.slotMemo[key] = memoSpan{off: off, n: int32(len(slots))}
-	return scr.memoSlots[off : off+int32(len(slots))]
+	return slots
 }
 
 // BeginPass declares the start of a candidate-generation pass: the caller

@@ -21,9 +21,10 @@ import (
 func FuzzEstimateLowerBound(f *testing.F) {
 	// No nets and no demand writes: a straight two-GCell net on empty edges
 	// of metal2, with wire weighted 12.75 and vias 0.2. The bound undercuts
-	// the estimate by little more than one UnitVia: the two pin-layer vias
-	// cost at least 1.5·UnitVia each, because the pin layer's penalty is
-	// pinned at 1. A bound one wire step too high fails here.
+	// the estimate only by the edge penalties: the two pin-layer vias cost
+	// 1.5·UnitVia each plus half their upper node's penalty, because the
+	// pin layer's penalty is pinned at 1. A bound one wire step or a
+	// hundredth of a via per segment too high fails here.
 	f.Add(int64(11), uint8(0), uint8(255), uint8(1), uint8(0xff), []byte{
 		2, 3, 4, 0, 0,
 		2, 3, 5, 0, 0,
@@ -49,6 +50,15 @@ func FuzzEstimateLowerBound(f *testing.F) {
 		2, 5, 1, 0, 0,
 		2, 9, 9, 0, 0)
 	f.Add(int64(15), uint8(120), uint8(3), uint8(7), uint8(0b10101), load)
+	// Seed #0's empty fixture with three GCells in a column, k = 3: the
+	// tree has two one-step segments on metal2 and four pin-layer vias, so
+	// a bound that charges a segment a hundredth of a via more than
+	// 3·UnitVia fails here too.
+	f.Add(int64(11), uint8(0), uint8(255), uint8(1), uint8(0xff), []byte{
+		2, 3, 4, 0, 0,
+		2, 3, 5, 0, 0,
+		2, 3, 6, 0, 0,
+	})
 	f.Fuzz(func(t *testing.T, seed int64, nets, wire, via, mask uint8, ops []byte) {
 		d := routeDesign(t, 40, int(nets)%151, seed)
 		p := grid.DefaultParams()

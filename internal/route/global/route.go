@@ -507,13 +507,16 @@ func (r *Router) EstimateTerminalCost(pts []geom.Point) float64 {
 // terminal set that contains pts, at any grid demand. Over the k distinct
 // GCells of pts it is
 //
-//	UnitWire·(bounding-box width + height) + 2·UnitVia·(k − 1).
+//	UnitWire·(bounding-box width + height) + 3·UnitVia·(k − 1).
 //
 // Eq. 10's penalty is never negative, so every planar edge costs at least
-// UnitWire and every via at least UnitVia. A pattern segment between
-// distinct GCells is a monotone path that climbs from the pin layer and
-// returns to it (layerCost's two end stacks); a Steiner tree over k distinct
-// GCells has at least k − 1 such segments, and together they cover the
+// UnitWire. A pattern segment between distinct GCells is a monotone path
+// that climbs from the pin layer and returns to it (layerCost's two end
+// stacks), so it holds at least two vias between layers 0 and 1. The grid
+// has no planar edge on layer 0 (grid.HasEdge is false for l <= 0), so that
+// layer's via penalty is pinned at 1 and each such via costs at least
+// 1.5·UnitVia: the bound depends on that rule. A Steiner tree over k
+// distinct GCells has at least k − 1 segments, and together they cover the
 // bounding box. The relative 1e-12 shave keeps the bound below the float sum
 // for any UnitWire/UnitVia; with the defaults (0.5/2.0) every term is exact.
 func (r *Router) EstimateLowerBound(pts []geom.Point) float64 {
@@ -525,7 +528,7 @@ func (r *Router) EstimateLowerBound(pts []geom.Point) float64 {
 		return 0
 	}
 	p := r.G.Params
-	lb := p.UnitWire*float64(steiner.HPWL(s.gcells)) + 2*p.UnitVia*float64(k-1)
+	lb := p.UnitWire*float64(steiner.HPWL(s.gcells)) + 3*p.UnitVia*float64(k-1)
 	return lb * (1 - 1e-12)
 }
 
