@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build bench-build test race race-solver lint-state examples bench-smoke bench-pairs flake fuzz-smoke chaos crash-chaos service-chaos failover-chaos eco-chaos experiments-check loc
+.PHONY: check fmt vet build bench-build test race race-solver lint-state examples bench-smoke bench-pairs output-identity flake fuzz-smoke chaos crash-chaos service-chaos failover-chaos eco-chaos experiments-check loc
 
 ## check: the full pre-merge gate — gofmt, vet, build, benchmark-module
 ## build, state lint, race-enabled tests, examples, bench smoke, flake gate,
@@ -32,9 +32,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-## race-solver: fast early race gate over the GCP fast path — the shared
-## solve cache and the parallel candidate-generation fan-out are the only
-## lock-coordinated hot paths, so race them first and with -count=1.
+## race-solver: fast early race gate over the GCP fast path — the parallel
+## candidate-generation fan-out is its only lock-coordinated hot path, so
+## race it first and with -count=1.
 race-solver:
 	$(GO) test -race -count=1 ./internal/ilp/... ./internal/legal/... ./internal/crp/...
 
@@ -69,6 +69,16 @@ PAIRS ?= 10
 SEED ?= 1
 bench-pairs:
 	bash scripts/bench-pairs.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(SEED)
+
+## output-identity: a report, not a gate (not in check): runs cmd/crp of
+## PARENT and of the working tree on the same benchgen inputs — crp_test1–10
+## at scale 0.004 and 0.02, crp_test7 at 0.05, a crp_test7@0.004 checkpoint
+## directory and a 16-move ECO on it — and prints one line per differing
+## file, then a count (scripts/output-identity.sh), e.g.
+## `make output-identity PARENT=HEAD~1`. A crashed run fails it; a
+## difference does not.
+output-identity:
+	bash scripts/output-identity.sh $(PARENT)
 
 ## flake: the job service and flow packages, raced, in shuffled order,
 ## three times over — an order- or timing-dependent test fails here before
@@ -140,6 +150,7 @@ fuzz-smoke:
 	$(GO) test ./internal/checkpoint -fuzz 'FuzzCheckpointDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x
 	$(GO) test ./internal/view -fuzz 'FuzzOverlayCommit$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x
 	$(GO) test ./internal/ilp -fuzz 'FuzzILPSolve$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x
+	$(GO) test ./internal/legal -fuzz 'FuzzRelocate$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x
 	$(GO) test ./internal/service -fuzz 'FuzzSpecDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x
 	$(GO) test ./internal/service -fuzz 'FuzzLeaseRecord$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x
 	$(GO) test ./internal/eco -fuzz 'FuzzDeltaApply$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x

@@ -54,9 +54,9 @@ func TestFlowWorkerCountInvariant(t *testing.T) {
 	}
 }
 
-// TestGCPTimingSplit: the GCP phase records its candidate-generation vs
-// relocation-ILP split, and the ILP share can never exceed the legalizer's
-// total recorded time.
+// TestGCPTimingSplit: the GCP phase records the legalizer's time in
+// GCPGen, which can never exceed the legalizer's total recorded time, and
+// GCPILP stays 0.
 func TestGCPTimingSplit(t *testing.T) {
 	spec := ispd.Suite(0.02)[1]
 	d, err := ispd.Generate(spec)
@@ -78,14 +78,10 @@ func TestGCPTimingSplit(t *testing.T) {
 	if times.GCPGen <= 0 {
 		t.Error("GCPGen split not recorded")
 	}
-	if times.GCPILP < 0 {
-		t.Errorf("negative GCPILP: %v", times.GCPILP)
+	if times.GCPILP != 0 {
+		t.Errorf("GCPILP recorded %v", times.GCPILP)
 	}
-	run, solve := e.L.Timing()
-	if solve > run {
-		t.Errorf("legalizer solve time %v exceeds total run time %v", solve, run)
-	}
-	if got := times.GCPGen + times.GCPILP; got > run {
-		t.Errorf("recorded GCP split %v exceeds legalizer total %v", got, run)
+	if run := e.L.Timing(); times.GCPGen > run {
+		t.Errorf("recorded GCPGen %v exceeds legalizer total %v", times.GCPGen, run)
 	}
 }

@@ -52,27 +52,19 @@ func (e *Engine) Iterate(ctx context.Context) IterStats {
 
 	t0 = time.Now()
 	ls0 := e.L.Stats()
-	run0, solve0 := e.L.Timing()
+	run0 := e.L.Timing()
 	// The placement is frozen until the UD phase applies the selection, so
 	// the whole fan-out is one legalizer pass: medians memoised by one Run
 	// stay valid for every later Run this iteration.
 	e.L.BeginPass()
 	cands, quarGCP := e.generateCandidates(ctx, critical)
 	st.Times.GCP = time.Since(t0)
-	run1, solve1 := e.L.Timing()
-	st.Times.GCPILP = solve1 - solve0
-	st.Times.GCPGen = (run1 - run0) - st.Times.GCPILP
+	st.Times.GCPGen = e.L.Timing() - run0
 	for _, q := range quarGCP {
 		deg("worker-panic", fmt.Sprintf("GCP cell #%d quarantined: %s", q.index, q.msg))
 	}
 	st.Quarantined += len(quarGCP)
 	ls1 := e.L.Stats()
-	if n := ls1.IncumbentKept - ls0.IncumbentKept; n > 0 {
-		deg("legal-incumbent", fmt.Sprintf("%d legalizer ILPs hit their budget; kept best incumbent", n))
-	}
-	if n := ls1.BudgetDropped - ls0.BudgetDropped; n > 0 {
-		deg("legal-dropped", fmt.Sprintf("%d legalizer ILPs hit their budget with no incumbent; candidates dropped", n))
-	}
 	// A slot the stay-put bound proved counts as a candidate and as a
 	// pricing, as it did when it was relocated and priced.
 	bounded := ls1.Bounded - ls0.Bounded

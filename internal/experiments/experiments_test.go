@@ -112,26 +112,44 @@ func TestSOTAFailureRendersAsFailed(t *testing.T) {
 	}
 }
 
-// The headline reproduction shape on a small circuit: k=10 beats k=1 beats
-// nothing on vias, and CR&P adds no DRVs.
+// TestImprovementShape asserts the paper's claims at suite level on all ten
+// circuits at scale 0.004, with k=1, k=10 and [18] failing on the largest
+// circuit as it did on ispd18_test10: on every circuit k=10 adds no DRVs
+// and no vias to the baseline, and the suite's k=10 vias are below both its
+// baseline vias and its k=1 vias.
 func TestImprovementShape(t *testing.T) {
-	opts := tinyOptions()
-	opts.Circuits = []int{4} // a congested mid-suite circuit
-	opts.K10 = 6
+	opts := DefaultOptions()
+	opts.Scale = 0.004
+	opts.Flow.CRP.Workers = 2
 	res, err := Run(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cr := res[0]
-	base := cr.Baseline.Metrics
-	if cr.K10.Metrics.Vias > base.Vias {
-		t.Errorf("k=%d vias regressed: %d -> %d", opts.K10, base.Vias, cr.K10.Metrics.Vias)
+	if len(res) != 10 {
+		t.Fatalf("%d circuits, want 10", len(res))
 	}
-	if cr.K10.Metrics.DRVs.Total() > base.DRVs.Total() {
-		t.Errorf("CR&P added DRVs: %d -> %d", base.DRVs.Total(), cr.K10.Metrics.DRVs.Total())
+	var base, k1, k10 int64
+	for _, cr := range res {
+		name, b := cr.Spec.Name, cr.Baseline.Metrics
+		m := cr.K10.Metrics
+		if m.DRVs.Total() > b.DRVs.Total() {
+			t.Errorf("%s: k=10 DRVs %d, baseline %d", name, m.DRVs.Total(), b.DRVs.Total())
+		}
+		if m.Vias > b.Vias {
+			t.Errorf("%s: k=10 vias %d, baseline %d", name, m.Vias, b.Vias)
+		}
+		if wantFail := name == "crp_test10"; cr.SOTA.Failed != wantFail {
+			t.Errorf("%s: [18] failed %v, want %v", name, cr.SOTA.Failed, wantFail)
+		}
+		base += b.Vias
+		k1 += cr.K1.Metrics.Vias
+		k10 += m.Vias
 	}
-	if cr.K10.Metrics.Vias > cr.K1.Metrics.Vias {
-		t.Logf("note: k=10 (%d vias) did not beat k=1 (%d) on this tiny instance",
-			cr.K10.Metrics.Vias, cr.K1.Metrics.Vias)
+	t.Logf("suite vias: baseline %d, k=1 %d, k=10 %d", base, k1, k10)
+	if k10 >= base {
+		t.Errorf("suite k=10 vias %d not below the baseline's %d", k10, base)
+	}
+	if k10 >= k1 {
+		t.Errorf("suite k=10 vias %d not below k=1's %d", k10, k1)
 	}
 }

@@ -95,22 +95,6 @@ func TestChaosILPStarvation(t *testing.T) {
 	}
 }
 
-func TestChaosLegalizerStarvation(t *testing.T) {
-	d := design(t, 33)
-	cfg := quickConfig()
-	cfg.CRP.Legal.MaxNodes = 1 // every window ILP hits its budget immediately
-	r := RunCRP(context.Background(), d, 2, cfg)
-	if !hasKind(r, "legal-incumbent") && !hasKind(r, "legal-dropped") {
-		t.Errorf("starved legalizer reported no ladder events: %v", r.Degradations)
-	}
-	if err := d.Validate(); err != nil {
-		t.Fatalf("legalizer ladder broke legality: %v", err)
-	}
-	if r.Metrics.Vias <= 0 {
-		t.Error("run did not complete to metrics")
-	}
-}
-
 func TestChaosIterationDeadline(t *testing.T) {
 	d := design(t, 34)
 	cfg := quickConfig()

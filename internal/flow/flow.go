@@ -43,8 +43,7 @@ type Budgets struct {
 	GR time.Duration
 	// CRPIteration caps each CR&P iteration (crp.Config.IterTimeout).
 	CRPIteration time.Duration
-	// ILP caps every single ILP solve: CR&P's selection ILP and the
-	// legalizer's window ILPs.
+	// ILP caps each solve of CR&P's selection ILP (Eq. 12).
 	ILP time.Duration
 	// DR caps detailed routing / evaluation.
 	DR time.Duration
@@ -183,9 +182,6 @@ func crpConfig(cfg Config, k int) crp.Config {
 	}
 	if ccfg.ILPTimeLimit == 0 {
 		ccfg.ILPTimeLimit = cfg.Budgets.ILP
-	}
-	if ccfg.Legal.TimeLimit == 0 {
-		ccfg.Legal.TimeLimit = cfg.Budgets.ILP
 	}
 	return ccfg
 }

@@ -2,15 +2,15 @@ package ilp
 
 // This file is the seed solver, kept as the reference implementation the
 // differential referees (TestFastPathParityRandom, FuzzILPSolve, the
-// legalizer's seed oracle) compare Solve against: the original union-find
-// partition, then per component best-first branch & bound with a fresh
-// dense two-phase tableau LP per node — no presolve, no sparse simplex, no
-// pooled scratch, no cache. No production code calls it.
+// flow parity referee's seed selection) compare Solve against: the original
+// union-find partition, then per component best-first branch & bound with
+// a fresh dense two-phase tableau LP per node — no presolve, no sparse
+// simplex, no pooled scratch. No production code calls it.
 
 // SolveDense solves the model with the seed solver. Search order, branching
 // rule, incumbent acceptance and budget accounting match Solve, so both
-// walk the same tree shape; Options.Cache is ignored. Invalid Options (see
-// Options.Validate) cause a panic.
+// walk the same tree shape. Invalid Options (see Options.Validate) cause a
+// panic.
 func (m *Model) SolveDense(opt Options) Solution {
 	if sol, done := m.solveTrivial(opt); done {
 		return sol

@@ -1,7 +1,6 @@
 package ilp
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -200,50 +199,6 @@ func TestSolveRejectsInvalidOptions(t *testing.T) {
 	m := NewModel()
 	m.AddBinary("x", 1)
 	m.Solve(Options{MaxNodes: -5})
-}
-
-// TestSolveCacheBitIdentical: a warm cache hit must return exactly what the
-// cold solve returned, and budgeted solves must bypass the cache entirely.
-func TestSolveCacheBitIdentical(t *testing.T) {
-	cache := NewSolveCache(0)
-	for seed := int64(0); seed < 100; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		m := randomModel(rng)
-		cold := m.Solve(Options{Cache: cache})
-		warm := m.Solve(Options{Cache: cache})
-		if cold.Status != warm.Status || cold.HasIncumbent != warm.HasIncumbent ||
-			cold.Objective != warm.Objective || cold.Nodes != warm.Nodes ||
-			cold.Components != warm.Components {
-			t.Fatalf("seed %d: cold %+v != warm %+v", seed, cold, warm)
-		}
-		if !bytes.Equal(int8Bytes(cold.Values), int8Bytes(warm.Values)) {
-			t.Fatalf("seed %d: cached values differ", seed)
-		}
-	}
-	hits, misses := cache.Stats()
-	if hits == 0 || misses == 0 {
-		t.Fatalf("expected both hits and misses, got %d/%d", hits, misses)
-	}
-
-	// Budgeted solves must not read or write the cache.
-	m := oddCycleModel(9)
-	before, _ := cache.Stats()
-	limited := m.Solve(Options{MaxNodes: 1, Cache: cache})
-	if limited.Status != LimitReached {
-		t.Fatalf("budgeted solve: %v", limited.Status)
-	}
-	after, _ := cache.Stats()
-	if after != before {
-		t.Fatal("budgeted solve touched the cache")
-	}
-}
-
-func int8Bytes(v []int8) []byte {
-	out := make([]byte, len(v))
-	for i, x := range v {
-		out[i] = byte(x)
-	}
-	return out
 }
 
 // TestPresolveReductions checks the individual reductions on handcrafted

@@ -9,8 +9,7 @@ package ilp
 
 // fastScratch bundles the buffers reused across nodes and components of one
 // Solve call. Instances are pooled across Solve calls (see fastScratchPool
-// in ilp.go): the legalizer solves thousands of tiny relocation models, and
-// the fixed setup allocations dominated those solves.
+// in ilp.go), so small models do not pay the fixed setup allocations.
 type fastScratch struct {
 	sp       spScratch
 	rows     []spRow
@@ -22,7 +21,6 @@ type fastScratch struct {
 
 	// Per-Solve buffers (reused across components).
 	lut      []int32
-	keyBuf   []byte
 	pre      preModel
 	ufParent []int32
 	ufIdx    []int32

@@ -8,13 +8,14 @@
 // by decomposition into independent components, presolve reductions, and
 // best-first branch & bound with a sparse bounded-variable simplex as the
 // LP relaxation per node (a dense two-phase tableau takes over on numeric
-// trouble). Both of the paper's models — the ILP-based legalizer (Eq. 11)
-// and the candidate-selection ILP (Eq. 12) — are small 0/1 programs, so the
-// solver returns certified optima; node and time budgets allow the caller
-// to model the scalability failure of the state-of-the-art baseline [18].
-// SolveDense keeps the seed solver (dense tableau, no presolve) as the
-// reference the differential tests compare Solve against; no production
-// code calls it.
+// trouble). It solves the paper's candidate-selection ILP (Eq. 12) and the
+// median-ILP baseline [18]'s models; the legalizer's Eq. 11 is solved by
+// enumeration (internal/legal), with this solver as its test oracle. Eq. 12
+// models are small 0/1 programs, so the solver returns certified optima;
+// node and time budgets allow the caller to model the scalability failure
+// of the state-of-the-art baseline [18]. SolveDense keeps the seed solver
+// (dense tableau, no presolve) as the reference the differential tests
+// compare Solve against; no production code calls it.
 package ilp
 
 import (
@@ -24,10 +25,11 @@ import (
 	"time"
 )
 
-// fastScratchPool recycles solver workspaces across Solve calls: the
-// legalizer's relocation models are tiny, so the workspace setup cost is a
-// large fraction of each solve. Pooling is invisible to results — every
-// buffer is (re)initialised before use.
+// fastScratchPool recycles solver workspaces across Solve calls, so
+// back-to-back solves (CR&P's selection model each iteration, the
+// baseline's cluster models) reuse their buffers instead of allocating
+// them. Pooling is invisible to results — every buffer is (re)initialised
+// before use.
 var fastScratchPool = sync.Pool{New: func() any { return &fastScratch{} }}
 
 // VarID identifies a model variable.
@@ -141,7 +143,7 @@ func (s Status) String() string {
 }
 
 // Options tunes a Solve call. The zero value means: decompose, no limits,
-// presolve, no cache.
+// presolve.
 type Options struct {
 	// MaxNodes caps the total branch & bound nodes across all components;
 	// 0 means unlimited. Negative values are rejected by Validate.
@@ -155,11 +157,6 @@ type Options struct {
 	// disablePresolve keeps the sparse solver but skips the presolve
 	// reductions; set only by this package's parity tests.
 	disablePresolve bool
-	// Cache, when non-nil, memoises certified solutions keyed by the
-	// exact model encoding. It is only consulted on budget-less solves
-	// (MaxNodes == 0 and TimeLimit == 0), so budget-dependent outcomes
-	// never leak across calls; hits are bit-identical to a cold solve.
-	Cache *SolveCache
 }
 
 // Validate rejects option values outside their documented domain. Solve
@@ -199,35 +196,14 @@ func (m *Model) Solve(opt Options) Solution {
 	fs := fastScratchPool.Get().(*fastScratch)
 	defer fastScratchPool.Put(fs)
 
-	// The solve cache is consulted only for budget-less solves: budgeted
-	// outcomes depend on node order and wall-clock, and must never leak
-	// across calls (checkpoint/resume relies on a cold cache producing
-	// identical results).
-	useCache := opt.Cache != nil && opt.MaxNodes == 0 && opt.TimeLimit == 0
-	var key []byte
-	var keyHash uint64
-	if useCache {
-		key = m.appendCacheKey(fs.keyBuf[:0], opt)
-		fs.keyBuf = key
-		keyHash = fnvHash(key)
-		if cached, ok := opt.Cache.lookup(key, keyHash); ok {
-			return cached
-		}
-	}
-
 	// Stale lut entries are harmless: each component writes its own vars
 	// before any of its constraints read them.
 	lut := growI32(&fs.lut, len(m.costs))
 	bud := newBudget(opt)
-	sol := m.solveComponents(m.components(opt.DisableDecomposition, fs), &bud,
+	return m.solveComponents(m.components(opt.DisableDecomposition, fs), &bud,
 		func(comp component) compSolution {
 			return solveComponentFast(m, comp, lut, &bud, opt, fs)
 		})
-	if useCache {
-		// Budget-less, so the status is Optimal or Infeasible: certified.
-		opt.Cache.store(key, keyHash, sol)
-	}
-	return sol
 }
 
 // solveTrivial validates opt (panicking on invalid options) and settles the

@@ -366,37 +366,3 @@ func TestStatusString(t *testing.T) {
 		t.Error("Status.String wrong")
 	}
 }
-
-func BenchmarkSolveLegalizerWindow(b *testing.B) {
-	// Representative legalizer model: 3 cells × 100 slots.
-	build := func() *Model {
-		rng := rand.New(rand.NewSource(1))
-		m := NewModel()
-		const nc, ns = 3, 100
-		vars := make([][]VarID, nc)
-		for c := 0; c < nc; c++ {
-			terms := []Term{}
-			for s := 0; s < ns; s++ {
-				v := m.AddBinary("", float64(rng.Intn(50)))
-				vars[c] = append(vars[c], v)
-				terms = append(terms, Term{v, 1})
-			}
-			m.AddConstraint("", terms, EQ, 1)
-		}
-		for s := 0; s < ns; s++ {
-			terms := []Term{}
-			for c := 0; c < nc; c++ {
-				terms = append(terms, Term{vars[c][s], 1})
-			}
-			m.AddConstraint("", terms, LE, 1)
-		}
-		return m
-	}
-	m := build()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if sol := m.Solve(Options{}); sol.Status != Optimal {
-			b.Fatal("not optimal")
-		}
-	}
-}

@@ -7,7 +7,7 @@ import "math"
 // lp.go it
 //
 //   - treats the 0 <= x <= 1 variable bounds natively, so no x <= 1 rows are
-//     materialised (legalizer/selection models are dominated by them);
+//     materialised (selection models are dominated by them);
 //   - stores the constraint matrix sparsely (row lists plus a CSC index built
 //     once per solve) and prices columns against a dual vector, so one
 //     iteration costs O(m^2 + nnz) instead of O(rows * cols);

@@ -16,8 +16,8 @@ import (
 // candidate and its place in the order, stay exactly as Run returns them.
 //
 //   - An always-true bound returns nothing and counts one Bounded slot per
-//     candidate Run returns: the feasibility test without the ILP agrees
-//     with the ILP on every slot.
+//     candidate Run returns: the feasibility test agrees with relocation
+//     on every slot.
 //   - A never-true bound returns Run's output.
 //   - A bound on position parity returns Run's output minus the candidates
 //     at the slots it proves, in order.
@@ -94,14 +94,14 @@ func TestRunBoundedMatchesRun(t *testing.T) {
 }
 
 // TestRunBoundedHonoursSlotCap: a proven two-conflict slot is feasible only
-// if the relocation ILP, which sees each conflict cell's maxSlotsPerConflict
+// if relocation, which sees each conflict cell's maxSlotsPerConflict
 // cheapest slots, would relocate both cells, even when a pair beyond the cut
 // fits. In a 24×3-site design, the 13-site critical cell C targets row 1
 // over a 1-site cell N and a 12-site cell W. W fits only in row 0's 12-site
 // gap; N fits there 12 times, next to its net partner P, and 10 times more
 // in C's freed row-2 span. N's 12 cheapest slots all overlap W's one slot,
-// so the ILP finds the target slot infeasible and the bound must not count
-// it.
+// so relocation finds the target slot infeasible and the bound must not
+// count it.
 func TestRunBoundedHonoursSlotCap(t *testing.T) {
 	tc := tech.N45()
 	sw, rh := tc.Site.Width, tc.Site.Height
@@ -190,32 +190,9 @@ func TestRunBoundedHonoursSlotCap(t *testing.T) {
 	}
 }
 
-// TestRunBoundedBudgetedIgnoresBound: a budgeted legalizer may drop a
-// feasible slot when its relocation ILP runs out of budget, which the
-// feasibility test cannot predict, so it walks unbounded.
-func TestRunBoundedBudgetedIgnoresBound(t *testing.T) {
-	d := testDesign(t, 0)
-	cfg := DefaultConfig()
-	cfg.MaxNodes = 1
-	l := New(d, cfg)
-	always := func(geom.Point, []int32) bool { return true }
-	for cid, c := range d.Cells {
-		if c.Fixed {
-			continue
-		}
-		id := int32(cid)
-		if want, got := l.Run(id), l.RunScratch(id, nil, always); !reflect.DeepEqual(got, want) {
-			t.Fatalf("cell %d: budgeted legalizer applied the bound", id)
-		}
-	}
-	if n := l.Stats().Bounded; n != 0 {
-		t.Fatalf("budgeted legalizer counted %d bounded slots", n)
-	}
-}
-
 // BenchmarkLegalizerRunBounded runs RunScratch over crp_test7's movable
 // cells with an always-true bound, so every slot it tries is decided by
-// relocatable, the feasibility test of proven slots, and none by the ILP.
+// relocatable, the feasibility test of proven slots, and none relocated.
 // One BeginPass covers the whole loop, as one CR&P iteration does.
 func BenchmarkLegalizerRunBounded(b *testing.B) {
 	d := testDesign(b, 6)

@@ -25,7 +25,7 @@ type flowOutcome struct {
 // runFlow runs a small full CR&P flow (k=3, 4 workers) on synthetic
 // testcase idx at scale 0.02. With seed set, the engine's legalizer runs
 // the seed implementation and every selection ILP is solved by the seed
-// solver, so no solve touches presolve, the sparse simplex or a cache.
+// solver, so no solve touches presolve or the sparse simplex.
 func runFlow(t *testing.T, idx int, seed bool) flowOutcome {
 	t.Helper()
 	d, err := ispd.Generate(ispd.Suite(0.02)[idx])
@@ -61,18 +61,12 @@ func runFlow(t *testing.T, idx int, seed bool) flowOutcome {
 }
 
 // TestFlowFastVsDenseParity is the flow half of the differential-parity
-// ladder: full CR&P runs through the shipped engine (sparse fast path,
-// presolve, solve cache, relocation shortcut, stay-put bound) and through the
-// seed engine (seed legalizer, SolveDense selection) must make identical
-// moves and end with identical placements, statistics and routing cost on
+// ladder: full CR&P runs through the shipped engine (occupancy snapshot, row
+// memo, enumerated relocation, stay-put bound, sparse selection solver with
+// presolve) and through the seed engine (seed legalizer with its own
+// brute-force relocation, SolveDense selection) must make identical moves
+// and end with identical placements, statistics and routing cost on
 // crp_test1 and crp_test2.
-//
-// Where a relocation ILP has several cost-equal optima the two solvers can
-// in principle tie-break differently (TestRunFastMatchesDense verifies
-// such divergences are pure ties); on these testcases no tie surfaces in
-// the cells the flow actually legalises, so full equality is asserted — if
-// this test ever fails with cost-equal positions, extend it with the
-// documented ladder rather than loosening blindly.
 func TestFlowFastVsDenseParity(t *testing.T) {
 	for _, idx := range []int{0, 1} {
 		fast := runFlow(t, idx, false)

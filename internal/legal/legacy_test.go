@@ -2,23 +2,19 @@ package legal
 
 import (
 	"sort"
-	"time"
 
 	"github.com/crp-eda/crp/internal/db"
 	"github.com/crp-eda/crp/internal/geom"
-	"github.com/crp-eda/crp/internal/ilp"
 )
 
-// This file preserves the pre-fast-path legalizer verbatim (per-slot
-// db.CheckLegal, per-call db.FreeSitesIn, per-slot db.NetMedianOf,
-// relocation solves on the seed solver ilp.SolveDense, no result caches).
-// The seed hook routes RunScratch through it (see newSeed and UseSeed),
-// giving the differential parity referees a genuinely independent
-// implementation rather than the fast path with a different solver
-// backend. The one deliberate difference from the seed is the sorted
-// site-cap emission — the old map-ordered emission made the relocation
-// model's constraint order random, which was a latent nondeterminism bug,
-// not behaviour worth preserving.
+// This file preserves the pre-fast-path legalizer (per-slot db.CheckLegal,
+// per-call db.FreeSitesIn, per-slot db.NetMedianOf, no result caches). The
+// seed hook routes RunScratch through it (see UseSeed), giving the
+// differential parity referees a genuinely independent implementation. Its
+// relocation is a brute-force scan over every assignment of the conflict
+// cells' capped slot lists under the tie rule production uses (lowest
+// summed displacement, then the lowest slot ranks in list order); it
+// shares no code with production's relocation.
 
 // runLegacy is the seed implementation of Run.
 func (l *Legalizer) runLegacy(c *db.Cell) []Candidate {
@@ -76,7 +72,7 @@ func (l *Legalizer) runLegacy(c *db.Cell) []Candidate {
 }
 
 // trySlotLegacy checks whether the critical cell can take pos, relocating
-// conflict cells with the seed-solver ILP when needed.
+// conflict cells when needed.
 func (l *Legalizer) trySlotLegacy(c *db.Cell, pos geom.Point, w window, med geom.Point) (Candidate, bool) {
 	d := l.D
 	row, _ := d.RowAt(pos.Y)
@@ -117,11 +113,11 @@ func (l *Legalizer) trySlotLegacy(c *db.Cell, pos geom.Point, w window, med geom
 	}, true
 }
 
-// relocateConflictsLegacy builds the Eq. 11 relocation ILP with per-call
-// db.FreeSitesIn scans and solves it with the seed solver.
+// relocateConflictsLegacy solves Eq. 11 for the conflict cells by trying
+// every assignment of their slot lists, collected with per-call
+// db.FreeSitesIn scans.
 func (l *Legalizer) relocateConflictsLegacy(c *db.Cell, pos geom.Point, conflicts []*db.Cell, w window) (map[int32]geom.Point, float64, bool) {
 	d := l.D
-	sw := d.Tech.Site.Width
 	ignore := map[int32]bool{c.ID: true}
 	for _, cc := range conflicts {
 		ignore[cc.ID] = true
@@ -129,24 +125,13 @@ func (l *Legalizer) relocateConflictsLegacy(c *db.Cell, pos geom.Point, conflict
 	targetRow, _ := d.RowAt(pos.Y)
 	targetSpan := geom.Iv(pos.X, pos.X+c.Macro.Width)
 
-	m := ilp.NewModel()
-	type varPos struct {
-		cell int32
-		pos  geom.Point
+	type slotCost struct {
+		p    geom.Point
+		cost float64
 	}
-	var vars []varPos
-	// siteUse[(row,siteX)] collects the variables covering each site.
-	siteUse := map[[2]int][]ilp.Term{}
-
-	for _, cc := range conflicts {
+	lists := make([][]slotCost, len(conflicts))
+	for k, cc := range conflicts {
 		med := d.NetMedianOf(cc.ID)
-		// Collect the feasible slots, keep only the cheapest few: the ILP
-		// never benefits from far-away relocations (Eq. 11 minimises
-		// displacement), and the cap keeps the model tiny.
-		type slotCost struct {
-			p    geom.Point
-			cost float64
-		}
 		var slots []slotCost
 		for _, ri := range w.rows {
 			row := &d.Rows[ri]
@@ -171,65 +156,47 @@ func (l *Legalizer) relocateConflictsLegacy(c *db.Cell, pos geom.Point, conflict
 			}
 			return slots[a].p.X < slots[b].p.X
 		})
+		// Only the cheapest few: Eq. 11 minimises displacement.
 		if len(slots) > maxSlotsPerConflict {
 			slots = slots[:maxSlotsPerConflict]
 		}
-		var terms []ilp.Term
-		for _, s := range slots {
-			v := m.AddBinary("", s.cost)
-			vars = append(vars, varPos{cc.ID, s.p})
-			terms = append(terms, ilp.Term{Var: v, Coef: 1})
-			row, _ := d.RowAt(s.p.Y)
-			for x := s.p.X; x < s.p.X+cc.Macro.Width; x += sw {
-				key := [2]int{int(row.Index), x}
-				siteUse[key] = append(siteUse[key], ilp.Term{Var: v, Coef: 1})
+		lists[k] = slots
+	}
+
+	// Walk every assignment, the first conflict's rank varying slowest, and
+	// keep the first of the cheapest that puts no two cells on one site.
+	best, bestCost := []int(nil), 0.0
+	pick := make([]int, len(conflicts))
+	for {
+		cost, clash := 0.0, false
+		for k, i := range pick {
+			cost += lists[k][i].cost
+			for k2 := 0; k2 < k; k2++ {
+				a, b := lists[k2][pick[k2]].p, lists[k][i].p
+				if a.Y == b.Y && a.X < b.X+conflicts[k].Macro.Width && b.X < a.X+conflicts[k2].Macro.Width {
+					clash = true
+				}
 			}
 		}
-		m.AddConstraint("one-pos", terms, ilp.EQ, 1)
-	}
-	siteKeys := make([][2]int, 0, len(siteUse))
-	for k := range siteUse {
-		siteKeys = append(siteKeys, k)
-	}
-	sort.Slice(siteKeys, func(a, b int) bool {
-		if siteKeys[a][0] != siteKeys[b][0] {
-			return siteKeys[a][0] < siteKeys[b][0]
+		if !clash && (best == nil || cost < bestCost) {
+			best, bestCost = append([]int(nil), pick...), cost
 		}
-		return siteKeys[a][1] < siteKeys[b][1]
-	})
-	for _, k := range siteKeys {
-		if terms := siteUse[k]; len(terms) > 1 {
-			m.AddConstraint("site-cap", terms, ilp.LE, 1)
+		k := len(pick) - 1
+		for k >= 0 && pick[k] == len(lists[k])-1 {
+			pick[k] = 0
+			k--
 		}
+		if k < 0 {
+			break
+		}
+		pick[k]++
 	}
-	t0 := time.Now()
-	sol := m.SolveDense(ilp.Options{
-		MaxNodes:  l.Cfg.MaxNodes,
-		TimeLimit: l.Cfg.TimeLimit,
-	})
-	l.solveNS.Add(time.Since(t0).Nanoseconds())
-	switch {
-	case sol.Status == ilp.Optimal:
-		// Certified optimum; fall through to extraction.
-	case sol.Status == ilp.LimitReached && sol.HasIncumbent:
-		// Degradation ladder: the budget expired but the incumbent is an
-		// integer-feasible assignment of the model, i.e. every conflict
-		// cell takes exactly one pre-validated free slot and no site is
-		// double-booked — legal, just possibly not displacement-optimal.
-		l.incumbentKept.Add(1)
-	default:
-		// Infeasible (no way to clear the slot) or budget expired with no
-		// incumbent: drop the candidate slot entirely.
-		if sol.Status == ilp.LimitReached {
-			l.budgetDropped.Add(1)
-		}
+	if best == nil {
 		return nil, 0, false
 	}
 	moves := make(map[int32]geom.Point, len(conflicts))
-	for i, vp := range vars {
-		if sol.Value(ilp.VarID(i)) {
-			moves[vp.cell] = vp.pos
-		}
+	for k, cc := range conflicts {
+		moves[cc.ID] = lists[k][best[k]].p
 	}
-	return moves, sol.Objective, true
+	return moves, bestCost, true
 }

@@ -1,17 +1,22 @@
-// Package legal implements the paper's ILP-based legalizer (Section IV.B.2,
-// Eq. 11). Given a critical cell, it examines a local window of N_site
-// sites by N_row rows around the cell and produces a set of *legal*
-// placement candidates: target positions for the critical cell, each paired
-// with the relocations of the conflict cells that must shift to make room.
-// Every candidate is guaranteed overlap-free, on-site, and on-row, so
-// CR&P's selection ILP can commit any of them directly and hand the result
-// to a detailed router — the property the paper's framework depends on.
+// Package legal implements the paper's legalizer (Section IV.B.2, Eq. 11).
+// Given a critical cell, it examines a local window of N_site sites by N_row
+// rows around the cell and produces a set of *legal* placement candidates:
+// target positions for the critical cell, each paired with the relocations
+// of the conflict cells that must shift to make room. Every candidate is
+// guaranteed overlap-free, on-site, and on-row, so CR&P's selection ILP can
+// commit any of them directly and hand the result to a detailed router —
+// the property the paper's framework depends on.
 //
-// For each candidate target slot the displaced cells' new positions are
-// chosen by a small 0/1 ILP (internal/ilp) minimising Eq. 11's weighted
-// displacement toward each cell's median position:
+// For each candidate target slot the displaced cells' new positions
+// minimise Eq. 11's weighted displacement toward each cell's median
+// position:
 //
 //	cost_c^(i,j) = W_site·|X − X_med| + H_row·|Y − Y_med|
+//
+// The paper states Eq. 11 as an ILP. One execution moves at most three
+// cells, so a model has at most two conflict cells of at most
+// maxSlotsPerConflict slots each, and its exact optimum is found by
+// enumerating at most 144 slot pairs (relocation).
 package legal
 
 import (
@@ -22,7 +27,6 @@ import (
 
 	"github.com/crp-eda/crp/internal/db"
 	"github.com/crp-eda/crp/internal/geom"
-	"github.com/crp-eda/crp/internal/ilp"
 )
 
 // Config sets the window geometry and search effort. The paper uses
@@ -32,13 +36,6 @@ type Config struct {
 	NSites        int // window width in sites
 	NRows         int // window height in rows
 	MaxCandidates int // cap on returned candidates per critical cell
-	// MaxNodes / TimeLimit budget each relocation ILP; 0 means unlimited
-	// (the default — Eq. 11 models are tiny). When a budget expires the
-	// legalizer degrades per the robustness ladder: the solver's best
-	// incumbent is kept when it covers all conflict cells (it is legal by
-	// construction of the model), otherwise the candidate slot is dropped.
-	MaxNodes  int
-	TimeLimit time.Duration
 }
 
 // DefaultConfig returns the paper's experimental values.
@@ -62,33 +59,26 @@ type Candidate struct {
 // Bound is a caller's lower-bound test on a target slot: it reports whether
 // the candidate that puts the critical cell at pos and relocates the
 // conflict cells (IDs ascending; the slice is valid only during the call)
-// is provably not worth keeping, wherever the relocation ILP would put
-// them. A proven slot that is feasible still counts toward MaxCandidates,
-// but it is neither relocated nor returned.
+// is provably not worth keeping, wherever relocation would put them. A
+// proven slot that is feasible still counts toward MaxCandidates, but it is
+// neither relocated nor returned.
 type Bound func(pos geom.Point, conflicts []int32) bool
 
-// Stats counts the degradation-ladder outcomes of budgeted relocation
-// ILPs, the solve-cache outcomes and the slots a Bound proved.
+// Stats counts the slots a Bound proved.
 type Stats struct {
-	// IncumbentKept counts relocation solves that hit their budget but
-	// whose best incumbent was adopted (still a fully legal candidate).
-	IncumbentKept int64
-	// BudgetDropped counts candidate slots dropped because the budget
-	// expired with no usable incumbent.
-	BudgetDropped int64
-	// WindowHits / WindowMisses are always 0: the window-result cache
-	// they counted is gone. They stay until the benchmark stops reading
+	// WindowHits, WindowMisses, SolveHits, SolveMisses, ShortcutSolves and
+	// BudgetDropped are always 0: the window-result cache, the relocation-
+	// ILP solve cache, its unique-optimum shortcut and its budget ladder
+	// they counted are gone. They stay until the benchmark stops reading
 	// them.
-	WindowHits   int64
-	WindowMisses int64
-	// SolveHits / SolveMisses count relocation-ILP solution cache outcomes.
-	SolveHits   int64
-	SolveMisses int64
-	// ShortcutSolves counts relocation models answered by the unique-
-	// optimum shortcut without invoking the solver.
+	WindowHits     int64
+	WindowMisses   int64
+	SolveHits      int64
+	SolveMisses    int64
 	ShortcutSolves int64
+	BudgetDropped  int64
 	// Bounded counts feasible target slots a Bound proved, which were
-	// counted toward MaxCandidates without a relocation ILP.
+	// counted toward MaxCandidates without a relocation.
 	Bounded int64
 }
 
@@ -97,25 +87,17 @@ type Legalizer struct {
 	D   *db.Design
 	Cfg Config
 
-	// Degradation counters; atomics because Run is called concurrently
-	// from CR&P's worker pool.
-	incumbentKept  atomic.Int64
-	budgetDropped  atomic.Int64
-	shortcutSolves atomic.Int64
-	bounded        atomic.Int64
+	// bounded counts proven slots; atomic because Run is called
+	// concurrently from CR&P's worker pool.
+	bounded atomic.Int64
 
-	// noShortcut suppresses the unique-optimum relocation shortcut; set
-	// only by the differential test that certifies the shortcut against
-	// the full solver.
-	noShortcut bool
 	// seed, when set, replaces RunScratch's body with the seed legalizer
 	// the differential referees compare against; set only by tests.
 	seed func(c *db.Cell) []Candidate
 
-	// Cumulative nanoseconds inside Run and inside relocation ILP solves,
-	// summed across workers; feeds the GCP phase-time breakdown.
-	runNS   atomic.Int64
-	solveNS atomic.Int64
+	// Cumulative nanoseconds inside Run, summed across workers; feeds the
+	// GCP phase-time breakdown.
+	runNS atomic.Int64
 
 	// medEpoch scopes the per-worker median memos: BeginPass bumps it, and
 	// Scratch memos tagged with an older epoch are cleared on next use.
@@ -125,22 +107,11 @@ type Legalizer struct {
 	// Static fast-path state, built once in New.
 	wmax    int               // widest cell in the design
 	obsFree [][]geom.Interval // per row: obstacle X intervals blocking sites
-
-	solveCache *ilp.SolveCache
 }
 
-// Stats snapshots the degradation and cache counters.
+// Stats snapshots the counters.
 func (l *Legalizer) Stats() Stats {
-	s := Stats{
-		IncumbentKept:  l.incumbentKept.Load(),
-		BudgetDropped:  l.budgetDropped.Load(),
-		ShortcutSolves: l.shortcutSolves.Load(),
-		Bounded:        l.bounded.Load(),
-	}
-	if l.solveCache != nil {
-		s.SolveHits, s.SolveMisses = l.solveCache.Stats()
-	}
-	return s
+	return Stats{Bounded: l.bounded.Load()}
 }
 
 // New creates a legalizer. Zero Config fields fall back to defaults.
@@ -175,21 +146,7 @@ func New(d *db.Design, cfg Config) *Legalizer {
 			}
 		}
 	}
-	// The solve cache is only sound on budget-less solves: a budgeted
-	// outcome depends on wall-clock and node order and must never leak
-	// across calls (checkpoint/resume bit-identity).
-	if !l.budgeted() {
-		l.solveCache = ilp.NewSolveCache(0)
-	}
 	return l
-}
-
-// budgeted reports whether relocation ILPs run under a node or time budget.
-// A budgeted solve can drop a slot the model admits, so every shortcut
-// around the solver (the solve cache, the unique-optimum shortcut, the
-// feasibility test of bounded slots) is off.
-func (l *Legalizer) budgeted() bool {
-	return l.Cfg.MaxNodes != 0 || l.Cfg.TimeLimit != 0
 }
 
 // window is the site/row extent the legalizer works in.
@@ -246,7 +203,6 @@ func (l *Legalizer) Run(cellID int32) []Candidate {
 // fan-out. scr must not be shared between concurrent callers; nil allocates
 // a fresh one. With a bound, the result is Run's minus the candidates at
 // slots the bound proved, in Run's order; a nil bound walks exactly as Run.
-// Budgeted legalizers ignore the bound (see budgeted).
 func (l *Legalizer) RunScratch(cellID int32, scr *Scratch, bound Bound) []Candidate {
 	start := time.Now()
 	defer func() { l.runNS.Add(time.Since(start).Nanoseconds()) }()
@@ -260,9 +216,6 @@ func (l *Legalizer) RunScratch(cellID int32, scr *Scratch, bound Bound) []Candid
 	}
 	if scr == nil {
 		scr = NewScratch()
-	}
-	if l.budgeted() {
-		bound = nil
 	}
 	scr.reset(l.medEpoch.Load())
 	w := l.windowAround(c)
@@ -410,9 +363,9 @@ const maxCells = 3
 
 // trySlot checks whether the critical cell can take pos. If cells are in
 // the way, the conflict cells (at most maxCells-1) are relocated inside the
-// window by the ILP; failure to relocate rejects the slot. A slot that bound
-// proves is only tested for feasibility (relocatable) and comes back with
-// proven set and no candidate.
+// window (relocateConflicts); failure to relocate rejects the slot. A slot
+// that bound proves is only tested for feasibility (relocatable) and comes
+// back with proven set and no candidate.
 func (l *Legalizer) trySlot(c *db.Cell, pos geom.Point, wi int, w window, med geom.Point, bound Bound, scr *Scratch) (cand Candidate, ok, proven bool) {
 	d := l.D
 	span := geom.Iv(pos.X, pos.X+c.Macro.Width)
@@ -463,21 +416,20 @@ func (l *Legalizer) trySlot(c *db.Cell, pos geom.Point, wi int, w window, med ge
 	}, true, false
 }
 
-// relocatable reports, without the ILP, whether relocateConflicts would
-// relocate the conflict cells of a target slot at pos on window row wt, of
-// which maxCells allows at most two. That is exactly the feasibility of the
-// Eq. 11 model (one slot per cell, no site taken twice), which an
-// unbudgeted solve always decides. A conflict cell's slots are its free
-// sites that do not overlap the target, cut to the maxSlotsPerConflict
-// cheapest, and a non-empty set is never cut to nothing:
+// relocatable reports whether relocateConflicts would relocate the
+// conflict cells of a target slot at pos on window row wt, of which
+// maxCells allows at most two, without costing or ordering their slots
+// where it can. A conflict cell's slots are its free sites that do not
+// overlap the target, cut to the maxSlotsPerConflict cheapest, and a
+// non-empty set is never cut to nothing:
 //
 //   - none: there is nothing to move;
 //   - one: it needs one slot, so the first free site off the target will
-//     do, without costs or order;
+//     do;
 //   - two: they need a pair of slots that does not overlap. While neither
 //     has more than maxSlotsPerConflict sites the cut keeps every site, so
 //     any pair of sites decides; otherwise the pair must come from the
-//     cheapest lists (filteredSlots), as the ILP's would.
+//     cheapest lists (filteredSlots), as relocation's does.
 func (l *Legalizer) relocatable(c *db.Cell, pos geom.Point, wt int, conflicts []*db.Cell, w window, scr *Scratch) bool {
 	if len(conflicts) == 0 {
 		return true
@@ -502,7 +454,6 @@ func (l *Legalizer) relocatable(c *db.Cell, pos geom.Point, wt int, conflicts []
 
 	sites := scr.sites[:0]
 	var offs [3]int
-	capped := false
 	for k, cc := range conflicts {
 		offs[k] = len(sites)
 		for wi, ri := range w.rows {
@@ -518,30 +469,21 @@ func (l *Legalizer) relocatable(c *db.Cell, pos geom.Point, wt int, conflicts []
 			scr.sites = sites[:0]
 			return false
 		} else if n > maxSlotsPerConflict {
-			capped = true
-			break
+			scr.sites = sites[:0]
+			filt, foffs, ok := l.filteredSlots(c, pos, wt, conflicts, w, scr)
+			if !ok {
+				return false
+			}
+			_, _, ok = relocation(filt, foffs, conflictWidths(conflicts))
+			return ok
 		}
 	}
 	scr.sites = sites[:0]
+	offs[2] = len(sites)
 	wa, wb := conflicts[0].Macro.Width, conflicts[1].Macro.Width
-	if !capped {
-		offs[2] = len(sites)
-		for _, a := range sites[offs[0]:offs[1]] {
-			for _, b := range sites[offs[1]:offs[2]] {
-				if !slotsOverlap(a, wa, b, wb) {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	filt, foffs, ok := l.filteredSlots(c, pos, wt, conflicts, w, scr)
-	if !ok {
-		return false
-	}
-	for _, sa := range filt[foffs[0]:foffs[1]] {
-		for _, sb := range filt[foffs[1]:foffs[2]] {
-			if !slotsOverlap(sa.p, wa, sb.p, wb) {
+	for _, a := range sites[offs[0]:offs[1]] {
+		for _, b := range sites[offs[1]:offs[2]] {
+			if !slotsOverlap(a, wa, b, wb) {
 				return true
 			}
 		}
@@ -555,218 +497,74 @@ func slotsOverlap(a geom.Point, wa int, b geom.Point, wb int) bool {
 	return a.Y == b.Y && a.X < b.X+wb && b.X < a.X+wa
 }
 
-// relocateConflicts builds and solves the Eq. 11 ILP for the conflict
-// cells: each must take exactly one free slot in the window, slots must not
-// overlap each other or the critical cell's target, and the objective is
-// the summed displacement toward each conflict cell's median.
+// relocateConflicts solves Eq. 11 for the conflict cells of a target slot:
+// each takes one free slot in the window, the slots overlap neither each
+// other nor the critical cell's target, and their summed displacement
+// toward each conflict cell's median is least (relocation).
 func (l *Legalizer) relocateConflicts(c *db.Cell, pos geom.Point, wt int, conflicts []*db.Cell, w window, scr *Scratch) (map[int32]geom.Point, float64, bool) {
-	d := l.D
-	sw := d.Tech.Site.Width
 	filt, offs, ok := l.filteredSlots(c, pos, wt, conflicts, w, scr)
 	if !ok {
 		return nil, 0, false // nowhere to put some conflict cell
 	}
-
-	// Phase 2: unique-optimum shortcut. When every conflict cell's cheapest
-	// slot is strictly cheaper than its second-cheapest, the sum of the
-	// minima is a lower bound on every assignment, and any other assignment
-	// pays strictly more in at least one cell — so if the minima are
-	// pairwise non-overlapping (site-caps hold; one-pos holds trivially)
-	// they are the unique optimum and any correct solver must return
-	// exactly them, with exactly this objective (component objectives are
-	// accumulated in conflict order, matching the sum below). Certified
-	// bit-exact against the full solver by
-	// TestRelocationShortcutBitIdentical; budgeted configs skip the
-	// shortcut because their degradation outcomes depend on node accounting
-	// the shortcut does not perform.
-	if !l.noShortcut && !l.budgeted() {
-		unique := true
-		for k := range conflicts {
-			s := filt[offs[k]:offs[k+1]]
-			if len(s) > 1 && s[0].cost >= s[1].cost {
-				unique = false
-				break
-			}
-		}
-		if unique {
-			feasible := true
-			for a := 0; a < len(conflicts) && feasible; a++ {
-				for b := a + 1; b < len(conflicts); b++ {
-					if slotsOverlap(filt[offs[a]].p, conflicts[a].Macro.Width, filt[offs[b]].p, conflicts[b].Macro.Width) {
-						feasible = false
-						break
-					}
-				}
-			}
-			if feasible {
-				l.shortcutSolves.Add(1)
-				moves := make(map[int32]geom.Point, len(conflicts))
-				cost := 0.0
-				for k, cc := range conflicts {
-					s := filt[offs[k]]
-					moves[cc.ID] = s.p
-					cost += s.cost
-				}
-				return moves, cost, true
-			}
-		}
-	}
-
-	// Phase 3: build the Eq. 11 model from the collected lists.
-	if scr.model == nil {
-		scr.model = ilp.NewModel()
-	}
-	m := scr.model
-	m.Reset()
-	vars := scr.vars[:0]
-	for k, cc := range conflicts {
-		slots := filt[offs[k]:offs[k+1]]
-		terms := make([]ilp.Term, 0, len(slots))
-		for _, s := range slots {
-			v := m.AddBinary("", s.cost)
-			vars = append(vars, varPos{cc.ID, int32(s.wi), s.p})
-			terms = append(terms, ilp.Term{Var: v, Coef: 1})
-		}
-		m.AddConstraint("one-pos", terms, ilp.EQ, 1)
-	}
-	scr.vars = vars[:0]
-
-	// Site-capacity rows over a dense per-window site grid, emitted in
-	// ascending (window row, site) order — exactly the order the former
-	// map-and-sort bookkeeping produced by sorting its (row, x) keys, and
-	// with terms in variable-creation order exactly as the map appends were,
-	// so the built model is byte-identical. Window rows are ascending row
-	// indices, and every slot footprint lies inside [lo, hi) of its row (the
-	// freeSitesFast walk bounds), so each row's columns are a contiguous
-	// block. Geometry pass: per-row first column and column offsets.
-	kLo := scr.siteKLo[:0]
-	colOff := scr.siteOff[:0]
-	totalCols := 0
-	for _, ri := range w.rows {
-		row := &d.Rows[ri]
-		span := row.Span(sw)
-		lo := geom.SnapUp(max(w.x0, span.Lo)-row.X, sw) + row.X
-		hi := min(w.x1, span.Hi)
-		colOff = append(colOff, int32(totalCols))
-		if hi-sw < lo {
-			kLo = append(kLo, 0) // row contributes no sites
-			continue
-		}
-		k0 := int32((lo - row.X) / sw)
-		k1 := int32((hi - sw - row.X) / sw)
-		kLo = append(kLo, k0)
-		totalCols += int(k1-k0) + 1
-	}
-	colOff = append(colOff, int32(totalCols))
-	scr.siteKLo, scr.siteOff = kLo, colOff
-
-	// Counting pass over every variable's footprint sites.
-	counts := scr.siteCol
-	if cap(counts) < totalCols {
-		counts = make([]int32, totalCols)
-	} else {
-		counts = counts[:totalCols]
-		for i := range counts {
-			counts[i] = 0
-		}
-	}
-	scr.siteCol = counts
-	nTerms := 0
-	for _, vp := range vars {
-		width := d.Cells[vp.cell].Macro.Width
-		row := &d.Rows[w.rows[vp.wi]]
-		col := colOff[vp.wi] + int32((vp.pos.X-row.X)/sw) - kLo[vp.wi]
-		for x := vp.pos.X; x < vp.pos.X+width; x += sw {
-			counts[col]++
-			col++
-			nTerms++
-		}
-	}
-	// Exclusive prefix sum turns counts into per-column fill cursors.
-	sum := int32(0)
-	for i := range counts {
-		n := counts[i]
-		counts[i] = sum
-		sum += n
-	}
-	// Fill pass: terms land grouped by column, in variable order within each
-	// column. The arena is sized up front so the subslices handed to
-	// AddConstraint stay valid for the lifetime of the model build.
-	siteTerms := scr.siteTerms
-	if cap(siteTerms) < nTerms {
-		siteTerms = make([]ilp.Term, nTerms)
-	} else {
-		siteTerms = siteTerms[:nTerms]
-	}
-	scr.siteTerms = siteTerms
-	for i, vp := range vars {
-		width := d.Cells[vp.cell].Macro.Width
-		row := &d.Rows[w.rows[vp.wi]]
-		col := colOff[vp.wi] + int32((vp.pos.X-row.X)/sw) - kLo[vp.wi]
-		for x := vp.pos.X; x < vp.pos.X+width; x += sw {
-			siteTerms[counts[col]] = ilp.Term{Var: ilp.VarID(i), Coef: 1}
-			counts[col]++
-			col++
-		}
-	}
-	// After the fill, counts[c] is the end offset of column c (and hence the
-	// start offset of column c+1). Constraint order steers the solver's
-	// tie-breaking between equal-cost optima, so the ascending emission here
-	// is load-bearing for determinism.
-	for c := 0; c < totalCols; c++ {
-		start := int32(0)
-		if c > 0 {
-			start = counts[c-1]
-		}
-		if counts[c]-start > 1 {
-			m.AddConstraint("site-cap", siteTerms[start:counts[c]], ilp.LE, 1)
-		}
-	}
-	t0 := time.Now()
-	sol := m.Solve(ilp.Options{
-		MaxNodes:  l.Cfg.MaxNodes,
-		TimeLimit: l.Cfg.TimeLimit,
-		Cache:     l.solveCache,
-	})
-	l.solveNS.Add(time.Since(t0).Nanoseconds())
-	switch {
-	case sol.Status == ilp.Optimal:
-		// Certified optimum; fall through to extraction.
-	case sol.Status == ilp.LimitReached && sol.HasIncumbent:
-		// Degradation ladder: the budget expired but the incumbent is an
-		// integer-feasible assignment of the model, i.e. every conflict
-		// cell takes exactly one pre-validated free slot and no site is
-		// double-booked — legal, just possibly not displacement-optimal.
-		l.incumbentKept.Add(1)
-	default:
-		// Infeasible (no way to clear the slot) or budget expired with no
-		// incumbent: drop the candidate slot entirely.
-		if sol.Status == ilp.LimitReached {
-			l.budgetDropped.Add(1)
-		}
+	pick, cost, ok := relocation(filt, offs, conflictWidths(conflicts))
+	if !ok {
 		return nil, 0, false
 	}
 	moves := make(map[int32]geom.Point, len(conflicts))
-	for i, vp := range vars {
-		if sol.Value(ilp.VarID(i)) {
-			moves[vp.cell] = vp.pos
+	for k, cc := range conflicts {
+		moves[cc.ID] = filt[pick[k]].p
+	}
+	return moves, cost, true
+}
+
+// conflictWidths returns the widths of at most maxCells-1 conflict cells.
+func conflictWidths(conflicts []*db.Cell) (w [maxCells - 1]int) {
+	for k, cc := range conflicts {
+		w[k] = cc.Macro.Width
+	}
+	return w
+}
+
+// relocation is the exact optimum of Eq. 11 for one or two conflict cells,
+// by enumeration. filt and offs hold the cells' slot lists as filteredSlots
+// returns them, each in (cost, Y, X) order, and widths[k] is conflict k's
+// width. One cell takes its first slot. Two take the pair of slots that do
+// not overlap with the lowest summed cost, and among equal sums the lowest
+// (rank of the first cell's slot, rank of the second's) in the lists'
+// order. pick[k] is conflict k's slot, an index into filt, and cost the
+// summed cost; ok is false when some list is empty or every pair overlaps.
+func relocation(filt []conSlot, offs []int32, widths [maxCells - 1]int) (pick [maxCells - 1]int32, cost float64, ok bool) {
+	a := filt[offs[0]:offs[1]]
+	if len(a) == 0 {
+		return pick, 0, false
+	}
+	if len(offs) == 2 {
+		return [maxCells - 1]int32{offs[0]}, a[0].cost, true
+	}
+	b := filt[offs[1]:offs[2]]
+	for i, sa := range a {
+		for j, sb := range b {
+			if slotsOverlap(sa.p, widths[0], sb.p, widths[1]) {
+				continue
+			}
+			if sum := sa.cost + sb.cost; !ok || sum < cost {
+				pick, cost, ok = [maxCells - 1]int32{offs[0] + int32(i), offs[1] + int32(j)}, sum, true
+			}
 		}
 	}
-	return moves, sol.Objective, true
+	return pick, cost, ok
 }
 
 // maxSlotsPerConflict caps each conflict cell's relocation domain to its
-// cheapest slots. Eq. 11 minimises displacement, so distant slots never win
-// — the cap only trims the ILP.
+// cheapest slots, so relocation scans at most 144 pairs.
 const maxSlotsPerConflict = 12
 
-// filteredSlots is phase 1 of relocateConflicts: each conflict cell's
-// feasible slot list for a target slot at pos on window row wt, sorted by
-// the (cost, Y, X) total order (conflictSlots). Slots overlapping the
-// critical cell's target are filtered out here, and only the cheapest few
-// kept: the ILP never benefits from far-away relocations (Eq. 11 minimises
-// displacement), and the cap keeps the model tiny. Filtering the sorted list
-// is the same as sorting the filtered set (total order). Lists live
+// filteredSlots is each conflict cell's feasible slot list for a target
+// slot at pos on window row wt, sorted by the (cost, Y, X) total order
+// (conflictSlots). Slots overlapping the critical cell's target are
+// filtered out here, and only the maxSlotsPerConflict cheapest kept.
+// Filtering the sorted list is the same as sorting the filtered set (total
+// order). Lists live
 // concatenated in scr.conSlots with offs[k] marking conflict k's start and
 // offs[len(conflicts)] the end. ok is false when some conflict cell has no
 // slot left.

@@ -6,20 +6,19 @@ import (
 
 	"github.com/crp-eda/crp/internal/db"
 	"github.com/crp-eda/crp/internal/geom"
-	"github.com/crp-eda/crp/internal/ilp"
 )
 
 // This file holds the GCP fast-path machinery around Run:
 //
 //   - Scratch: per-worker reusable buffers (median memo, window occupancy,
-//     relocation-model arenas) so the parallel candidate-generation fan-out
+//     relocation slot lists) so the parallel candidate-generation fan-out
 //     allocates almost nothing per critical cell;
 //   - a one-pass window occupancy snapshot that replaces the repeated
 //     db.FreeSitesIn scans (bit-exact: the same blocking intervals feed the
 //     same site walk);
 //   - a per-Run memo of each window row's free sites with only the
-//     critical cell ignored (rowFree), from which the relocation ILP's slot
-//     lists (conflictSlots) and the feasibility test of bounded slots
+//     critical cell ignored (rowFree), from which the relocation slot lists
+//     (conflictSlots) and the feasibility test of bounded slots
 //     (relocatable) read every row but the target row.
 
 // Scratch holds reusable per-worker state for RunScratch. It must not be
@@ -35,21 +34,13 @@ type Scratch struct {
 	free     []int
 	boundIDs []int32 // the conflict IDs handed to a Bound, ascending
 
-	// Relocation-model build buffers (relocateConflicts). The site* slices
-	// back the dense per-window site grid that replaced the former
-	// map-and-sort site-capacity bookkeeping.
+	// Slot-list buffers (runWindow, filteredSlots, relocatable).
 	ignore       []int32
 	winSlots     []winSlot
 	conSlotsFull []conSlot
 	conSlots     []conSlot
 	filtOff      []int32
 	sites        []geom.Point // relocatable's filtered sites
-	vars         []varPos
-	siteKLo      []int32
-	siteCol      []int32
-	siteOff      []int32
-	siteTerms    []ilp.Term
-	model        *ilp.Model
 
 	// Per-Run memo of each window row's free sites with only the critical
 	// cell ignored (see rowFree), keyed by (window row, width); spans index
@@ -77,15 +68,7 @@ type winSlot struct {
 // conSlot is one candidate relocation slot for a conflict cell.
 type conSlot struct {
 	p    geom.Point
-	wi   int
 	cost float64
-}
-
-// varPos maps a relocation-model variable back to (cell, slot).
-type varPos struct {
-	cell int32
-	wi   int32
-	pos  geom.Point
 }
 
 // NewScratch returns an empty scratch.
@@ -263,7 +246,7 @@ func (l *Legalizer) conflictSlots(c, cc *db.Cell, med geom.Point, w window, wt i
 		y := d.Rows[ri].Y
 		for _, x := range l.conflictRowSites(c, cc, w, wi, wt, ignore, scr) {
 			p := geom.Pt(x, y)
-			slots = append(slots, conSlot{p, wi, l.displacement(p, med)})
+			slots = append(slots, conSlot{p, l.displacement(p, med)})
 		}
 	}
 	scr.conSlotsFull = slots[:0]
@@ -295,10 +278,8 @@ func (l *Legalizer) BeginPass() {
 	l.medEpoch.Add(1)
 }
 
-// Timing reports the cumulative CPU time spent inside Run across all
-// workers, and the part of it spent inside relocation ILP solves. The
-// difference is pure candidate-generation work. Both are summed wall-clock
+// Timing reports the cumulative time spent inside Run, summed wall-clock
 // over concurrent workers, i.e. CPU-time-like, not elapsed time.
-func (l *Legalizer) Timing() (run, solve time.Duration) {
-	return time.Duration(l.runNS.Load()), time.Duration(l.solveNS.Load())
+func (l *Legalizer) Timing() time.Duration {
+	return time.Duration(l.runNS.Load())
 }

@@ -81,7 +81,8 @@ type Spec struct {
 
 	// Per-job budgets in milliseconds, mapped onto flow.Budgets
 	// (0: unlimited). Admission pressure never shrinks these: a job
-	// admitted with a budget keeps it for every attempt.
+	// admitted with a budget keeps it for every attempt. ILPBudgetMS caps
+	// each selection-ILP solve only (flow.Budgets.ILP).
 	FlowBudgetMS      int64 `json:"flow_budget_ms,omitempty"`
 	IterationBudgetMS int64 `json:"iteration_budget_ms,omitempty"`
 	ILPBudgetMS       int64 `json:"ilp_budget_ms,omitempty"`
