@@ -59,7 +59,6 @@ func BenchmarkTable3(b *testing.B) {
 			opts := experiments.DefaultOptions()
 			opts.Scale = benchScale()
 			opts.Circuits = []int{idx}
-			opts.SOTABudget = 0
 			var lastVia, lastWL float64
 			for i := 0; i < b.N; i++ {
 				res, err := experiments.Run(opts)

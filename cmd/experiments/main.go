@@ -17,7 +17,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"github.com/crp-eda/crp/internal/atomicio"
 	"github.com/crp-eda/crp/internal/experiments"
@@ -32,7 +31,6 @@ func main() {
 		all      = flag.Bool("all", false, "shorthand for -table2 -table3 -fig2 -fig3")
 		scale    = flag.Float64("scale", 0.02, "fraction of the contest circuit sizes")
 		circuits = flag.String("circuits", "", "comma-separated suite indices 0-9 (default all)")
-		budget   = flag.Duration("sota-budget", 90*time.Second, "wall-clock budget for the [18] substitute (0 = unlimited)")
 		quiet    = flag.Bool("q", false, "suppress progress output")
 		outPath  = flag.String("out", "", "also write the report here (atomic: temp + fsync + rename)")
 	)
@@ -73,7 +71,6 @@ func main() {
 
 	opts := experiments.DefaultOptions()
 	opts.Scale = *scale
-	opts.SOTABudget = *budget
 	if !*quiet {
 		opts.Progress = os.Stderr
 	}

@@ -12,13 +12,14 @@
 //     penalty, with no Eq. 10 penalty term;
 //   - an ILP selects, per cluster, which cells take their median slot,
 //     subject to overlap exclusion; the formulation is monolithic (the
-//     per-cluster model is solved without decomposition presolve);
+//     per-cluster model is solved without decomposition);
 //   - scalability is its weakness: "runtime is exponential and suffering
 //     from scalability issues", and it fails outright on ispd18_test10.
-//     That failure mode is reproduced with a wall-clock budget: when the
-//     budget expires before the sweep completes, Run reports Failed and
+//     That failure mode is reproduced by an instance-size budget
+//     (Config.MaxCells): on a larger design Run reports Failed and
 //     restores the design, exactly like a crashed run contributing no row
-//     to Table III.
+//     to Table III. A budget on design size, unlike one on wall-clock
+//     time, fails the same circuits on every host.
 package medianilp
 
 import (
@@ -38,9 +39,6 @@ import (
 type Config struct {
 	// ClusterSize is the number of cells per ILP (default 48).
 	ClusterSize int
-	// TimeBudget aborts the run (reporting Failed) when exceeded; zero
-	// means unlimited.
-	TimeBudget time.Duration
 	// MaxCells fails the run outright when the design has more movable
 	// cells; zero means unlimited. This models the published behaviour of
 	// [18], whose monolithic ILP formulation "is exponential and suffering
@@ -57,8 +55,9 @@ func DefaultConfig() Config {
 
 // Result reports a baseline run.
 type Result struct {
-	// Failed is true when a budget expired; the design and routing are
-	// restored to their pre-run state.
+	// Failed is true when the design exceeded MaxCells or the context
+	// was cancelled; the design and routing are restored to their pre-run
+	// state.
 	Failed     bool
 	MovedCells int
 	Clusters   int
@@ -69,8 +68,8 @@ type Result struct {
 
 // Run executes the median-move ILP sweep over every movable cell and
 // reroutes the affected nets. The router must hold the initial global
-// routing. Context cancellation is treated exactly like an expired
-// TimeBudget: the run reports Failed and the design is restored — the
+// routing. Context cancellation is treated exactly like a design over
+// MaxCells: the run reports Failed and the design is restored — the
 // baseline has no partial-result mode (matching [18]'s crash-or-complete
 // behaviour the paper reproduces).
 func Run(ctx context.Context, d *db.Design, g *grid.Grid, r *global.Router, cfg Config) *Result {
@@ -78,10 +77,6 @@ func Run(ctx context.Context, d *db.Design, g *grid.Grid, r *global.Router, cfg 
 		cfg.ClusterSize = DefaultConfig().ClusterSize
 	}
 	start := time.Now()
-	var deadline time.Time
-	if cfg.TimeBudget > 0 {
-		deadline = start.Add(cfg.TimeBudget)
-	}
 	res := &Result{}
 	snap := d.Snapshot()
 
@@ -95,7 +90,7 @@ func Run(ctx context.Context, d *db.Design, g *grid.Grid, r *global.Router, cfg 
 
 	movedNets := map[int32]bool{}
 	fail := func() *Result {
-		// Out of budget: this run produces no usable solution.
+		// Over budget or cancelled: this run produces no usable solution.
 		if err := d.Restore(snap); err != nil {
 			panic("medianilp: snapshot restore failed: " + err.Error())
 		}
@@ -111,11 +106,8 @@ func Run(ctx context.Context, d *db.Design, g *grid.Grid, r *global.Router, cfg 
 		if ctx.Err() != nil {
 			return fail()
 		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			return fail()
-		}
 		hi := min(lo+cfg.ClusterSize, len(ids))
-		moved, nodes := runCluster(d, g, ids[lo:hi], movedNets, deadline)
+		moved, nodes := runCluster(d, g, ids[lo:hi], movedNets)
 		res.MovedCells += moved
 		res.SolverNodes += nodes
 		res.Clusters++
@@ -146,7 +138,7 @@ const maxNodesPerILP = 20000
 
 // runCluster builds and solves one cluster's ILP and applies its moves,
 // returning the moved-cell count and the solver nodes spent.
-func runCluster(d *db.Design, g *grid.Grid, ids []int32, movedNets map[int32]bool, deadline time.Time) (int, int) {
+func runCluster(d *db.Design, g *grid.Grid, ids []int32, movedNets map[int32]bool) (int, int) {
 	type option struct {
 		cell int32
 		pos  geom.Point
@@ -212,29 +204,18 @@ func runCluster(d *db.Design, g *grid.Grid, ids []int32, movedNets map[int32]boo
 	}
 
 	// Monolithic solve: [18]'s formulation is one model, not decomposed.
-	solveOpts := ilp.Options{DisableDecomposition: true, MaxNodes: maxNodesPerILP}
-	if !deadline.IsZero() {
-		solveOpts.TimeLimit = time.Until(deadline)
-	}
-	sol := m.Solve(solveOpts)
+	sol := m.Solve(ilp.Options{DisableDecomposition: true, MaxNodes: maxNodesPerILP})
 	// Degradation ladder for this call site: anything short of Optimal —
 	// Infeasible (cannot happen: "stay" is always feasible, but handled
-	// anyway) or LimitReached (maxNodesPerILP or the run deadline fired) —
-	// skips the cluster, the documented fallback. Even a LimitReached
-	// incumbent is not applied: [18]'s published behaviour is
-	// solve-or-skip, and applying partial cluster solutions would change
-	// the baseline the paper compares against.
-	switch sol.Status {
-	case ilp.Optimal:
-	case ilp.Infeasible, ilp.LimitReached:
+	// anyway) or LimitReached (maxNodesPerILP fired) — skips the cluster,
+	// the documented fallback: [18]'s published behaviour is
+	// solve-or-skip.
+	if sol.Status != ilp.Optimal {
 		return 0, sol.Nodes // keep everything as-is for this cluster
-	default:
-		return 0, sol.Nodes
 	}
 
 	moved := 0
 	for vi, o := range opts {
-		// Value guards on HasIncumbent, so Values is never read blind.
 		if !o.move || !sol.Value(ilp.VarID(vi)) {
 			continue
 		}

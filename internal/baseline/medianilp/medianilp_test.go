@@ -3,7 +3,6 @@ package medianilp
 import (
 	"context"
 	"testing"
-	"time"
 
 	"github.com/crp-eda/crp/internal/db"
 	"github.com/crp-eda/crp/internal/grid"
@@ -59,15 +58,17 @@ func TestRunKeepsNetsRouted(t *testing.T) {
 	_ = g
 }
 
-func TestTimeBudgetFailureRestoresState(t *testing.T) {
+// TestCancelledRunRestoresState: a run whose context is already cancelled
+// fails and leaves the placement as it found it.
+func TestCancelledRunRestoresState(t *testing.T) {
 	d, g, r := fixture(t, 300, 250, 3)
 	snapHPWL := d.TotalHPWL()
 	pos0 := d.Cells[0].Pos
-	cfg := DefaultConfig()
-	cfg.TimeBudget = time.Nanosecond // guaranteed to trip
-	res := Run(context.Background(), d, g, r, cfg)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res := Run(ctx, d, g, r, DefaultConfig())
 	if !res.Failed {
-		t.Fatal("nanosecond budget did not fail")
+		t.Fatal("cancelled run did not fail")
 	}
 	if res.MovedCells != 0 {
 		t.Error("failed run reported moved cells")

@@ -238,7 +238,7 @@ const selectMaxNodes = 200_000
 func (e *Engine) selectCandidates(ctx context.Context, cands [][]candidate) (_ []*candidate, _ ilp.Solution, usedGreedy bool) {
 	chosen, active := pruneDominated(cands)
 	if len(active) == 0 {
-		return chosen, ilp.Solution{Status: ilp.Optimal, HasIncumbent: true}, false
+		return chosen, ilp.Solution{Status: ilp.Optimal}, false
 	}
 
 	m := ilp.NewModel()
@@ -375,11 +375,8 @@ func (e *Engine) selectCandidates(ctx context.Context, cands [][]candidate) (_ [
 
 	// Budget exhausted (or infeasible under an injected fault): fall back
 	// to a greedy improving selection — best gain first, skipping any move
-	// that collides with an already-accepted one. A LimitReached incumbent
-	// is deliberately not used here: unlike the legalizer's window models,
-	// Eq. 12 incumbents from a truncated search have shown no quality edge
-	// over the greedy order, and one fallback path is easier to reason
-	// about than two.
+	// that collides with an already-accepted one. A truncated search
+	// reports no assignment, so the greedy order is the one fallback.
 	type pick struct {
 		cc   cellCands
 		best int // candidate index, -1 = stay

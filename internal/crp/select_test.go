@@ -139,7 +139,7 @@ func TestSelectPrunesDominatedCandidates(t *testing.T) {
 }
 
 // TestSelectFallbackLadder is the degradation-ladder table test: every
-// non-Optimal solver outcome — LimitReached with and without an incumbent,
+// non-Optimal solver outcome — LimitReached with populated or nil Values,
 // and Infeasible — must drive selection onto the greedy fallback without
 // panicking, and the greedy path must still take the improving move.
 func TestSelectFallbackLadder(t *testing.T) {
@@ -148,12 +148,11 @@ func TestSelectFallbackLadder(t *testing.T) {
 		sol  func(m *ilp.Model) ilp.Solution
 	}{
 		{"limit-with-incumbent", func(m *ilp.Model) ilp.Solution {
-			// An incumbent exists but the search hit its budget; Values is
-			// populated (all zero) and must NOT be trusted for selection.
+			// The search hit its budget with Values populated (all zero);
+			// they must NOT be trusted for selection.
 			return ilp.Solution{
-				Status:       ilp.LimitReached,
-				HasIncumbent: true,
-				Values:       make([]int8, m.NumVars()),
+				Status: ilp.LimitReached,
+				Values: make([]int8, m.NumVars()),
 			}
 		}},
 		{"limit-no-incumbent", func(m *ilp.Model) ilp.Solution {

@@ -34,9 +34,6 @@ type Options struct {
 	Circuits []int
 	// K1 and K10 are the two iteration counts of Table III.
 	K1, K10 int
-	// SOTABudget is an optional wall-clock budget for the [18] substitute;
-	// zero disables it.
-	SOTABudget time.Duration
 	// SOTAMaxCells fails [18] runs on circuits with more movable cells,
 	// reproducing the paper's "Failed" entry for ispd18_test10 (its
 	// monolithic ILP did not scale to the largest circuit). When zero and
@@ -152,7 +149,6 @@ func RunCircuit(spec ispd.Spec, opts Options) (CircuitResult, error) {
 		return cr, err
 	}
 	fcfg := opts.Flow
-	fcfg.Baseline.TimeBudget = opts.SOTABudget
 	fcfg.Baseline.MaxCells = opts.SOTAMaxCells
 	cr.SOTA = flow.RunSOTA(ctx, d, fcfg)
 	reportDegradations("[18]", cr.SOTA)

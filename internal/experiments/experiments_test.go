@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/crp-eda/crp/internal/flow"
 )
@@ -16,7 +15,6 @@ func tinyOptions() Options {
 	opts.Circuits = []int{0}
 	opts.K1 = 1
 	opts.K10 = 3
-	opts.SOTABudget = 0
 	opts.Flow = flow.DefaultConfig()
 	opts.Flow.CRP.Workers = 2
 	return opts
@@ -93,13 +91,13 @@ func TestTable3Fig2Fig3Format(t *testing.T) {
 
 func TestSOTAFailureRendersAsFailed(t *testing.T) {
 	opts := tinyOptions()
-	opts.SOTABudget = time.Nanosecond
+	opts.SOTAMaxCells = 1
 	res, err := Run(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res[0].SOTA.Failed {
-		t.Fatal("nanosecond budget did not fail")
+		t.Fatal("one-cell budget did not fail")
 	}
 	var t3, f2 bytes.Buffer
 	Table3(&t3, res)

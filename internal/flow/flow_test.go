@@ -5,7 +5,6 @@ import (
 	"context"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/crp-eda/crp/internal/db"
 	"github.com/crp-eda/crp/internal/eco"
@@ -77,10 +76,10 @@ func TestRunSOTA(t *testing.T) {
 
 func TestRunSOTAFailure(t *testing.T) {
 	cfg := quickConfig()
-	cfg.Baseline.TimeBudget = time.Nanosecond
+	cfg.Baseline.MaxCells = 1
 	r := RunSOTA(context.Background(), design(t, 4), cfg)
 	if !r.Failed {
-		t.Fatal("nanosecond budget did not fail")
+		t.Fatal("one-cell budget did not fail")
 	}
 	if r.Metrics.Vias != 0 {
 		t.Error("failed run must carry no metrics")
@@ -142,7 +141,7 @@ func TestTimingsSumToTotal(t *testing.T) {
 		return r
 	}
 	failCfg := quickConfig()
-	failCfg.Baseline.TimeBudget = time.Nanosecond
+	failCfg.Baseline.MaxCells = 1
 
 	// A checkpointed run cancelled after iteration 1's checkpoint leaves
 	// work for the resume; the resumed design then holds the placement of

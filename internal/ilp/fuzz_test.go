@@ -5,15 +5,25 @@ import (
 	"testing"
 )
 
-// FuzzILPSolve decodes a byte string into a small 0/1 model and
-// cross-checks the default fast path against brute-force enumeration, the
-// presolve-off fast path, and the seed solver (SolveDense). Any status or optimal
-// objective divergence, or an infeasible "optimal" assignment, fails.
+// FuzzILPSolve decodes a byte string into a small 0/1 model and checks the
+// decomposed and the monolithic (DisableDecomposition) solve against
+// brute-force enumeration. Any status or optimal objective divergence, or
+// an infeasible "optimal" assignment, fails.
 func FuzzILPSolve(f *testing.F) {
 	f.Add([]byte{3, 2, 10, 0, 1, 200, 2, 1, 60, 1, 2, 130})
 	f.Add([]byte{1, 0})
 	f.Add([]byte{5, 1, 2, 3, 4, 5, 0, 3, 0, 1, 2, 100})
 	f.Add([]byte{7, 9, 9, 9, 9, 9, 9, 9, 2, 80, 0, 1, 2, 3, 90, 4, 5, 6, 0})
+	// The [18] baseline's cluster shape: three cells with a stay option
+	// (cost 0) and cheaper moves each, a pick-one EQ 1 row per cell and
+	// pairwise LE 1 exclusions between moves onto shared sites.
+	f.Add([]byte{7, 4, 2, 1, 4, 0, 4, 3, 2,
+		11, 32, 33, 34, 0, 11, 35, 36, 0, 11, 37, 38, 39, 0,
+		9, 33, 36, 0, 9, 34, 36, 0, 9, 36, 39, 0, 9, 34, 38, 0})
+	// The Eq. 12 selection shape: two cells, each with a stay option, both
+	// able to move to one shared slot (an LE 1 exclusion); the two optima
+	// tie at -2.
+	f.Add([]byte{4, 4, 1, 4, 0, 3, 11, 35, 36, 0, 11, 37, 38, 39, 0, 9, 36, 38, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, ok := decodeFuzzModel(data)
@@ -21,47 +31,21 @@ func FuzzILPSolve(f *testing.F) {
 			return
 		}
 		feasible, bestObj, _ := bruteForce(m)
-
-		fast := m.Solve(Options{})
-		noPre := m.Solve(Options{disablePresolve: true})
-		dense := m.SolveDense(Options{})
-
-		if fast.Status != dense.Status || noPre.Status != dense.Status {
-			t.Fatalf("status fast=%v noPresolve=%v dense=%v", fast.Status, noPre.Status, dense.Status)
-		}
-		if !feasible {
-			if fast.Status != Infeasible {
-				t.Fatalf("brute force infeasible, solver says %v", fast.Status)
+		for _, opt := range []Options{{}, {DisableDecomposition: true}} {
+			sol := m.Solve(opt)
+			if !feasible {
+				if sol.Status != Infeasible {
+					t.Fatalf("%+v: brute force infeasible, solver says %v", opt, sol.Status)
+				}
+				continue
 			}
-			return
-		}
-		if fast.Status != Optimal {
-			t.Fatalf("brute force feasible, solver says %v", fast.Status)
-		}
-		for name, sol := range map[string]Solution{"fast": fast, "noPresolve": noPre, "dense": dense} {
+			if sol.Status != Optimal {
+				t.Fatalf("%+v: brute force feasible, solver says %v", opt, sol.Status)
+			}
 			if math.Abs(sol.Objective-bestObj) > 1e-6 {
-				t.Fatalf("%s objective %v, brute force %v", name, sol.Objective, bestObj)
+				t.Fatalf("%+v: objective %v, brute force %v", opt, sol.Objective, bestObj)
 			}
-			obj := 0.0
-			for v := 0; v < m.NumVars(); v++ {
-				if sol.Values[v] == 1 {
-					obj += m.costs[v]
-				}
-			}
-			if math.Abs(obj-sol.Objective) > 1e-6 {
-				t.Fatalf("%s assignment worth %v, claimed %v", name, obj, sol.Objective)
-			}
-			for _, c := range m.cons {
-				lhs := 0.0
-				for _, tm := range c.Terms {
-					if sol.Values[tm.Var] == 1 {
-						lhs += tm.Coef
-					}
-				}
-				if !opHolds(lhs, c.Op, c.RHS) {
-					t.Fatalf("%s violates %q: %v %v %v", name, c.Name, lhs, c.Op, c.RHS)
-				}
-			}
+			checkSolutionFeasible(t, m, sol)
 		}
 	})
 }

@@ -5,32 +5,23 @@
 //	min  c·y
 //	s.t. A·y (<=,>=,=) b,   y ∈ {0,1}^n
 //
-// by decomposition into independent components, presolve reductions, and
-// best-first branch & bound with a sparse bounded-variable simplex as the
-// LP relaxation per node (a dense two-phase tableau takes over on numeric
-// trouble). It solves the paper's candidate-selection ILP (Eq. 12) and the
-// median-ILP baseline [18]'s models; the legalizer's Eq. 11 is solved by
-// enumeration (internal/legal), with this solver as its test oracle. Eq. 12
-// models are small 0/1 programs, so the solver returns certified optima;
-// node and time budgets allow the caller to model the scalability failure
-// of the state-of-the-art baseline [18]. SolveDense keeps the seed solver
-// (dense tableau, no presolve) as the reference the differential tests
-// compare Solve against; no production code calls it.
+// by splitting the model into independent components (union-find over the
+// variable/constraint incidence graph) and running best-first branch &
+// bound on each, with a fresh dense two-phase simplex tableau as the LP
+// relaxation of every node. It solves the paper's candidate-selection ILP
+// (Eq. 12) and the median-ILP baseline [18]'s cluster models; the
+// legalizer's Eq. 11 is solved by enumeration (internal/legal), with this
+// solver as its test oracle. Eq. 12 models are small 0/1 programs, so the
+// solver returns certified optima; node and time budgets bound a search,
+// which then reports LimitReached and no assignment. The solver's own
+// oracle is brute-force enumeration, in the tests.
 package ilp
 
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 )
-
-// fastScratchPool recycles solver workspaces across Solve calls, so
-// back-to-back solves (CR&P's selection model each iteration, the
-// baseline's cluster models) reuse their buffers instead of allocating
-// them. Pooling is invisible to results — every buffer is (re)initialised
-// before use.
-var fastScratchPool = sync.Pool{New: func() any { return &fastScratch{} }}
 
 // VarID identifies a model variable.
 type VarID int
@@ -81,15 +72,6 @@ type Model struct {
 // NewModel returns an empty model.
 func NewModel() *Model { return &Model{} }
 
-// Reset empties the model for rebuilding, keeping its capacity. Constraint
-// term slices added before the reset are owned by their callers and are not
-// touched.
-func (m *Model) Reset() {
-	m.costs = m.costs[:0]
-	m.names = m.names[:0]
-	m.cons = m.cons[:0]
-}
-
 // NumVars returns the number of variables added so far.
 func (m *Model) NumVars() int { return len(m.costs) }
 
@@ -112,6 +94,9 @@ func (m *Model) AddConstraint(name string, terms []Term, op Op, rhs float64) {
 	m.cons = append(m.cons, Constraint{Name: name, Terms: terms, Op: op, RHS: rhs})
 }
 
+// VarName returns the name a variable was created with.
+func (m *Model) VarName(v VarID) string { return m.names[v] }
+
 // Status is the outcome of a Solve call.
 type Status uint8
 
@@ -122,11 +107,8 @@ const (
 	// Infeasible means no integer assignment satisfies the constraints.
 	Infeasible
 	// LimitReached means a node or time budget expired before the search
-	// finished. Solution values hold the best incumbent if HasIncumbent.
-	// An incumbent is only reported when it covers the whole model: on
-	// decomposed models the budget must expire in the final component for
-	// the partial searches to add up to a feasible full assignment —
-	// otherwise HasIncumbent is false and Values must not be read.
+	// finished. The solution carries no assignment: Value reports false
+	// for every variable.
 	LimitReached
 )
 
@@ -142,8 +124,7 @@ func (s Status) String() string {
 	}
 }
 
-// Options tunes a Solve call. The zero value means: decompose, no limits,
-// presolve.
+// Options tunes a Solve call. The zero value means: decompose, no limits.
 type Options struct {
 	// MaxNodes caps the total branch & bound nodes across all components;
 	// 0 means unlimited. Negative values are rejected by Validate.
@@ -154,9 +135,6 @@ type Options struct {
 	// DisableDecomposition solves the model as a single component. Used
 	// to mirror monolithic formulations (the baseline [18] model).
 	DisableDecomposition bool
-	// disablePresolve keeps the sparse solver but skips the presolve
-	// reductions; set only by this package's parity tests.
-	disablePresolve bool
 }
 
 // Validate rejects option values outside their documented domain. Solve
@@ -172,86 +150,43 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// Solution is the result of a Solve call.
+// Solution is the result of a Solve call. Objective and Values are
+// meaningful only when Status is Optimal.
 type Solution struct {
-	Status       Status
-	HasIncumbent bool
-	Objective    float64
-	Values       []int8 // 0/1 per variable; valid when HasIncumbent
-	Nodes        int    // branch & bound nodes expanded
-	Components   int    // presolve components solved
+	Status     Status
+	Objective  float64
+	Values     []int8 // 0/1 per variable
+	Nodes      int    // branch & bound nodes expanded
+	Components int    // independent components solved
 }
 
-// Value returns the binary value of v in the solution.
+// Value returns the binary value of v in an Optimal solution, and false
+// for any other status.
 func (s *Solution) Value(v VarID) bool {
-	return s.HasIncumbent && s.Values[v] == 1
+	return s.Status == Optimal && s.Values[v] == 1
 }
 
-// Solve runs the solver. The model is not modified and may be solved again.
-// Invalid Options (see Options.Validate) cause a panic.
+// Solve runs the solver: the components in order, each by best-first
+// branch & bound, all spending from one node and time budget. The model is
+// not modified and may be solved again. Invalid Options (see
+// Options.Validate) cause a panic.
 func (m *Model) Solve(opt Options) Solution {
-	if sol, done := m.solveTrivial(opt); done {
-		return sol
-	}
-	fs := fastScratchPool.Get().(*fastScratch)
-	defer fastScratchPool.Put(fs)
-
-	// Stale lut entries are harmless: each component writes its own vars
-	// before any of its constraints read them.
-	lut := growI32(&fs.lut, len(m.costs))
-	bud := newBudget(opt)
-	return m.solveComponents(m.components(opt.DisableDecomposition, fs), &bud,
-		func(comp component) compSolution {
-			return solveComponentFast(m, comp, lut, &bud, opt, fs)
-		})
-}
-
-// solveTrivial validates opt (panicking on invalid options) and settles the
-// variable-free model, whose constraints must simply hold at zero. done is
-// false when the model needs a search.
-func (m *Model) solveTrivial(opt Options) (sol Solution, done bool) {
 	if err := opt.Validate(); err != nil {
 		panic(err.Error())
 	}
-	if len(m.costs) > 0 {
-		return Solution{}, false
+	var comps []component
+	if opt.DisableDecomposition {
+		comps = []component{m.monolith()}
+	} else {
+		comps = m.components()
 	}
-	for _, c := range m.cons {
-		if !opHolds(0, c.Op, c.RHS) {
-			return Solution{Status: Infeasible, Values: []int8{}}, true
-		}
-	}
-	return Solution{Status: Optimal, HasIncumbent: true, Values: []int8{}}, true
-}
-
-// solveComponents is the component loop Solve and SolveDense share: it
-// solves comps in order with solve, which spends from bud, and assembles
-// the per-component optima into one Solution.
-func (m *Model) solveComponents(comps []component, bud *budget, solve func(component) compSolution) Solution {
+	bud := newBudget(opt)
 	sol := Solution{Values: make([]int8, len(m.costs)), Components: len(comps)}
-	for ci, comp := range comps {
-		cs := solve(comp)
+	for _, comp := range comps {
+		cs := solveComponent(m, comp, &bud)
 		sol.Nodes = bud.nodes
-		switch cs.status {
-		case Infeasible:
-			sol.Status = Infeasible
-			sol.HasIncumbent = false
-			return sol
-		case LimitReached:
-			sol.Status = LimitReached
-			// The incumbent of the limited component completes a feasible
-			// full assignment only when every other component has already
-			// been solved (earlier components wrote their optima into
-			// Values; later ones never ran).
-			if cs.values != nil && ci == len(comps)-1 {
-				for i, v := range comp.vars {
-					sol.Values[v] = cs.values[i]
-				}
-				sol.Objective += cs.objective
-				sol.HasIncumbent = true
-			} else {
-				sol.HasIncumbent = false
-			}
+		if cs.status != Optimal {
+			sol.Status = cs.status
 			return sol
 		}
 		for i, v := range comp.vars {
@@ -260,8 +195,6 @@ func (m *Model) solveComponents(comps []component, bud *budget, solve func(compo
 		sol.Objective += cs.objective
 	}
 	sol.Status = Optimal
-	sol.HasIncumbent = true
-	sol.Nodes = bud.nodes
 	return sol
 }
 
@@ -276,27 +209,23 @@ func opHolds(lhs float64, op Op, rhs float64) bool {
 	}
 }
 
-// component is an independent sub-model found by presolve.
+// component is an independent sub-model.
 type component struct {
 	vars []VarID // global IDs, sorted
 	cons []int   // indices into m.cons
 }
 
 // components partitions variables and constraints into connected components
-// of the variable/constraint incidence graph, using union-find. Variables
-// that appear in no constraint each form a singleton component (solved by
-// sign of their cost). With disable set the whole model is one component.
-func (m *Model) components(disable bool, fs *fastScratch) []component {
+// of the variable/constraint incidence graph, using union-find, numbered in
+// order of their lowest variable. Variables that appear in no constraint
+// each form a singleton component.
+func (m *Model) components() []component {
 	n := len(m.costs)
-	if disable {
-		return []component{m.monolith()}
-	}
-	parent := growI32(&fs.ufParent, n)
-	idxOf := growI32(&fs.ufIdx, n)
+	parent := make([]int, n)
 	for i := range parent {
-		parent[i] = int32(i)
+		parent[i] = i
 	}
-	find := func(x int32) int32 {
+	find := func(x int) int {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
@@ -305,64 +234,40 @@ func (m *Model) components(disable bool, fs *fastScratch) []component {
 	}
 	for _, c := range m.cons {
 		for i := 1; i < len(c.Terms); i++ {
-			parent[find(int32(c.Terms[0].Var))] = find(int32(c.Terms[i].Var))
+			parent[find(int(c.Terms[0].Var))] = find(int(c.Terms[i].Var))
 		}
 	}
-	// Number components in first-seen (ascending variable) order — the same
-	// order the seed's append-per-variable grouping produces.
-	for i := range idxOf {
-		idxOf[i] = -1
-	}
-	nc := 0
+	byRoot := map[int]*component{}
+	var order []int
 	for v := 0; v < n; v++ {
-		if r := find(int32(v)); idxOf[r] < 0 {
-			idxOf[r] = int32(nc)
-			nc++
+		r := find(v)
+		comp, ok := byRoot[r]
+		if !ok {
+			comp = &component{}
+			byRoot[r] = comp
+			order = append(order, r)
 		}
+		comp.vars = append(comp.vars, VarID(v))
 	}
-	// Count vars and live cons per component, then carve every comp.vars /
-	// comp.cons out of two arenas: the whole partition costs O(n + nnz) and
-	// at most three allocations, amortised to zero across pooled solves.
-	liveCons := 0
-	cnt := growI32(&fs.compCnt, 2*nc)
-	for i := range cnt {
-		cnt[i] = 0
-	}
-	varCnt, conCnt := cnt[:nc], cnt[nc:]
-	for v := 0; v < n; v++ {
-		varCnt[idxOf[find(int32(v))]]++
-	}
-	for _, c := range m.cons {
-		if len(c.Terms) > 0 {
-			conCnt[idxOf[find(int32(c.Terms[0].Var))]]++
-			liveCons++
-		}
-	}
-	varsArena := fs.growVarArena(n)
-	consArena := fs.growConArena(liveCons)
-	out := fs.growComps(nc)
-	vOff, cOff := int32(0), int32(0)
-	for ci := 0; ci < nc; ci++ {
-		out[ci] = component{
-			vars: varsArena[vOff : vOff : vOff+varCnt[ci]],
-			cons: consArena[cOff : cOff : cOff+conCnt[ci]],
-		}
-		vOff += varCnt[ci]
-		cOff += conCnt[ci]
-	}
-	for v := 0; v < n; v++ {
-		ci := idxOf[find(int32(v))]
-		out[ci].vars = append(out[ci].vars, VarID(v))
-	}
+	var varFree []int
 	for ci, c := range m.cons {
 		if len(c.Terms) == 0 {
-			// Variable-free constraint: attached by appendVarFree.
+			varFree = append(varFree, ci)
 			continue
 		}
-		r := find(int32(c.Terms[0].Var))
-		out[idxOf[r]].cons = append(out[idxOf[r]].cons, ci)
+		r := find(int(c.Terms[0].Var))
+		byRoot[r].cons = append(byRoot[r].cons, ci)
 	}
-	return m.appendVarFree(out)
+	out := make([]component, 0, len(order)+1)
+	for _, r := range order {
+		out = append(out, *byRoot[r])
+	}
+	// Variable-free constraints go to a last component with no vars,
+	// checked once, so their infeasibility still surfaces.
+	if len(varFree) > 0 {
+		out = append(out, component{cons: varFree})
+	}
+	return out
 }
 
 // monolith is the whole model as a single component.
@@ -375,45 +280,6 @@ func (m *Model) monolith() component {
 		all.cons[i] = i
 	}
 	return all
-}
-
-// appendVarFree attaches the model's variable-free constraints to a dummy
-// component with no vars, checked once, so their infeasibility still
-// surfaces.
-func (m *Model) appendVarFree(comps []component) []component {
-	var emptyCons []int
-	for ci, c := range m.cons {
-		if len(c.Terms) == 0 {
-			emptyCons = append(emptyCons, ci)
-		}
-	}
-	if len(emptyCons) > 0 {
-		comps = append(comps, component{cons: emptyCons})
-	}
-	return comps
-}
-
-// growVarArena, growConArena and growComps hand out capacity-pinned buffers
-// for the component partition.
-func (fs *fastScratch) growVarArena(n int) []VarID {
-	if cap(fs.compVars) < n {
-		fs.compVars = make([]VarID, n)
-	}
-	return fs.compVars[:n]
-}
-
-func (fs *fastScratch) growConArena(n int) []int {
-	if cap(fs.compCons) < n {
-		fs.compCons = make([]int, n)
-	}
-	return fs.compCons[:n]
-}
-
-func (fs *fastScratch) growComps(n int) []component {
-	if cap(fs.comps) < n {
-		fs.comps = make([]component, n)
-	}
-	return fs.comps[:n]
 }
 
 // budget is shared search budget state across components.
@@ -448,6 +314,193 @@ type compSolution struct {
 	status    Status
 	values    []int8
 	objective float64
+}
+
+// solveComponent runs best-first branch & bound on one component.
+func solveComponent(m *Model, comp component, bud *budget) compSolution {
+	nv := len(comp.vars)
+	// No variables: just check the attached constant constraints.
+	if nv == 0 {
+		for _, ci := range comp.cons {
+			if !opHolds(0, m.cons[ci].Op, m.cons[ci].RHS) {
+				return compSolution{status: Infeasible}
+			}
+		}
+		return compSolution{status: Optimal}
+	}
+
+	local := make(map[VarID]int, nv)
+	costs := make([]float64, nv)
+	for i, v := range comp.vars {
+		local[v] = i
+		costs[i] = m.costs[v]
+	}
+	relax := func(fixed []int8) (lpStatus, []float64, float64) {
+		return relaxLP(m, comp, local, costs, fixed)
+	}
+
+	root := &bbNode{fixed: make([]int8, nv)}
+	for i := range root.fixed {
+		root.fixed[i] = -1
+	}
+	st, x, obj := relax(root.fixed)
+	if !bud.spend() {
+		return compSolution{status: LimitReached}
+	}
+	if st != lpOptimal {
+		// lpUnbounded cannot happen with 0<=x<=1 bounds; defensive.
+		return compSolution{status: Infeasible}
+	}
+	root.bound = obj
+
+	var best *compSolution
+	consider := func(x []float64, obj float64) {
+		vals := make([]int8, nv)
+		for i, v := range x {
+			if v > 0.5 {
+				vals[i] = 1
+			}
+		}
+		if best == nil || obj < best.objective-1e-12 {
+			best = &compSolution{status: Optimal, values: vals, objective: obj}
+		}
+	}
+	if frac := mostFractional(x); frac < 0 {
+		consider(x, obj)
+		return *best
+	}
+
+	heap := nodeHeap{}
+	heap.push(root)
+	for len(heap) > 0 {
+		node := heap.pop()
+		if best != nil && node.bound >= best.objective-1e-9 {
+			continue // pruned by incumbent
+		}
+		st, x, obj := relax(node.fixed)
+		if !bud.spend() {
+			return compSolution{status: LimitReached}
+		}
+		if st != lpOptimal {
+			continue
+		}
+		if best != nil && obj >= best.objective-1e-9 {
+			continue
+		}
+		branch := mostFractional(x)
+		if branch < 0 {
+			consider(x, obj)
+			continue
+		}
+		for _, val := range [2]int8{0, 1} {
+			child := &bbNode{fixed: append([]int8(nil), node.fixed...), bound: obj}
+			child.fixed[branch] = val
+			heap.push(child)
+		}
+	}
+	if best == nil {
+		return compSolution{status: Infeasible}
+	}
+	return *best
+}
+
+// relaxLP builds and solves the LP relaxation of a component under the
+// node's partial fixing. Fixed variables are folded into constraint RHS.
+func relaxLP(m *Model, comp component, local map[VarID]int, costs []float64, fixed []int8) (lpStatus, []float64, float64) {
+	nv := len(comp.vars)
+	freeIdx := make([]int, 0, nv) // local indices of free vars
+	colOf := make([]int, nv)
+	for i := range colOf {
+		colOf[i] = -1
+	}
+	fixedCost := 0.0
+	for i := 0; i < nv; i++ {
+		switch fixed[i] {
+		case -1:
+			colOf[i] = len(freeIdx)
+			freeIdx = append(freeIdx, i)
+		case 1:
+			fixedCost += costs[i]
+		}
+	}
+	nf := len(freeIdx)
+	p := &lpProblem{n: nf, c: make([]float64, nf)}
+	for col, i := range freeIdx {
+		p.c[col] = costs[i]
+	}
+	for _, ci := range comp.cons {
+		c := m.cons[ci]
+		a := make([]float64, nf)
+		rhs := c.RHS
+		hasFree := false
+		for _, t := range c.Terms {
+			li := local[t.Var]
+			switch fixed[li] {
+			case -1:
+				a[colOf[li]] += t.Coef
+				hasFree = true
+			case 1:
+				rhs -= t.Coef
+			}
+		}
+		if !hasFree {
+			if !opHolds(0, c.Op, rhs) {
+				return lpInfeasible, nil, 0
+			}
+			continue
+		}
+		p.rows = append(p.rows, lpRow{a: a, op: c.Op, b: rhs})
+	}
+	// Upper bounds x <= 1 per free variable — except where an equality
+	// constraint with unit coefficients and RHS <= 1 already implies the
+	// bound (the ubiquitous "pick exactly one" rows), which keeps the
+	// tableau small on assignment-shaped models.
+	implied := make([]bool, nf)
+	for _, ci := range comp.cons {
+		c := m.cons[ci]
+		if c.Op != EQ || c.RHS > 1+epsFeas {
+			continue
+		}
+		allUnitNonneg := true
+		for _, t := range c.Terms {
+			if t.Coef < 0 {
+				allUnitNonneg = false
+				break
+			}
+		}
+		if !allUnitNonneg {
+			continue
+		}
+		for _, t := range c.Terms {
+			if t.Coef >= 1-epsFeas {
+				if li := local[t.Var]; fixed[li] == -1 {
+					implied[colOf[li]] = true
+				}
+			}
+		}
+	}
+	for col := 0; col < nf; col++ {
+		if implied[col] {
+			continue
+		}
+		a := make([]float64, nf)
+		a[col] = 1
+		p.rows = append(p.rows, lpRow{a: a, op: LE, b: 1})
+	}
+	st, xf, obj := p.solve()
+	if st != lpOptimal {
+		return st, nil, 0
+	}
+	x := make([]float64, nv)
+	for i := 0; i < nv; i++ {
+		switch fixed[i] {
+		case -1:
+			x[i] = xf[colOf[i]]
+		case 1:
+			x[i] = 1
+		}
+	}
+	return lpOptimal, x, obj + fixedCost
 }
 
 // bbNode is one branch & bound search node: a partial 0/1 fixing.
@@ -512,6 +565,3 @@ func mostFractional(x []float64) int {
 	}
 	return idx
 }
-
-// VarName returns the name a variable was created with.
-func (m *Model) VarName(v VarID) string { return m.names[v] }

@@ -4,7 +4,7 @@ import "math"
 
 // This file implements a dense two-phase primal simplex used as the
 // relaxation solver inside branch & bound. Problems reaching it are the
-// small per-component LPs produced by presolve decomposition, so a dense
+// LP relaxations of single components under a node's fixings, so a dense
 // tableau with Bland's anti-cycling rule is both simple and fast enough.
 
 const (

@@ -8,7 +8,6 @@ import (
 	"github.com/crp-eda/crp/internal/crp"
 	"github.com/crp-eda/crp/internal/geom"
 	"github.com/crp-eda/crp/internal/grid"
-	"github.com/crp-eda/crp/internal/ilp"
 	"github.com/crp-eda/crp/internal/ispd"
 	"github.com/crp-eda/crp/internal/legal"
 	"github.com/crp-eda/crp/internal/route/global"
@@ -24,8 +23,8 @@ type flowOutcome struct {
 
 // runFlow runs a small full CR&P flow (k=3, 4 workers) on synthetic
 // testcase idx at scale 0.02. With seed set, the engine's legalizer runs
-// the seed implementation and every selection ILP is solved by the seed
-// solver, so no solve touches presolve or the sparse simplex.
+// the seed implementation; both sides solve the selection ILP with the
+// same solver.
 func runFlow(t *testing.T, idx int, seed bool) flowOutcome {
 	t.Helper()
 	d, err := ispd.Generate(ispd.Suite(0.02)[idx])
@@ -38,11 +37,6 @@ func runFlow(t *testing.T, idx int, seed bool) flowOutcome {
 	cfg := crp.DefaultConfig()
 	cfg.Iterations = 3
 	cfg.Workers = 4
-	if seed {
-		cfg.Hooks.SolveSelection = func(m *ilp.Model, opt ilp.Options) ilp.Solution {
-			return m.SolveDense(opt)
-		}
-	}
 	e := crp.New(d, g, r, cfg)
 	if seed {
 		legal.UseSeed(e.L)
@@ -61,12 +55,12 @@ func runFlow(t *testing.T, idx int, seed bool) flowOutcome {
 }
 
 // TestFlowFastVsDenseParity is the flow half of the differential-parity
-// ladder: full CR&P runs through the shipped engine (occupancy snapshot, row
-// memo, enumerated relocation, stay-put bound, sparse selection solver with
-// presolve) and through the seed engine (seed legalizer with its own
-// brute-force relocation, SolveDense selection) must make identical moves
-// and end with identical placements, statistics and routing cost on
-// crp_test1 and crp_test2.
+// ladder: full CR&P runs through the shipped legalizer (occupancy
+// snapshot, row memo, enumerated relocation, stay-put bound) and through
+// the seed legalizer (with its own brute-force relocation) must make
+// identical moves and end with identical placements, statistics and
+// routing cost on crp_test1 and crp_test2. The two sides differ only in
+// the legalizer: both solve the selection ILP with ilp.Model.Solve.
 func TestFlowFastVsDenseParity(t *testing.T) {
 	for _, idx := range []int{0, 1} {
 		fast := runFlow(t, idx, false)
