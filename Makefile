@@ -63,12 +63,15 @@ bench-smoke:
 ## one workload and seed, then each end-to-end metric's medians [Q1, Q3],
 ## the change's wins and a verdict (scripts/bench-pairs.sh), e.g.
 ## `make bench-pairs PARENT=HEAD~1 WORKLOAD=flow_fig3 PAIRS=10 SEED=3`.
+## TRACE=1 runs the pairs with --trace 1 and adds each per-layer metric's
+## medians [Q1, Q3] and wins (no verdict: per-layer metrics have no bound).
 PARENT ?= HEAD
 WORKLOAD ?= flow_fig3
 PAIRS ?= 10
 SEED ?= 1
+TRACE ?= 0
 bench-pairs:
-	bash scripts/bench-pairs.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(SEED)
+	bash scripts/bench-pairs.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(SEED) $(TRACE)
 
 ## output-identity: a report, not a gate (not in check): runs cmd/crp of
 ## PARENT and of the working tree on the same benchgen inputs — crp_test1–10
@@ -147,6 +150,8 @@ fuzz-smoke:
 	$(GO) test ./internal/lefdef -fuzz 'FuzzParseLEF$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x
 	$(GO) test ./internal/lefdef -fuzz 'FuzzParseDEF$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x
 	$(GO) test ./internal/lefdef -fuzz 'FuzzDEFRoundTrip$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x
+	$(GO) test ./internal/lefdef -fuzz 'FuzzTokenizer$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x
+	$(GO) test ./internal/lefdef -fuzz 'FuzzWriteDEFMatchesOracle$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x
 	$(GO) test ./internal/checkpoint -fuzz 'FuzzCheckpointDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x
 	$(GO) test ./internal/view -fuzz 'FuzzOverlayCommit$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x
 	$(GO) test ./internal/ilp -fuzz 'FuzzILPSolve$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x

@@ -192,10 +192,15 @@ func (d *Design) buildIndices() error {
 		d.cellByName[c.Name] = c
 		c.Nets = c.Nets[:0]
 	}
+	netNames := make(map[string]struct{}, len(d.Nets))
 	for i, n := range d.Nets {
 		if n.ID != int32(i) {
 			return fmt.Errorf("db: net %q has ID %d at position %d", n.Name, n.ID, i)
 		}
+		if _, dup := netNames[n.Name]; dup {
+			return fmt.Errorf("db: duplicate net %q", n.Name)
+		}
+		netNames[n.Name] = struct{}{}
 		for _, pr := range n.Pins {
 			if pr.Cell < 0 || int(pr.Cell) >= len(d.Cells) {
 				return fmt.Errorf("db: net %q references cell %d (have %d cells)", n.Name, pr.Cell, len(d.Cells))

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/crp-eda/crp/internal/db"
 	"github.com/crp-eda/crp/internal/ispd"
 )
 
@@ -23,6 +24,27 @@ func lefSeed(t testing.TB) string {
 	}
 	var buf bytes.Buffer
 	if err := WriteLEF(&buf, d.Tech, d.Macros); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// fuzzDEFDesign is a small design with IO pins and a blockage, so its DEF
+// has every section the parser reads.
+func fuzzDEFDesign(t testing.TB) *db.Design {
+	d, err := ispd.Generate(ispd.Spec{
+		Name: "fuzzio", Node: "n45", Cells: 60, Nets: 40,
+		Utilisation: 0.8, IOFraction: 0.2, Obstacles: 2, Seed: 80,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+func defSeed(t testing.TB) string {
+	var buf bytes.Buffer
+	if err := WriteDEF(&buf, fuzzDEFDesign(t)); err != nil {
 		t.Fatal(err)
 	}
 	return buf.String()

@@ -2,6 +2,9 @@ package lefdef
 
 import (
 	"bytes"
+	"fmt"
+	"io"
+	"slices"
 	"strings"
 	"testing"
 
@@ -35,8 +38,17 @@ func TestLEFRoundTrip(t *testing.T) {
 	for i, l := range d.Tech.Layers {
 		l2 := t2.Layers[i]
 		if l2.Name != l.Name || l2.Dir != l.Dir || l2.Pitch != l.Pitch ||
-			l2.Width != l.Width || l2.Spacing != l.Spacing || l2.MinArea != l.MinArea {
+			l2.Width != l.Width || l2.Spacing != l.Spacing || l2.MinArea != l.MinArea ||
+			l2.Offset != l.Offset {
 			t.Errorf("layer %d mismatch: %+v vs %+v", i, l2, l)
+		}
+	}
+	if len(t2.Vias) != len(d.Tech.Vias) {
+		t.Fatalf("vias %d != %d", len(t2.Vias), len(d.Tech.Vias))
+	}
+	for i, v := range d.Tech.Vias {
+		if v2 := t2.Vias[i]; v2.Name != v.Name || v2.Below != v.Below || v2.CutSize != v.CutSize {
+			t.Errorf("via %d mismatch: %+v vs %+v", i, v2, v)
 		}
 	}
 	if t2.Site != d.Tech.Site {
@@ -94,6 +106,11 @@ func TestDEFRoundTrip(t *testing.T) {
 		t.Fatalf("counts differ: rows %d/%d cells %d/%d nets %d/%d",
 			len(d2.Rows), len(d.Rows), len(d2.Cells), len(d.Cells), len(d2.Nets), len(d.Nets))
 	}
+	for i, r := range d.Rows {
+		if r2 := d2.Rows[i]; r2.X != r.X || r2.Y != r.Y || r2.Orient != r.Orient || r2.NumSites != r.NumSites {
+			t.Errorf("row %d mismatch: %+v vs %+v", i, r2, r)
+		}
+	}
 	for i, c := range d.Cells {
 		c2 := d2.Cells[i]
 		if c2.Name != c.Name || c2.Pos != c.Pos || c2.Orient != c.Orient ||
@@ -120,9 +137,13 @@ func TestDEFRoundTrip(t *testing.T) {
 	if len(d2.Obs) != len(d.Obs) {
 		t.Fatalf("obstacles %d != %d", len(d2.Obs), len(d.Obs))
 	}
-	for i := range d.Obs {
-		if d2.Obs[i].Rect != d.Obs[i].Rect {
+	for i, o := range d.Obs {
+		o2 := d2.Obs[i]
+		if o2.Rect != o.Rect {
 			t.Errorf("obstacle %d rect mismatch", i)
+		}
+		if o2.Name != o.Name || !slices.Equal(o2.Layers, o.Layers) {
+			t.Errorf("obstacle %d: %s on %v, want %s on %v", i, o2.Name, o2.Layers, o.Name, o.Layers)
 		}
 	}
 	// The parsed design is fully valid.
@@ -198,19 +219,99 @@ func TestParseDEFRejectsUnknownMacro(t *testing.T) {
 	}
 }
 
+// TestTokenizerHandlesCommentsAndParens pins the tokenizer's rules: what
+// separates tokens, what a comment covers, and that parentheses stand alone.
 func TestTokenizerHandlesCommentsAndParens(t *testing.T) {
-	tk, err := newTokenizer(strings.NewReader("A (1 2) # comment\nB ;"))
+	for _, tc := range []struct {
+		name, in string
+		want     []string
+	}{
+		{"comment and parens", "A (1 2) # comment\nB ;", []string{"A", "(", "1", "2", ")", "B", ";"}},
+		{"CRLF line ends", "A (1 2)\r\nB ;\r\n", []string{"A", "(", "1", "2", ")", "B", ";"}},
+		{"vertical tab and form feed", "A\vB\fC", []string{"A", "B", "C"}},
+		{"multi-byte spaces", "A\u0085B\u00a0C\u3000D", []string{"A", "B", "C", "D"}},
+		{"invalid UTF-8 inside a token", "A\xffB C", []string{"A\xffB", "C"}},
+		{"hash glued to a token", "AB#C D\nE", []string{"AB", "E"}},
+		{"comment runs past CR to LF", "A # x\rB\nC", []string{"A", "C"}},
+		{"comment on a last line without newline", "A ;\n# end", []string{"A", ";"}},
+		{"parens glued on both sides", "a(b)c", []string{"a", "(", "b", ")", "c"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tk, err := newTokenizer(strings.NewReader(tc.in))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range tc.want {
+				got, err := tk.next()
+				if err != nil || got != w {
+					t.Fatalf("token = %q (%v), want %q", got, err, w)
+				}
+			}
+			if !tk.done() {
+				t.Errorf("tokens left over: %q", tk.peek())
+			}
+			if _, err := tk.next(); err != io.ErrUnexpectedEOF {
+				t.Errorf("next past the end = %v, want io.ErrUnexpectedEOF", err)
+			}
+		})
+	}
+	t.Run("token index in expect's error", func(t *testing.T) {
+		tk, err := newTokenizer(strings.NewReader("A ( B"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tk.expect("A"); err != nil {
+			t.Fatal(err)
+		}
+		tk.next()
+		err = tk.expect("C")
+		if want := `lefdef: expected "C", got "B" (token 3)`; err == nil || err.Error() != want {
+			t.Errorf("expect error = %v, want %s", err, want)
+		}
+	})
+}
+
+// TestParseDEFRejectsDuplicateNames: two nets, or two IO pins, of one name
+// make a DEF whose guides and pin attachments are ambiguous.
+func TestParseDEFRejectsDuplicateNames(t *testing.T) {
+	d, err := ispd.Generate(ispd.Spec{
+		Name: "dup", Node: "n45", Cells: 60, Nets: 40,
+		Utilisation: 0.8, IOFraction: 0.2, Seed: 12,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"A", "(", "1", "2", ")", "B", ";"}
-	for _, w := range want {
-		got, err := tk.next()
-		if err != nil || got != w {
-			t.Fatalf("token = %q (%v), want %q", got, err, w)
+	var def bytes.Buffer
+	if err := WriteDEF(&def, d); err != nil {
+		t.Fatal(err)
+	}
+	var plain, ios []string
+	for _, n := range d.Nets {
+		if len(n.IOs) == 0 {
+			plain = append(plain, n.Name)
+		}
+		for _, p := range n.IOs {
+			ios = append(ios, p.Name)
 		}
 	}
-	if !tk.done() {
-		t.Error("tokens left over")
+	if len(plain) < 2 || len(ios) < 2 {
+		t.Fatalf("fixture has %d plain nets and %d IO pins, need 2 of each", len(plain), len(ios))
+	}
+	for _, tc := range []struct {
+		name, from, to, want string
+	}{
+		{"net", "\n- " + plain[1] + " ", "\n- " + plain[0] + " ", fmt.Sprintf("db: duplicate net %q", plain[0])},
+		{"IO pin", "\n- " + ios[1] + " + NET", "\n- " + ios[0] + " + NET", fmt.Sprintf("lefdef: duplicate IO pin %q", ios[0])},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			in := strings.Replace(def.String(), tc.from, tc.to, 1)
+			if in == def.String() {
+				t.Fatalf("%q not in the fixture's DEF", tc.from)
+			}
+			_, err := ParseDEF(strings.NewReader(in), d.Tech, d.Macros)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("ParseDEF error = %v, want %s", err, tc.want)
+			}
+		})
 	}
 }

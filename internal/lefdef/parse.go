@@ -1,12 +1,13 @@
 package lefdef
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"github.com/crp-eda/crp/internal/db"
 	"github.com/crp-eda/crp/internal/geom"
@@ -15,48 +16,119 @@ import (
 
 // tokenizer splits a LEF/DEF stream into whitespace-separated tokens,
 // treating parentheses as standalone tokens (DEF surrounds them with
-// whitespace anyway, but inputs from other tools may not).
+// whitespace anyway, but inputs from other tools may not). It reads the
+// input once and scans it in place: every token is a substring of src, so
+// names the parsers keep point into the input.
+//
+// Its tokens must equal those of the oracle in oracle_test.go on every
+// input (FuzzTokenizer): "#" starts a comment that runs to the next "\n"
+// and ends any token it touches; "(" and ")" are tokens of their own;
+// whitespace is exactly unicode.IsSpace, as strings.Fields applies it;
+// bytes of invalid UTF-8 are token bytes.
 type tokenizer struct {
-	toks []string
-	pos  int
+	src string
+	off int    // byte offset where the scan after tok resumes
+	tok string // the next token; "" once the input is exhausted
+	pos int    // tokens consumed, reported by expect
 }
 
 func newTokenizer(r io.Reader) (*tokenizer, error) {
-	var toks []string
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	for sc.Scan() {
-		line := sc.Text()
-		if i := strings.Index(line, "#"); i >= 0 {
-			line = line[:i]
-		}
-		line = strings.ReplaceAll(line, "(", " ( ")
-		line = strings.ReplaceAll(line, ")", " ) ")
-		toks = append(toks, strings.Fields(line)...)
-	}
-	if err := sc.Err(); err != nil {
+	b, err := io.ReadAll(r)
+	if err != nil {
 		return nil, err
 	}
-	return &tokenizer{toks: toks}, nil
+	t := &tokenizer{src: string(b)}
+	t.scan()
+	return t, nil
 }
 
-func (t *tokenizer) done() bool { return t.pos >= len(t.toks) }
+// Byte classes of the scanner. Bytes of multi-byte runes are classed
+// byteRune and decoded, since a few (U+0085, U+00A0, U+2000–U+200A, ...)
+// are whitespace.
+const (
+	byteToken = iota
+	byteSpace
+	byteParen
+	byteComment
+	byteRune
+)
+
+var byteClass = func() (c [256]uint8) {
+	for _, b := range "\t\n\v\f\r " {
+		c[b] = byteSpace
+	}
+	c['('], c[')'], c['#'] = byteParen, byteParen, byteComment
+	for b := utf8.RuneSelf; b < 256; b++ {
+		c[b] = byteRune
+	}
+	return c
+}()
+
+// spaceAt decodes the rune at s[i] and returns its byte width and whether
+// it is whitespace. Decoding from the first byte of each multi-byte run, as
+// strings.Fields does, splits invalid UTF-8 the same way.
+func spaceAt(s string, i int) (n int, space bool) {
+	r, n := utf8.DecodeRuneInString(s[i:])
+	return n, unicode.IsSpace(r)
+}
+
+// scan moves tok to the token that starts at or after off.
+func (t *tokenizer) scan() {
+	s, i := t.src, t.off
+	for i < len(s) {
+		switch byteClass[s[i]] {
+		case byteSpace:
+			i++
+			continue
+		case byteComment:
+			if j := strings.IndexByte(s[i:], '\n'); j >= 0 {
+				i += j + 1
+			} else {
+				i = len(s)
+			}
+			continue
+		case byteRune:
+			if n, space := spaceAt(s, i); space {
+				i += n
+				continue
+			}
+		case byteParen:
+			t.tok, t.off = s[i:i+1], i+1
+			return
+		}
+		break
+	}
+	start := i
+	for i < len(s) {
+		c := byteClass[s[i]]
+		if c == byteToken {
+			i++
+			continue
+		}
+		if c == byteRune {
+			if n, space := spaceAt(s, i); !space {
+				i += n
+				continue
+			}
+		}
+		break
+	}
+	t.tok, t.off = s[start:i], i
+}
+
+func (t *tokenizer) done() bool { return t.tok == "" }
 
 func (t *tokenizer) next() (string, error) {
 	if t.done() {
 		return "", io.ErrUnexpectedEOF
 	}
-	tok := t.toks[t.pos]
+	tok := t.tok
 	t.pos++
+	t.scan()
 	return tok, nil
 }
 
-func (t *tokenizer) peek() string {
-	if t.done() {
-		return ""
-	}
-	return t.toks[t.pos]
-}
+func (t *tokenizer) peek() string { return t.tok }
 
 // expect consumes the next token and verifies it.
 func (t *tokenizer) expect(want string) error {

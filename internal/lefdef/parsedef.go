@@ -3,6 +3,8 @@ package lefdef
 import (
 	"fmt"
 	"io"
+	"slices"
+	"strconv"
 
 	"github.com/crp-eda/crp/internal/db"
 	"github.com/crp-eda/crp/internal/geom"
@@ -29,7 +31,7 @@ func ParseDEF(r io.Reader, t *tech.Tech, macros []*db.Macro) (*db.Design, error)
 		nets  []*db.Net
 		obs   []db.Obstacle
 	)
-	cellByName := map[string]*db.Cell{}
+	var cellByName map[string]*db.Cell // made at COMPONENTS, sized by its count
 	// IO pins arrive before NETS; stash them by net name.
 	type pendingIO struct {
 		io  db.IOPin
@@ -68,8 +70,13 @@ func ParseDEF(r io.Reader, t *tech.Tech, macros []*db.Macro) (*db.Design, error)
 			row.Index = int32(len(rows))
 			rows = append(rows, row)
 		case "COMPONENTS":
-			if err := tk.skipStatement(); err != nil { // count ;
+			count, err := tk.sectionCount()
+			if err != nil {
 				return nil, err
+			}
+			cells = slices.Grow(cells, count)
+			if cellByName == nil {
+				cellByName = make(map[string]*db.Cell, count)
 			}
 			for tk.peek() == "-" {
 				tk.next()
@@ -115,9 +122,11 @@ func ParseDEF(r io.Reader, t *tech.Tech, macros []*db.Macro) (*db.Design, error)
 				return nil, err
 			}
 		case "NETS":
-			if err := tk.skipStatement(); err != nil {
+			count, err := tk.sectionCount()
+			if err != nil {
 				return nil, err
 			}
+			nets = slices.Grow(nets, count)
 			for tk.peek() == "-" {
 				tk.next()
 				n, err := parseNet(tk, cellByName)
@@ -148,11 +157,16 @@ func ParseDEF(r io.Reader, t *tech.Tech, macros []*db.Macro) (*db.Design, error)
 	}
 
 	// Attach IO pins to their nets.
-	netByName := map[string]*db.Net{}
+	netByName := make(map[string]*db.Net, len(nets))
 	for _, n := range nets {
 		netByName[n.Name] = n
 	}
+	ioNames := make(map[string]bool, len(ios))
 	for _, p := range ios {
+		if ioNames[p.io.Name] {
+			return nil, fmt.Errorf("lefdef: duplicate IO pin %q", p.io.Name)
+		}
+		ioNames[p.io.Name] = true
 		n, ok := netByName[p.net]
 		if !ok {
 			return nil, fmt.Errorf("lefdef: IO pin %s references unknown net %q", p.io.Name, p.net)
@@ -161,6 +175,17 @@ func ParseDEF(r io.Reader, t *tech.Tech, macros []*db.Macro) (*db.Design, error)
 	}
 
 	return db.New(name, t, die, rows, macros, cells, nets, obs)
+}
+
+// sectionCount consumes a section header's "count ;" and returns the count
+// as a capacity hint: a malformed count reads as 0, and any count is capped
+// by what the rest of the input can hold, so a forged count allocates
+// nothing large.
+func (t *tokenizer) sectionCount() (int, error) {
+	const minRecordBytes = 16
+	n, _ := strconv.Atoi(t.peek())
+	n = max(0, min(n, (len(t.src)-t.off)/minRecordBytes))
+	return n, t.skipStatement()
 }
 
 func expectEnd(tk *tokenizer, section string) error {
