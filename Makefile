@@ -161,6 +161,7 @@ fuzz-smoke:
 	$(GO) test ./internal/eco -fuzz 'FuzzDeltaApply$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x
 	$(GO) test ./internal/grid -fuzz 'FuzzGridPrices$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x
 	$(GO) test ./internal/route/global -fuzz 'FuzzMazeGate$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x
+	$(GO) test ./internal/route/global -fuzz 'FuzzPatternRoute$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x
 	$(GO) test ./internal/route/global -fuzz 'FuzzEstimateLowerBound$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x
 
 ## experiments-check: regenerates Tables II and III at scale 0.02 (~2 min)

@@ -148,6 +148,7 @@ type Design struct {
 
 	macroByName map[string]*Macro
 	cellByName  map[string]*Cell
+	netByName   map[string]*Net
 }
 
 // New assembles a Design from its parts, builds the derived indices, and
@@ -192,15 +193,15 @@ func (d *Design) buildIndices() error {
 		d.cellByName[c.Name] = c
 		c.Nets = c.Nets[:0]
 	}
-	netNames := make(map[string]struct{}, len(d.Nets))
+	d.netByName = make(map[string]*Net, len(d.Nets))
 	for i, n := range d.Nets {
 		if n.ID != int32(i) {
 			return fmt.Errorf("db: net %q has ID %d at position %d", n.Name, n.ID, i)
 		}
-		if _, dup := netNames[n.Name]; dup {
+		if _, dup := d.netByName[n.Name]; dup {
 			return fmt.Errorf("db: duplicate net %q", n.Name)
 		}
-		netNames[n.Name] = struct{}{}
+		d.netByName[n.Name] = n
 		for _, pr := range n.Pins {
 			if pr.Cell < 0 || int(pr.Cell) >= len(d.Cells) {
 				return fmt.Errorf("db: net %q references cell %d (have %d cells)", n.Name, pr.Cell, len(d.Cells))
@@ -358,6 +359,12 @@ func (d *Design) MacroByName(name string) (*Macro, bool) {
 func (d *Design) CellByName(name string) (*Cell, bool) {
 	c, ok := d.cellByName[name]
 	return c, ok
+}
+
+// NetByName looks up a net.
+func (d *Design) NetByName(name string) (*Net, bool) {
+	n, ok := d.netByName[name]
+	return n, ok
 }
 
 // WasCritical reports hist_c for a cell (labelled critical in an earlier

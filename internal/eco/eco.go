@@ -213,14 +213,8 @@ func (dl *Delta) Validate(d *db.Design) error {
 			continue
 		}
 		rewired[nc.Net] = true
-		var net *db.Net
-		for _, n := range d.Nets {
-			if n.Name == nc.Net {
-				net = n
-				break
-			}
-		}
-		if net == nil {
+		net, ok := d.NetByName(nc.Net)
+		if !ok {
 			bad("rewired net %q does not exist", nc.Net)
 			continue
 		}
@@ -289,12 +283,8 @@ func (dl *Delta) Resolve(d *db.Design) (view.DeltaOps, error) {
 		}
 		ops.Moves[c.ID] = geom.Pt(mv.X, mv.Y)
 	}
-	netByName := make(map[string]*db.Net, len(d.Nets))
-	for _, n := range d.Nets {
-		netByName[n.Name] = n
-	}
 	for _, nc := range dl.Nets {
-		n, ok := netByName[nc.Net]
+		n, ok := d.NetByName(nc.Net)
 		if !ok {
 			return view.DeltaOps{}, fmt.Errorf("eco: rewired net %q does not exist", nc.Net)
 		}

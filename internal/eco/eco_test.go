@@ -321,3 +321,75 @@ func netPins(d *db.Design) [][]db.PinRef {
 	}
 	return pins
 }
+
+// TestNetByNameAfterStructuralRebuild looks nets up by name in the design
+// ApplyStructural rebuilds: every name resolves to the rebuilt design's own
+// net, a rewired net carries its new terminals, and Resolve on the rebuilt
+// design maps a rewire onto the new net IDs.
+func TestNetByNameAfterStructuralRebuild(t *testing.T) {
+	d := fixtureDesign(t)
+	// Remove a movable cell whose every net keeps two terminals without it,
+	// rewiring each of those nets to its remaining pins.
+	var victim *db.Cell
+	var rewires []eco.NetChange
+	for _, c := range d.Cells {
+		if c.Fixed || len(c.Nets) == 0 {
+			continue
+		}
+		rewires = rewires[:0]
+		for _, nid := range c.Nets {
+			n := d.Nets[nid]
+			var pins []eco.PinRef
+			for _, pr := range n.Pins {
+				if pr.Cell != c.ID {
+					pc := d.Cells[pr.Cell]
+					pins = append(pins, eco.PinRef{Cell: pc.Name, Pin: pc.Macro.Pins[pr.Pin].Name})
+				}
+			}
+			if len(pins)+len(n.IOs) < 2 {
+				break
+			}
+			rewires = append(rewires, eco.NetChange{Net: n.Name, Pins: pins})
+		}
+		if len(rewires) == len(c.Nets) {
+			victim = c
+			break
+		}
+	}
+	if victim == nil {
+		t.Fatal("fixture has no removable cell")
+	}
+	d2, err := eco.ApplyStructural(d, &eco.Delta{Removes: []string{victim.Name}, Nets: rewires})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range d2.Nets {
+		if got, ok := d2.NetByName(n.Name); !ok || got != n {
+			t.Fatalf("NetByName(%q) = %v, %v on the rebuilt design, want its net %d", n.Name, got, ok, n.ID)
+		}
+		if old, _ := d.NetByName(n.Name); old == n {
+			t.Fatalf("net %q of the rebuilt design is the base design's net", n.Name)
+		}
+	}
+	for _, nc := range rewires {
+		n, _ := d2.NetByName(nc.Net)
+		if len(n.Pins) != len(nc.Pins) {
+			t.Fatalf("rewired net %q has %d pins, want %d", nc.Net, len(n.Pins), len(nc.Pins))
+		}
+		for _, pr := range n.Pins {
+			if d2.Cells[pr.Cell].Name == victim.Name {
+				t.Fatalf("rewired net %q still reaches removed cell %q", nc.Net, victim.Name)
+			}
+		}
+	}
+	if _, ok := d2.NetByName(victim.Name + "_no_such_net"); ok {
+		t.Fatal("NetByName found a net that does not exist")
+	}
+	ops, err := (&eco.Delta{Nets: rewires[:1]}).Resolve(d2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := d2.NetByName(rewires[0].Net); len(ops.Nets) != 1 || ops.Nets[0].Net != want.ID {
+		t.Fatalf("Resolve on the rebuilt design: %+v, want net %d", ops.Nets, want.ID)
+	}
+}

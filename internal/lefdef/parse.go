@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"strconv"
 	"strings"
 	"unicode"
@@ -32,14 +33,34 @@ type tokenizer struct {
 	pos int    // tokens consumed, reported by expect
 }
 
+// newTokenizer reads r once into a builder grown to r's size when r reports
+// one, so the input is neither regrown nor copied again into a string.
 func newTokenizer(r io.Reader) (*tokenizer, error) {
-	b, err := io.ReadAll(r)
-	if err != nil {
+	var sb strings.Builder
+	if n := readerSize(r); n > 0 {
+		sb.Grow(n)
+	}
+	if _, err := io.Copy(&sb, r); err != nil {
 		return nil, err
 	}
-	t := &tokenizer{src: string(b)}
+	t := &tokenizer{src: sb.String()}
 	t.scan()
 	return t, nil
+}
+
+// readerSize is the byte count r reports, by Len (strings.Reader,
+// bytes.Reader, bytes.Buffer) or, for a file, by Stat; 0 when it reports
+// none.
+func readerSize(r io.Reader) int {
+	switch v := r.(type) {
+	case interface{ Len() int }:
+		return v.Len()
+	case *os.File:
+		if fi, err := v.Stat(); err == nil {
+			return int(fi.Size())
+		}
+	}
+	return 0
 }
 
 // Byte classes of the scanner. Bytes of multi-byte runes are classed

@@ -160,8 +160,9 @@ type estScratch struct {
 	key    []byte        // packed tree-cache key
 	cands  []junctionSeq // candidate junction sequences of one segment
 	runs   []run         // straight runs of one candidate
-	dpa    []float64     // rolling DP rows of the cost-only layer DP
+	dpa    []float64     // rolling DP rows of the layer DP
 	dpb    []float64
+	arg    []int // best predecessor layer of run i on layer l, at i·NL+l
 }
 
 func (r *Router) getScratch() *estScratch {
@@ -169,6 +170,7 @@ func (r *Router) getScratch() *estScratch {
 	if cap(s.dpa) < r.G.NL {
 		s.dpa = make([]float64, r.G.NL)
 		s.dpb = make([]float64, r.G.NL)
+		s.arg = make([]int, maxRuns*r.G.NL)
 	}
 	return s
 }
@@ -200,14 +202,15 @@ func (r *Router) cachedSteiner(gcells []geom.Point, s *estScratch) steiner.Tree 
 // pattern is realisable — consulting the epoch-validated cache first.
 func (r *Router) segmentEstimate(a, b geom.Point, s *estScratch) float64 {
 	if r.Cfg.DisableEstimateCache {
-		return r.patternCost(a, b, s)
+		v, _ := r.patternCost(a, b, s)
+		return v
 	}
 	epoch := r.G.Epoch()
 	key := segKey(a, b)
 	if v, ok := r.segs.get(key, epoch); ok {
 		return v
 	}
-	v := r.patternCost(a, b, s)
+	v, _ := r.patternCost(a, b, s)
 	r.segs.put(key, epoch, v)
 	return v
 }

@@ -27,40 +27,33 @@ func (j *junctionSeq) points() []geom.Point { return j.pts[:j.n] }
 // congestion ratio along it; path is nil when no finite-cost candidate
 // exists.
 //
-// Candidates are first priced with the cost-only DP and only the winner is
+// Candidates are priced by patternCost and only the winner is
 // materialised, so the losing candidates never allocate. Serial use only
 // (it borrows the Router's pooled scratch once); the estimation path uses
 // patternCost directly.
 func (r *Router) patternRoute(a, b geom.Point) (*path, float64, float64) {
 	s := r.getScratch()
 	defer r.putScratch(s)
-	s.cands = r.candidateJunctions(s.cands[:0], a, b)
-	bestIdx, bestCost := -1, math.Inf(1)
-	for i := range s.cands {
-		if c := r.layerCost(s.cands[i].points(), s); c < bestCost {
-			bestIdx, bestCost = i, c
-		}
-	}
-	if bestIdx < 0 {
+	cost, best := r.patternCost(a, b, s)
+	if best < 0 {
 		return nil, math.Inf(1), math.Inf(1)
 	}
-	best, _ := r.assignLayers(s.cands[bestIdx].points())
-	return best, bestCost, r.worstCongestion(best)
+	p := r.layerPath(s.cands[best].points(), s)
+	return p, cost, r.worstCongestion(p)
 }
 
-// patternCost is the cost-only patternRoute: the minimum layer-assigned
-// cost over the same candidate set, +Inf when none is realisable. It runs
-// the identical float computations in the identical order, so its result is
-// bit-equal to patternRoute's cost — without materialising any path.
-func (r *Router) patternCost(a, b geom.Point, s *estScratch) float64 {
+// patternCost is the minimum layer-assigned cost over a and b's candidate
+// set, left in s.cands, and the index of the first candidate reaching it;
+// +Inf and -1 when none is realisable.
+func (r *Router) patternCost(a, b geom.Point, s *estScratch) (float64, int) {
 	s.cands = r.candidateJunctions(s.cands[:0], a, b)
-	best := math.Inf(1)
+	cost, best := math.Inf(1), -1
 	for i := range s.cands {
-		if c := r.layerCost(s.cands[i].points(), s); c < best {
-			best = c
+		if c, _ := r.layerCost(s.cands[i].points(), s); c < cost {
+			cost, best = c, i
 		}
 	}
-	return best
+	return cost, best
 }
 
 // zSamples is the number of intermediate Z-bend positions tried per axis
@@ -205,18 +198,21 @@ func stackVias(p geom.Point, l1, l2 int) []geom.Point3 {
 	return out
 }
 
-// layerCost runs the junction-layer DP over a planar candidate path and
-// returns the best realisable cost without reconstructing the realisation.
-// It is the cost half of assignLayers with rolling DP rows borrowed from
-// the scratch — the per-state arithmetic is expression-for-expression the
-// same, so the returned float is bit-equal to assignLayers' cost.
-func (r *Router) layerCost(junctions []geom.Point, s *estScratch) float64 {
+// maxRuns bounds the straight runs of a candidate path: L and Z shapes
+// have at most four junctions.
+const maxRuns = len(junctionSeq{}.pts) - 1
+
+// layerCost runs the junction-layer DP over a planar candidate path (at
+// most maxRuns runs) and returns the best realisable cost and the layer of
+// its last run, -1 when none is realisable (0 for a single GCell, which
+// needs no wires and no vias). The DP rows roll in the scratch, and each
+// run's best predecessor layer per layer goes to s.arg, for layerPath.
+func (r *Router) layerCost(junctions []geom.Point, s *estScratch) (float64, int) {
 	s.runs = runsOf(s.runs[:0], junctions)
 	rs := s.runs
 	NL := r.G.NL
 	if len(rs) == 0 {
-		// Single-GCell connection: no wires, no vias.
-		return 0
+		return 0, 0
 	}
 	prev, curr := s.dpa, s.dpb
 	start := junctions[0]
@@ -243,98 +239,45 @@ func (r *Router) layerCost(junctions []geom.Point, s *estScratch) float64 {
 				c := prev[pl] + r.stackCost(junction, pl, l) + rc
 				if c < curr[l] {
 					curr[l] = c
+					s.arg[i*NL+l] = pl
 				}
 			}
 		}
 		prev, curr = curr, prev
 	}
 	end := rs[len(rs)-1].to
-	best := math.Inf(1)
+	best, bestL := math.Inf(1), -1
 	for l := 1; l < NL; l++ {
 		if math.IsInf(prev[l], 1) {
 			continue
 		}
 		c := prev[l] + r.stackCost(end, l, 0)
 		if c < best {
-			best = c
+			best, bestL = c, l
 		}
 	}
-	return best
+	return best, bestL
 }
 
-// assignLayers runs the junction-layer DP over a planar candidate path and
-// materialises the best 3D realisation. Endpoints connect to layer 0.
-func (r *Router) assignLayers(junctions []geom.Point) (*path, float64) {
-	rs := runsOf(nil, junctions)
-	NL := r.G.NL
-	if len(rs) == 0 {
-		// Single-GCell connection: no wires, no vias (pin stack is
-		// shared with whatever else reaches this GCell).
-		return &path{}, 0
+// layerPath materialises layerCost's best realisation of a planar candidate
+// path, nil when none is realisable. Endpoints connect to layer 0.
+func (r *Router) layerPath(junctions []geom.Point, s *estScratch) *path {
+	_, last := r.layerCost(junctions, s)
+	if last < 0 {
+		return nil
 	}
-
-	// dp[i][l]: best cost of realising runs[0..i] with run i on layer l.
-	dp := make([][]float64, len(rs))
-	arg := make([][]int, len(rs))
-	for i := range dp {
-		dp[i] = make([]float64, NL)
-		arg[i] = make([]int, NL)
-		for l := range dp[i] {
-			dp[i][l] = math.Inf(1)
-			arg[i][l] = -1
-		}
-	}
-	start := junctions[0]
-	for l := 1; l < NL; l++ {
-		rc := r.runCost(rs[0], l)
-		if math.IsInf(rc, 1) {
-			continue
-		}
-		dp[0][l] = r.stackCost(start, 0, l) + rc
-	}
-	for i := 1; i < len(rs); i++ {
-		junction := rs[i].from
-		for l := 1; l < NL; l++ {
-			rc := r.runCost(rs[i], l)
-			if math.IsInf(rc, 1) {
-				continue
-			}
-			for pl := 1; pl < NL; pl++ {
-				if math.IsInf(dp[i-1][pl], 1) {
-					continue
-				}
-				c := dp[i-1][pl] + r.stackCost(junction, pl, l) + rc
-				if c < dp[i][l] {
-					dp[i][l] = c
-					arg[i][l] = pl
-				}
-			}
-		}
-	}
-	end := rs[len(rs)-1].to
-	bestL, bestCost := -1, math.Inf(1)
-	for l := 1; l < NL; l++ {
-		if math.IsInf(dp[len(rs)-1][l], 1) {
-			continue
-		}
-		c := dp[len(rs)-1][l] + r.stackCost(end, l, 0)
-		if c < bestCost {
-			bestCost = c
-			bestL = l
-		}
-	}
-	if bestL < 0 {
-		return nil, math.Inf(1)
-	}
-
-	// Reconstruct layer choices.
-	layers := make([]int, len(rs))
-	layers[len(rs)-1] = bestL
-	for i := len(rs) - 1; i > 0; i-- {
-		layers[i-1] = arg[i][layers[i]]
-	}
-
+	rs := s.runs
 	p := &path{}
+	if len(rs) == 0 {
+		// Single-GCell connection: the pin stack is shared with whatever
+		// else reaches this GCell.
+		return p
+	}
+	var layers [maxRuns]int
+	layers[len(rs)-1] = last
+	for i := len(rs) - 1; i > 0; i-- {
+		layers[i-1] = s.arg[i*r.G.NL+layers[i]]
+	}
 	p.vias = append(p.vias, stackVias(junctions[0], 0, layers[0])...)
 	for i, rn := range rs {
 		p.wires = append(p.wires, runEdges(rn, layers[i])...)
@@ -342,16 +285,14 @@ func (r *Router) assignLayers(junctions []geom.Point) (*path, float64) {
 			p.vias = append(p.vias, stackVias(rn.from, layers[i-1], layers[i])...)
 		}
 	}
-	p.vias = append(p.vias, stackVias(end, layers[len(rs)-1], 0)...)
-	return p, bestCost
+	p.vias = append(p.vias, stackVias(rs[len(rs)-1].to, layers[len(rs)-1], 0)...)
+	return p
 }
 
 // forcedL materialises the horizontal-first L between a and b regardless of
 // congestion; used only as a last-resort fallback.
 func (r *Router) forcedL(a, b geom.Point) *path {
-	if a == b {
-		return &path{}
-	}
-	p, _ := r.assignLayers([]geom.Point{a, geom.Pt(b.X, a.Y), b})
-	return p
+	s := r.getScratch()
+	defer r.putScratch(s)
+	return r.layerPath([]geom.Point{a, geom.Pt(b.X, a.Y), b}, s)
 }

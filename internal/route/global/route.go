@@ -4,10 +4,11 @@
 // segment with 3D pattern routing: candidate L- and Z-shaped planar paths
 // whose straight runs are assigned to layers by dynamic programming over the
 // junction layers, with via-stack costs between runs and down to the pin
-// layer at both ends. A segment whose pattern route would overflow an edge
-// is re-routed by a 3D Dijkstra maze over the full lattice, but only when a
-// bounded A* first proves that a strictly cheaper lattice path exists. A
-// negotiated rip-up & reroute loop clears residual overflow.
+// layer at both ends. A segment whose pattern route would overflow an edge,
+// or that no pattern realises, goes to a 3D maze over the full lattice: an
+// A* search bounded by the pattern cost, whose path replaces the pattern
+// route only when it is strictly cheaper. A negotiated rip-up & reroute
+// loop clears residual overflow.
 //
 // The same pattern-routing machinery, without committing demand, implements
 // the paper's "fast 3D pattern route" used by Algorithm 3 to estimate the
@@ -251,28 +252,15 @@ func (r *Router) finalReroute(order []int32) {
 			if old == nil {
 				continue
 			}
-			oldCost := r.priceRoute(old)
+			oldCost := r.price(old.Wires, old.Vias)
 			rt, _ := r.routeNet(id)
-			if rt != nil && r.priceRoute(rt) <= oldCost {
+			if rt != nil && r.price(rt.Wires, rt.Vias) <= oldCost {
 				r.Commit(rt)
 			} else {
 				r.Commit(old)
 			}
 		}
 	}
-}
-
-// priceRoute evaluates a (not currently committed) route at current grid
-// prices.
-func (r *Router) priceRoute(rt *Route) float64 {
-	cost := 0.0
-	for _, w := range rt.Wires {
-		cost += r.G.WireEdgeCost(w.X, w.Y, w.L)
-	}
-	for _, v := range rt.Vias {
-		cost += r.G.ViaEdgeCost(v.X, v.Y, v.L)
-	}
-	return cost
 }
 
 // RerouteNet rips up (if routed) and re-routes one net, committing the new
@@ -339,13 +327,7 @@ func (r *Router) NetCost(id int32) float64 {
 	if !r.Cfg.DisableEstimateCache && r.netCostEpoch[id] == stamp {
 		return r.netCost[id]
 	}
-	cost := 0.0
-	for _, w := range rt.Wires {
-		cost += r.G.WireEdgeCost(w.X, w.Y, w.L)
-	}
-	for _, v := range rt.Vias {
-		cost += r.G.ViaEdgeCost(v.X, v.Y, v.L)
-	}
+	cost := r.price(rt.Wires, rt.Vias)
 	r.netCost[id] = cost
 	r.netCostEpoch[id] = stamp
 	return cost
@@ -435,12 +417,11 @@ func (r *Router) routeNet(id int32) (*Route, bool) {
 }
 
 // routeTerminals routes a terminal set: Steiner topology, then pattern
-// routing per segment. A segment no pattern realises goes to the maze
-// directly; one whose pattern route would overflow an edge goes to the maze
-// only when cheaperPathExists finds a path undercutting the pattern cost by
-// more than mazeGateTol relative, and the maze's path replaces the pattern
-// route when it prices lower. Serial use only (it reuses the Router's
-// builder and maze scratch).
+// routing per segment. A segment no pattern realises, or whose pattern
+// route would overflow an edge, goes to the maze bounded by the pattern
+// cost less mazeGateTol relative (+Inf with no pattern), and the maze's path
+// replaces the pattern route when it prices lower. Serial use only (it
+// reuses the Router's builder and maze scratch).
 func (r *Router) routeTerminals(id int32, gcells []geom.Point) (*Route, bool) {
 	b := &r.bld
 	b.reset()
@@ -452,13 +433,10 @@ func (r *Router) routeTerminals(id int32, gcells []geom.Point) (*Route, bool) {
 	for _, e := range tree.Edges {
 		a, c := tree.Nodes[e[0]], tree.Nodes[e[1]]
 		path, cost, worst := r.patternRoute(a, c)
-		if path == nil || (worst > mazeOnOverflow && r.cheaperPathExists(a, c, cost*(1-mazeGateTol))) {
-			if mp := r.mazeRoute(a, c); mp != nil {
-				mcost := r.pathCost(mp)
-				if path == nil || mcost < cost {
-					path = mp
-					usedMaze = true
-				}
+		if path == nil || worst > mazeOnOverflow {
+			if mp := r.mazeRoute(a, c, cost*(1-mazeGateTol)); mp != nil && r.pathCost(mp) < cost {
+				path = mp
+				usedMaze = true
 			}
 		}
 		if path == nil {
@@ -590,12 +568,16 @@ func sortPoint3s(ps []geom.Point3) {
 }
 
 // pathCost prices a path at current grid costs.
-func (r *Router) pathCost(p *path) float64 {
+func (r *Router) pathCost(p *path) float64 { return r.price(p.wires, p.vias) }
+
+// price sums the current grid costs of wires, then of vias: the one
+// summation every route and path price goes through.
+func (r *Router) price(wires, vias []geom.Point3) float64 {
 	c := 0.0
-	for _, w := range p.wires {
+	for _, w := range wires {
 		c += r.G.WireEdgeCost(w.X, w.Y, w.L)
 	}
-	for _, v := range p.vias {
+	for _, v := range vias {
 		c += r.G.ViaEdgeCost(v.X, v.Y, v.L)
 	}
 	return c

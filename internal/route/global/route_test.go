@@ -313,7 +313,7 @@ func TestMazeMatchesPatternOnEmptyGrid(t *testing.T) {
 	r := newRouter(t, 20, 5, 11)
 	a, b := geom.Pt(0, 0), geom.Pt(6, 4)
 	_, pc, _ := r.patternRoute(a, b)
-	mp := r.mazeRoute(a, b)
+	mp := r.mazeRoute(a, b, math.Inf(1))
 	if mp == nil {
 		t.Fatal("maze failed")
 	}
@@ -337,7 +337,7 @@ func TestMazeAvoidsCongestion(t *testing.T) {
 			}
 		}
 	}
-	mp := r.mazeRoute(a, b)
+	mp := r.mazeRoute(a, b, math.Inf(1))
 	if mp == nil {
 		t.Fatal("maze failed")
 	}
