@@ -85,11 +85,34 @@ func appendRun(dst, src *crp.Result) {
 // byte-identical outputs, which is what lets a crashed ECO job simply rerun
 // and what makes the service's parent-hash+delta cache key sound.
 func RunECO(ctx context.Context, d *db.Design, prev *view.State, delta *eco.Delta, cfg Config, opts ECOOptions, defOut, guideOut io.Writer) (*Result, error) {
+	return runECO(ctx, d, prev, delta, cfg, plan{opts: opts, defOut: defOut, guideOut: guideOut})
+}
+
+// ECOFromCheckpoint runs RunECO from a parent run's newest checkpoint
+// snapshot — the cmd/crp `-eco-from <ckpt> -eco-delta <json>` path. d must
+// be the same design the parent run loaded; identity is validated against
+// the snapshot before anything runs. A snapshot the manager skipped for a
+// corrupt one is reported as a "checkpoint-recovery" degradation, as
+// Resume reports it.
+func ECOFromCheckpoint(ctx context.Context, d *db.Design, mgr *checkpoint.Manager, delta *eco.Delta, cfg Config, opts ECOOptions, defOut, guideOut io.Writer) (*Result, error) {
+	snap, notes, err := latest(mgr, d)
+	if err != nil {
+		return nil, err
+	}
+	st := snap.ViewState()
+	return runECO(ctx, d, &st, delta, cfg, plan{notes: notes, opts: opts, defOut: defOut, guideOut: guideOut})
+}
+
+// runECO is RunECO with the rest of the plan (recovery notes, options,
+// outputs) supplied by the entry point.
+func runECO(ctx context.Context, d *db.Design, prev *view.State, delta *eco.Delta, cfg Config, p plan) (*Result, error) {
 	if delta == nil {
 		return nil, errors.New("flow: RunECO needs a delta")
 	}
+	p.delta = delta
 	if !delta.Structural() {
-		return run(ctx, d, cfg, plan{parent: prev, middle: ecoStage, delta: delta, opts: opts, defOut: defOut, guideOut: guideOut})
+		p.parent, p.middle = prev, ecoStage
+		return run(ctx, d, cfg, p)
 	}
 	if prev != nil {
 		if err := d.ImportPositions(prev.Pos, prev.Orient); err != nil {
@@ -100,22 +123,10 @@ func RunECO(ctx context.Context, d *db.Design, prev *view.State, delta *eco.Delt
 	if err != nil {
 		return nil, err
 	}
-	lead := Degradation{Stage: "eco", Kind: "full-run-fallback",
-		Detail: fmt.Sprintf("structural delta (%d adds, %d removes) rebuilds the design; no incremental path", len(delta.Adds), len(delta.Removes))}
-	return run(ctx, d2, cfg, plan{lead: []Degradation{lead}, middle: ecoFullRunStage, delta: delta, defOut: defOut, guideOut: guideOut})
-}
-
-// ECOFromCheckpoint runs RunECO from a parent run's newest checkpoint
-// snapshot — the cmd/crp `-eco-from <ckpt> -eco-delta <json>` path. d must
-// be the same design the parent run loaded; identity is validated against
-// the snapshot before anything runs.
-func ECOFromCheckpoint(ctx context.Context, d *db.Design, mgr *checkpoint.Manager, delta *eco.Delta, cfg Config, opts ECOOptions, defOut, guideOut io.Writer) (*Result, error) {
-	snap, _, err := latest(mgr, d)
-	if err != nil {
-		return nil, err
-	}
-	st := snap.ViewState()
-	return RunECO(ctx, d, &st, delta, cfg, opts, defOut, guideOut)
+	p.lead = []Degradation{{Stage: "eco", Kind: "full-run-fallback",
+		Detail: fmt.Sprintf("structural delta (%d adds, %d removes) rebuilds the design; no incremental path", len(delta.Adds), len(delta.Removes))}}
+	p.middle = ecoFullRunStage
+	return run(ctx, d2, cfg, p)
 }
 
 // ecoFullRunStage is a structural delta's middle stage: the plain CR&P

@@ -5,6 +5,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -300,5 +303,44 @@ func TestECODeterministic(t *testing.T) {
 	if resA.ECO.CandidateEstimates != resB.ECO.CandidateEstimates ||
 		resA.ECO.Rounds != resB.ECO.Rounds {
 		t.Fatalf("work accounting diverged: %+v vs %+v", resA.ECO, resB.ECO)
+	}
+}
+
+// TestECOFromTornCheckpointReportsRecovery: when the parent's newest
+// snapshot is torn, ECOFromCheckpoint starts from the one before it, and
+// says so with the "checkpoint-recovery" degradation Resume reports.
+func TestECOFromTornCheckpointReportsRecovery(t *testing.T) {
+	cfg := quickConfig()
+	dir := t.TempDir()
+	runToBytes(t, design(t, 65), 2, cfg, &Checkpointing{Manager: openManager(t, dir, 0)})
+	files, err := filepath.Glob(filepath.Join(dir, "ckpt-*.bin"))
+	if err != nil || len(files) < 2 {
+		t.Fatalf("checkpoint files = %v (err %v)", files, err)
+	}
+	newest := slices.Max(files)
+	data, err := os.ReadFile(newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(newest, data[:len(data)/2], 0o666); err != nil {
+		t.Fatal(err)
+	}
+
+	dl, err := eco.GenerateDelta(design(t, 65), 0, 1, 3) // one rewire, no moves
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ECOFromCheckpoint(context.Background(), design(t, 65), openManager(t, dir, 0), dl, cfg, ECOOptions{}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recovered []Degradation
+	for _, d := range res.Degradations {
+		if d.Stage == "ckpt" && d.Kind == "checkpoint-recovery" {
+			recovered = append(recovered, d)
+		}
+	}
+	if len(recovered) != 1 || !strings.Contains(recovered[0].Detail, filepath.Base(newest)) {
+		t.Fatalf("degradations = %v, want one checkpoint-recovery naming %s", res.Degradations, filepath.Base(newest))
 	}
 }

@@ -225,9 +225,10 @@ type plan struct {
 	// k overrides cfg.CRP.Iterations when positive.
 	k int
 	// The start state. resume continues a checkpointed run from its
-	// iteration boundary (notes are Manager.Latest's recovery notes);
-	// parent rebuilds a parent run's materialized state for an ECO; with
-	// neither, global routing runs fresh on d's placement.
+	// iteration boundary; parent rebuilds a parent run's materialized
+	// state for an ECO; with neither, global routing runs fresh on d's
+	// placement. notes are Manager.Latest's recovery notes for the
+	// snapshot resume or parent came from.
 	resume *checkpoint.Snapshot
 	notes  []string
 	parent *view.State
@@ -257,22 +258,24 @@ func run(ctx context.Context, d *db.Design, cfg Config, p plan) (*Result, error)
 	var s session
 	var tGR, tMid, tDR time.Duration
 	var err error
-	switch {
-	case p.resume != nil:
+	if p.resume != nil {
 		// A resumed run inherits its admission degradations from the
 		// snapshot's log: checkpoint 0 was committed after they were folded.
 		for _, dg := range p.resume.Degradations {
 			res.degrade(dg.Stage, dg.Kind, dg.Detail)
 		}
-		for _, n := range p.notes {
-			res.degrade("ckpt", "checkpoint-recovery", n)
-		}
+	} else {
+		res.Degradations = append(res.Degradations, cfg.AdmitDegradations...)
+	}
+	for _, n := range p.notes {
+		res.degrade("ckpt", "checkpoint-recovery", n)
+	}
+	switch {
+	case p.resume != nil:
 		s, err = restoreSession(d, p.k, cfg, p.resume)
 	case p.parent != nil:
-		res.Degradations = append(res.Degradations, cfg.AdmitDegradations...)
 		s, err = rebuildSession(d, cfg, *p.parent)
 	default:
-		res.Degradations = append(res.Degradations, cfg.AdmitDegradations...)
 		s, tGR = globalRoute(ctx, d, cfg, res)
 		t0 = time.Now()
 	}

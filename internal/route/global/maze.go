@@ -99,8 +99,8 @@ func (h *pq) pop() heapItem {
 // its cost is final. Every push whose cost plus bound reaches limit is
 // pruned (with limit +Inf, only moves along missing edges), and when b
 // settles the path is walked back through prev. A cancelled search returns
-// nil, which keeps the caller's pattern route or forced-L fallback, so
-// demand accounting stays consistent; the check is amortised over 4096 pops
+// nil, which keeps the caller's pattern route, so demand accounting stays
+// consistent; the check is amortised over 4096 pops
 // to keep it off the hot path.
 func (r *Router) mazeRoute(a, b geom.Point, limit float64) *path {
 	uw, uv := r.G.Params.UnitWire, r.G.Params.UnitVia

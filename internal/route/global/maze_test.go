@@ -180,9 +180,9 @@ func (r *Router) dijkstraRoute(a, b geom.Point) *path {
 	pops := 0
 	for len(*h) > 0 {
 		// A cancelled context aborts the search as "unreachable": the
-		// caller's pattern/forced-L fallback still produces a complete
-		// route, so demand accounting stays consistent. The check is
-		// amortised over 4096 pops to keep it off the hot path.
+		// caller's pattern route still produces a complete route, so
+		// demand accounting stays consistent. The check is amortised
+		// over 4096 pops to keep it off the hot path.
 		if pops++; pops&4095 == 0 && r.cancelled() {
 			return nil
 		}

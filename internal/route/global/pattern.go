@@ -288,11 +288,3 @@ func (r *Router) layerPath(junctions []geom.Point, s *estScratch) *path {
 	p.vias = append(p.vias, stackVias(rs[len(rs)-1].to, layers[len(rs)-1], 0)...)
 	return p
 }
-
-// forcedL materialises the horizontal-first L between a and b regardless of
-// congestion; used only as a last-resort fallback.
-func (r *Router) forcedL(a, b geom.Point) *path {
-	s := r.getScratch()
-	defer r.putScratch(s)
-	return r.layerPath([]geom.Point{a, geom.Pt(b.X, a.Y), b}, s)
-}

@@ -107,7 +107,7 @@ type Router struct {
 	// points where stopping leaves the grid consistent: between nets in the
 	// scheduling loops and between RRR passes, plus a periodic check inside
 	// the maze search (which simply reports "unreachable", letting the
-	// cheap pattern/forced-L fallback finish the net).
+	// cheap pattern route finish the net).
 	ctx context.Context
 }
 
@@ -440,12 +440,7 @@ func (r *Router) routeTerminals(id int32, gcells []geom.Point) (*Route, bool) {
 			}
 		}
 		if path == nil {
-			// No finite path exists (should not happen on a connected
-			// lattice); fall back to the direct L even if expensive.
-			path = r.forcedL(a, c)
-			if path == nil {
-				continue
-			}
+			continue
 		}
 		b.add(path)
 	}
@@ -460,11 +455,6 @@ func (r *Router) routeTerminals(id int32, gcells []geom.Point) (*Route, bool) {
 // the epoch-validated caches: the Steiner topology is memoised per ordered
 // terminal-set key and every two-pin segment cost per GCell pair (see
 // estcache.go). Safe for concurrent use.
-//
-// A segment no pattern can realise contributes +Inf, exactly as the
-// pre-cache code did: the forced-L fallback prices the horizontal-first L,
-// which is one of the candidates the pattern search already rejected as
-// unrealisable, so the fallback could never produce a finite cost here.
 func (r *Router) EstimateTerminalCost(pts []geom.Point) float64 {
 	s := r.getScratch()
 	defer r.putScratch(s)

@@ -65,6 +65,14 @@ func appendEvent(dir string, e Event) error {
 	return werr
 }
 
+// journal appends e to the job's event journal. A failed append is
+// reported, not returned: it costs a progress record, never the job.
+func (j *Job) journal(e Event) {
+	if err := appendEvent(j.Dir, e); err != nil {
+		fmt.Fprintf(os.Stderr, "service: journaling %s event for %s: %v\n", e.Kind, j.ID, err)
+	}
+}
+
 // readJournal returns the journal's raw JSON lines from byte offset `from`
 // on, plus the offset to continue from. Invalid (torn) lines are dropped;
 // a torn *final* line is not consumed, so a reader polling mid-append picks

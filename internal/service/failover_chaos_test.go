@@ -531,3 +531,126 @@ func TestNodesEndpointListsBothDaemons(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// haltWithUnreadableLease runs spec on node A of dataDir until A dies
+// (Halt) after the job's second checkpoint commit, holding a lease that
+// would stay live for an hour, and returns the job id. Before it returns,
+// mid runs — on the live lease — and then the lease record is torn.
+func haltWithUnreadableLease(t *testing.T, dataDir string, spec Spec, mid func()) string {
+	t.Helper()
+	halted := make(chan struct{})
+	var once sync.Once
+	var svcA *Service
+	svcA = newService(t, Config{
+		DataDir: dataDir, Workers: 1, NodeID: "nodeA", LeaseTTL: time.Hour,
+		Instrument: func(jobID string, attempt int, _ *flow.Config, ck *flow.Checkpointing) {
+			orig := ck.AfterSave
+			ck.AfterSave = func(n int) {
+				if n == 2 {
+					once.Do(func() {
+						svcA.Halt()
+						close(halted)
+					})
+				}
+				if orig != nil {
+					orig(n)
+				}
+			}
+		},
+	})
+	st, err := svcA.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-halted:
+	case <-time.After(120 * time.Second):
+		t.Fatal("node A never reached its second checkpoint")
+	}
+	mid()
+	if err := os.WriteFile(filepath.Join(dataDir, st.ID, leaseName), []byte("{torn"), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	return st.ID
+}
+
+// finishedByteIdentical checks that svc finished job id exactly once with
+// the outputs of an uninterrupted run of spec.
+func finishedByteIdentical(t *testing.T, svc *Service, id string, spec Spec) {
+	t.Helper()
+	waitStatus(t, svc, id, isState(StateDone))
+	wantDef, wantGuide := referenceOutputs(t, spec)
+	gotDef, gotGuide := jobOutputs(t, svc, id)
+	if !bytes.Equal(gotDef, wantDef) || !bytes.Equal(gotGuide, wantGuide) {
+		t.Error("adopted job's outputs differ from an uninterrupted run")
+	}
+	if done := countEvents(t, svcJobDir(t, svc, id), "done"); done != 1 {
+		t.Errorf("journal has %d done events, want exactly 1", done)
+	}
+}
+
+// TestFailoverScanAdoptsUnreadableLease: a dead peer's unfinished job
+// whose lease record is unreadable is expired to a scan, as it is to a
+// claim: node B, which already tracks the job as the peer's, adopts it on
+// its next scan and finishes it.
+func TestFailoverScanAdoptsUnreadableLease(t *testing.T) {
+	spec := synthSpec(480, 2)
+	dataDir := t.TempDir()
+	svcB := newService(t, Config{DataDir: dataDir, Workers: 1, NodeID: "nodeB", RescanEvery: time.Hour})
+	id := haltWithUnreadableLease(t, dataDir, spec, func() {
+		svcB.Scan() // registers the job as node A's: its lease is live
+	})
+
+	svcB.Scan()
+	j, err := svcB.store.get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.mu.Lock()
+	remote := j.remote
+	j.mu.Unlock()
+	if remote {
+		t.Fatal("the scan left a job with an unreadable lease to its dead owner")
+	}
+	finishedByteIdentical(t, svcB, id, spec)
+}
+
+// TestFailoverStartupAdoptsUnreadableLease: a daemon started on a store
+// holding a dead peer's unfinished job with an unreadable lease record
+// runs the job.
+func TestFailoverStartupAdoptsUnreadableLease(t *testing.T) {
+	spec := synthSpec(481, 2)
+	dataDir := t.TempDir()
+	id := haltWithUnreadableLease(t, dataDir, spec, func() {})
+	svcB := newService(t, Config{DataDir: dataDir, Workers: 1, NodeID: "nodeB", RescanEvery: time.Hour})
+	finishedByteIdentical(t, svcB, id, spec)
+}
+
+// TestFailoverECOParentFinishedOnPeer: node B scans a parent job while node
+// A still runs it; once A finishes it, an ECO against it is admitted by B,
+// which judges a peer's job by its on-disk record, and runs to done.
+func TestFailoverECOParentFinishedOnPeer(t *testing.T) {
+	dataDir := t.TempDir()
+	hold := newHolder("j000001")
+	defer hold.Release()
+	svcA := newService(t, Config{DataDir: dataDir, Workers: 1, NodeID: "nodeA", Instrument: hold.instrument})
+	svcB := newService(t, Config{DataDir: dataDir, Workers: 1, NodeID: "nodeB", RescanEvery: time.Hour})
+
+	parent, err := svcA.Submit(synthSpec(482, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hold.waitEntered(t)
+	svcB.Scan()
+	if st, err := svcB.Status(parent.ID); err != nil || st.State.terminal() {
+		t.Fatalf("node B sees the held parent as %+v (err %v), want it unfinished", st, err)
+	}
+	hold.Release()
+	waitStatus(t, svcA, parent.ID, isState(StateDone))
+
+	child, err := svcB.Submit(Spec{ParentJob: parent.ID, ECODelta: parentDelta(t, svcA, parent.ID, 2, 1, 5), K: 2, Seed: 482})
+	if err != nil {
+		t.Fatalf("ECO against a parent its peer finished: %v", err)
+	}
+	waitStatus(t, svcB, child.ID, isState(StateDone))
+}

@@ -408,3 +408,17 @@ func (j *Job) setPID(pid int) {
 	j.workerPID = pid
 	j.mu.Unlock()
 }
+
+// dropClaimLocked forgets this node's claim on the job — its fencing token
+// and the running attempt's handles — and returns the token and the
+// attempt's two stops: preempt (at the next checkpoint boundary) and
+// hardCancel (at once). The caller holds j.mu.
+func (j *Job) dropClaimLocked() (token int64, preempt, hardCancel func()) {
+	token, preempt, hardCancel = j.leaseToken, j.preempt, j.hardCancel
+	j.leaseToken = 0
+	j.preempt = nil
+	j.preemptReason = ""
+	j.hardCancel = nil
+	j.workerPID = 0
+	return token, preempt, hardCancel
+}

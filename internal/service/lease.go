@@ -250,31 +250,22 @@ func (lm *leaseManager) release(dir string, token int64) error {
 	})
 }
 
-// fence returns the write guard for one claimed activation: nil while
-// (node, token) is still the lease's current ownership, ErrFenced once it
-// is superseded. The guard reads the record without the lock — record
-// replacement is an atomic rename, so a read sees either the old or the
-// new record, and both sides of that race fence correctly (the token only
-// grows).
+// fence returns the write guard for one claimed activation of this node
+// (see staticFence).
 func (lm *leaseManager) fence(dir string, token int64) func() error {
-	return func() error {
-		cur, err := readLease(dir)
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrFenced, err)
-		}
-		if cur.Node != lm.node || cur.Token != token {
-			return fmt.Errorf("%w: lease now %s token %d, writer holds token %d",
-				ErrFenced, cur.Node, cur.Token, token)
-		}
-		return nil
-	}
+	return staticFence(dir, lm.node, token)
 }
 
-// staticFence is the child-worker-process variant of fence: the parent
-// passes its node id and claimed token through the environment, and the
-// child guards its writes against the on-disk record directly.
+// staticFence returns the write guard for one claimed activation: nil
+// while (node, token) is still the lease's current ownership, ErrFenced
+// once it is superseded — or when token is 0, a claim already dropped. The
+// guard reads the record without the lock — record replacement is an
+// atomic rename, so a read sees either the old or the new record, and both
+// sides of that race fence correctly (the token only grows). A child
+// worker process builds it from the node id and token its parent passes
+// through the environment.
 func staticFence(dir, node string, token int64) func() error {
-	if node == "" || token == 0 {
+	if node == "" {
 		return nil // legacy single-node invocation: no fencing
 	}
 	return func() error {

@@ -122,30 +122,25 @@ func (p *pool) runJob(j *Job) {
 	}
 	switch {
 	case rep.Succeeded:
-		p.publish(j, Event{Kind: "done"})
-		p.store.release(j, StateDone, "")
+		p.store.release(j, StateDone, "", Event{Kind: "done"})
 	case rep.BudgetExhausted:
 		// The retry wall-clock budget ran out mid-failure: terminal, and
 		// distinct from the attempt-count cap so callers can tell the two
 		// exhaustions apart.
-		p.publish(j, Event{Kind: "retries_exhausted", Detail: lastErr})
-		p.store.release(j, StateRetriesExhausted, lastErr)
+		p.store.release(j, StateRetriesExhausted, lastErr, Event{Kind: "retries_exhausted", Detail: lastErr})
 	case actx.Err() != nil:
 		j.mu.Lock()
 		reason := j.preemptReason
 		j.mu.Unlock()
 		if reason == "cancel" {
-			p.publish(j, Event{Kind: "cancelled"})
-			p.store.release(j, StateCancelled, "")
+			p.store.release(j, StateCancelled, "", Event{Kind: "cancelled"})
 		} else {
 			// Preemption or drain: back into the queue; the checkpoint
 			// directory carries the job to its next worker slot.
-			p.publish(j, Event{Kind: "requeued", Detail: reason})
-			p.store.release(j, StateQueued, "")
+			p.store.release(j, StateQueued, "", Event{Kind: "requeued", Detail: reason})
 		}
 	default:
-		p.publish(j, Event{Kind: "failed", Detail: lastErr})
-		p.store.release(j, StateFailed, lastErr)
+		p.store.release(j, StateFailed, lastErr, Event{Kind: "failed", Detail: lastErr})
 	}
 }
 
@@ -277,8 +272,6 @@ func (p *pool) publish(j *Job, e Event) {
 	if p.store.isHalted() {
 		return
 	}
-	if err := appendEvent(j.Dir, e); err != nil {
-		fmt.Fprintf(os.Stderr, "service: journaling %s event for %s: %v\n", e.Kind, j.ID, err)
-	}
+	j.journal(e)
 	j.hub.notify()
 }

@@ -96,11 +96,14 @@ func (st *store) heartbeat() {
 
 // scan reconciles the in-memory view with the shared store (see the
 // package comment above). Quiet on a single-node store: every directory
-// is either locally known and owned, or terminal.
-func (st *store) scan() {
+// is either locally known and owned, or terminal. The first scan, in New,
+// is startup recovery: it registers every job directory, and requeues the
+// unfinished jobs no live peer holds — their checkpoint directories make
+// the resume exact. It fails only when the data directory is unreadable.
+func (st *store) scan() error {
 	entries, err := os.ReadDir(st.cfg.DataDir)
 	if err != nil {
-		return
+		return err
 	}
 	now := time.Now().UnixNano()
 	for _, ent := range entries {
@@ -110,6 +113,7 @@ func (st *store) scan() {
 		}
 		st.scanJob(name, filepath.Join(st.cfg.DataDir, name), now)
 	}
+	return nil
 }
 
 func (st *store) scanJob(name, dir string, now int64) {
@@ -159,7 +163,9 @@ func (st *store) scanJob(name, dir string, now int64) {
 	// two nodes may both adopt, exactly one wins the acquire.
 	lease, err := readLease(dir)
 	if err != nil {
-		return
+		// Unreadable is expired, as acquire treats it: the claim in next()
+		// rewrites the record with a fresh token.
+		lease = leaseRecord{}
 	}
 	if lease.Node != "" && lease.Node != st.cfg.NodeID && now < lease.Deadline {
 		return // owner is alive
@@ -188,30 +194,36 @@ func (st *store) scanJob(name, dir string, now int64) {
 	st.cond.Broadcast()
 }
 
-// loadJobDir materializes a Job from a directory a peer node created.
+// loadJobDir builds a Job from its directory — at startup, in a scan, or
+// for an ECO parent this node has not registered. ok is false when the
+// directory holds no readable spec.json (not a job directory); a missing
+// or unreadable state.json reads as queued.
 func loadJobDir(name, dir string) (*Job, bool) {
-	specData, err := os.ReadFile(filepath.Join(dir, "spec.json"))
+	spec, err := loadSpec(dir)
 	if err != nil {
 		return nil, false
 	}
-	var spec Spec
-	if err := json.Unmarshal(specData, &spec); err != nil {
-		return nil, false
-	}
-	var rec jobRecord
-	if data, err := os.ReadFile(filepath.Join(dir, "state.json")); err == nil {
-		json.Unmarshal(data, &rec)
-	}
+	rec, _ := readRecord(dir)
 	if rec.ID == "" {
 		rec.ID = name
 	}
 	if rec.State == "" {
 		rec.State = StateQueued
 	}
-	j := &Job{ID: rec.ID, Seq: rec.Seq, Spec: spec, Dir: dir,
+	j := &Job{ID: rec.ID, Seq: rec.Seq, Spec: *spec, Dir: dir,
 		state: rec.State, attempts: rec.Attempts, preemptions: rec.Preemptions}
 	j.errMsg = rec.Error
 	return j, true
+}
+
+// readRecord reads a job directory's control-plane record (state.json).
+func readRecord(dir string) (jobRecord, error) {
+	var rec jobRecord
+	data, err := os.ReadFile(filepath.Join(dir, "state.json"))
+	if err == nil {
+		err = json.Unmarshal(data, &rec)
+	}
+	return rec, err
 }
 
 // nodes lists every daemon that has ever heartbeat into this store,

@@ -209,10 +209,10 @@ type Service struct {
 }
 
 // New builds a service on cfg.DataDir, recovers any jobs a previous
-// daemon left behind (queued and running jobs re-enter the queue and
-// resume from their checkpoints; jobs another live node holds leases on
-// are tracked as remote), and starts the worker pool and the
-// heartbeat/scan scheduler.
+// daemon left behind through a first scan of the store (queued and
+// running jobs re-enter the queue and resume from their checkpoints; jobs
+// another live node holds leases on are tracked as remote), and starts
+// the worker pool and the heartbeat/scan scheduler.
 func New(cfg Config) (*Service, error) {
 	cfg = cfg.withDefaults()
 	if cfg.DataDir == "" {
@@ -222,7 +222,7 @@ func New(cfg Config) (*Service, error) {
 	if err := st.ensureDirs(); err != nil {
 		return nil, fmt.Errorf("service: preparing %s: %w", cfg.DataDir, err)
 	}
-	if _, err := st.recover(); err != nil {
+	if err := st.scan(); err != nil {
 		return nil, fmt.Errorf("service: recovering %s: %w", cfg.DataDir, err)
 	}
 	st.enforceCacheBounds()
@@ -250,7 +250,7 @@ func (s *Service) schedule() {
 		case <-hb.C:
 			s.store.heartbeat()
 		case <-scan.C:
-			s.store.scan()
+			_ = s.store.scan() // an unreadable store is retried next tick
 		}
 	}
 }
@@ -332,4 +332,5 @@ func (s *Service) Nodes() []NodeStatus { return s.store.nodes() }
 // Scan forces one reconciliation pass of the shared store — what the
 // scheduler does every RescanEvery. Tests (and impatient operators) use
 // it to adopt a dead peer's jobs without waiting out the scan interval.
-func (s *Service) Scan() { s.store.scan() }
+// An unreadable store leaves the view as it was.
+func (s *Service) Scan() { _ = s.store.scan() }

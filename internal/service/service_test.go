@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -76,7 +77,9 @@ func newService(t *testing.T, cfg Config) *Service {
 	return svc
 }
 
-// waitStatus polls a job until pred holds.
+// waitStatus polls a job until pred holds. A job that reaches a terminal
+// state where pred does not hold fails the test at once: it can change no
+// further.
 func waitStatus(t *testing.T, svc *Service, id string, pred func(Status) bool) Status {
 	t.Helper()
 	deadline := time.Now().Add(120 * time.Second)
@@ -87,6 +90,9 @@ func waitStatus(t *testing.T, svc *Service, id string, pred func(Status) bool) S
 		}
 		if pred(st) {
 			return st
+		}
+		if st.State.terminal() {
+			t.Fatalf("job %s ended %s (%s) without reaching the awaited status", id, st.State, st.Error)
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("timed out waiting on job %s; last status %+v", id, st)
@@ -191,7 +197,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 
 	deadline := time.Now().Add(120 * time.Second)
-	for st.State != StateDone {
+	for !st.State.terminal() {
 		if time.Now().After(deadline) {
 			t.Fatalf("job stuck in %s", st.State)
 		}
@@ -205,6 +211,9 @@ func TestDaemonEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		r.Body.Close()
+	}
+	if st.State != StateDone {
+		t.Fatalf("job ended %s (%s), want done", st.State, st.Error)
 	}
 	if st.Attempts != 1 || st.Iter != 2 || st.K != 2 {
 		t.Errorf("done status = %+v, want attempts 1, iter 2/2", st)
@@ -658,5 +667,81 @@ func TestDrainRestartRecovery(t *testing.T) {
 	}
 	if fmt.Sprint(svc2.Stats().Draining) != "false" {
 		t.Error("recovered daemon reports draining")
+	}
+}
+
+// TestTerminalEventSeesTerminalStatus: a client that reads a job's status
+// on the job's terminal event from /v1/jobs/{id}/events reads a terminal
+// state. CacheMaxEntries 1 makes every completion evict a cache entry
+// before the transition, which widens any window between the two.
+func TestTerminalEventSeesTerminalStatus(t *testing.T) {
+	svc := newService(t, Config{Workers: 2, CacheMaxEntries: 1})
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+
+	for i := 0; i < 20; i++ {
+		sub, err := svc.Submit(synthSpec(500+int64(i), 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := http.Get(srv.URL + "/v1/jobs/" + sub.ID + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ev Event
+		for sc := bufio.NewScanner(r.Body); sc.Scan(); {
+			if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+				t.Fatal(err)
+			}
+			if State(ev.Kind).terminal() {
+				break
+			}
+		}
+		st, err := svc.Status(sub.ID)
+		r.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !State(ev.Kind).terminal() {
+			t.Fatalf("job %s: the event stream ended on %q, not a terminal event", sub.ID, ev.Kind)
+		}
+		if st.State != State(ev.Kind) {
+			t.Errorf("job %s: status reads %s on its %s event", sub.ID, st.State, ev.Kind)
+		}
+	}
+}
+
+// TestPreemptRequeuedPrecedesNextAttempt: a preempted job journals its
+// requeued event before the attempt that resumes it, even with an idle
+// worker waiting to claim it.
+func TestPreemptRequeuedPrecedesNextAttempt(t *testing.T) {
+	hold := newHolder("j000001")
+	defer hold.Release()
+	svc := newService(t, Config{Workers: 2, Instrument: hold.instrument})
+
+	sub, err := svc.Submit(synthSpec(42, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hold.waitEntered(t)
+	if err := svc.Preempt(sub.ID); err != nil {
+		t.Fatal(err)
+	}
+	hold.Release()
+	waitStatus(t, svc, sub.ID, isState(StateDone))
+
+	evs, err := decodeJournal(svcJobDir(t, svc, sub.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kinds []string
+	for _, e := range evs {
+		switch e.Kind {
+		case "attempt", "preempted", "requeued", "done":
+			kinds = append(kinds, e.Kind)
+		}
+	}
+	if got, want := strings.Join(kinds, ","), "attempt,preempted,requeued,attempt,done"; got != want {
+		t.Errorf("lifecycle events = %s, want %s", got, want)
 	}
 }

@@ -269,35 +269,25 @@ func (st *store) allocLocked(spec Spec) (*Job, error) {
 // rebuild one for a child), and must be done — an ECO against a job still
 // running would race its committed output. Unknown and ECO parents are
 // structural bad_spec rejections; a live-but-unfinished parent is a
-// conflict the client can retry once the parent completes.
+// conflict the client can retry once the parent completes. A parent that
+// a peer owns is judged by its on-disk record, read afresh: the in-memory
+// view of a peer's job is only as new as its last status query or scan.
 func (st *store) resolveParent(sp Spec) error {
 	id := sp.ParentJob
-	if j, err := st.get(id); err == nil {
-		if j.Spec.isECO() {
-			return errECOParent(id)
-		}
-		if s := j.currentState(); s != StateDone {
-			return errConflict(fmt.Sprintf("parent job %s is %s, not done", id, s))
-		}
-		return nil
-	}
-	// Disk fallback: a peer node's job this node has not scanned yet. Its
-	// spec.json is written before its state.json.
-	dir := filepath.Join(st.cfg.DataDir, id)
-	data, err := os.ReadFile(filepath.Join(dir, "state.json"))
+	j, err := st.get(id)
 	if err != nil {
-		return errBadSpec("unknown parent job: " + id)
+		// A peer node's job this node has not scanned yet.
+		var ok bool
+		if j, ok = loadJobDir(id, filepath.Join(st.cfg.DataDir, id)); !ok {
+			return errBadSpec("unknown parent job: " + id)
+		}
 	}
-	ps, err := loadSpec(dir)
-	if err != nil {
-		return errBadSpec("unreadable parent job spec: " + id)
-	}
-	if ps.isECO() {
+	st.refreshRemote(j)
+	if j.Spec.isECO() {
 		return errECOParent(id)
 	}
-	var rec jobRecord
-	if json.Unmarshal(data, &rec) != nil || rec.State != StateDone {
-		return errConflict(fmt.Sprintf("parent job %s is not done", id))
+	if s := j.currentState(); s != StateDone {
+		return errConflict(fmt.Sprintf("parent job %s is %s, not done", id, s))
 	}
 	return nil
 }
@@ -462,14 +452,10 @@ func (st *store) next() *Job {
 	}
 }
 
-// release moves a claimed job out of the running set into its next state.
-// For StateQueued (preemption/drain) the job re-enters the queue in its
-// original admission order, so preemption cannot be used to jump the line.
-// The lease is released only after the state record is durably persisted,
-// so no other node can claim the job while its record is mid-transition.
-// On a halted node release is a no-op: a dead process performs no
-// transitions and its leases expire on their own.
-func (st *store) release(j *Job, next State, errMsg string) {
+// release is the one writer of a claimed job's transition out of running:
+// to a terminal state, or back to queued on preemption and drain. ev is
+// the transition's journal event; releaseLocked orders the effects.
+func (st *store) release(j *Job, next State, errMsg string, ev Event) {
 	if next == StateDone {
 		// The finished attempt may have populated the cache; re-apply the
 		// LRU bounds before the transition is visible, so a waiter that
@@ -477,29 +463,52 @@ func (st *store) release(j *Job, next State, errMsg string) {
 		st.enforceCacheBounds()
 	}
 	st.mu.Lock()
+	st.releaseLocked(j, next, errMsg, ev)
+}
+
+// releaseLocked is release entered with st.mu held, which it unlocks:
+// preemptJob cancels a queued job through it, so no worker can claim the
+// job between that check and the flip. The effects run in this order:
+//
+//  1. the state flips in memory and this node's claim is dropped;
+//  2. ev is journaled while j.mu is still held, so a reader sees the old
+//     state, or the new one with its event already on disk — a client
+//     that reads the status on the event reads the new state;
+//  3. streamers wake;
+//  4. a requeued job re-enters the queue in its original admission order
+//     (preemption cannot jump the line), so its requeued event precedes
+//     its next attempt;
+//  5. state.json is persisted and only then the lease released, so no
+//     other node claims the job while its record is mid-transition.
+//
+// On a halted node it does nothing: a dead process performs no
+// transitions and its leases expire on their own.
+func (st *store) releaseLocked(j *Job, next State, errMsg string, ev Event) {
 	if st.halted {
 		st.mu.Unlock()
 		return
 	}
 	delete(st.running, j.ID)
+	st.dequeueLocked(j)
 	j.mu.Lock()
-	token := j.leaseToken
-	j.leaseToken = 0
+	token, _, _ := j.dropClaimLocked()
 	j.state = next
 	j.errMsg = errMsg
-	j.preempt = nil
-	j.preemptReason = ""
-	j.hardCancel = nil
-	j.workerPID = 0
 	if next == StateQueued {
 		j.preemptions++
 	}
-	j.mu.Unlock()
-	if next == StateQueued {
-		st.queue = append(st.queue, j)
-		sort.Slice(st.queue, func(a, b int) bool { return st.queue[a].Seq < st.queue[b].Seq })
-	}
 	st.mu.Unlock()
+	j.journal(ev)
+	j.mu.Unlock()
+	j.hub.notify()
+	if next == StateQueued {
+		st.mu.Lock()
+		if j.currentState() == StateQueued { // not cancelled meanwhile
+			st.queue = append(st.queue, j)
+			sort.Slice(st.queue, func(a, b int) bool { return st.queue[a].Seq < st.queue[b].Seq })
+		}
+		st.mu.Unlock()
+	}
 	if err := st.persistState(j); err != nil {
 		// The in-memory transition already happened; a persist failure
 		// costs recovery fidelity after a crash, not current correctness.
@@ -510,7 +519,6 @@ func (st *store) release(j *Job, next State, errMsg string) {
 		st.lm.release(j.Dir, token)
 	}
 	st.cond.Broadcast()
-	j.hub.notify()
 }
 
 // detach abandons a claimed job whose lease this node lost: the thief owns
@@ -521,11 +529,7 @@ func (st *store) detach(j *Job) {
 	st.mu.Lock()
 	delete(st.running, j.ID)
 	j.mu.Lock()
-	j.leaseToken = 0
-	j.preempt = nil
-	j.preemptReason = ""
-	j.hardCancel = nil
-	j.workerPID = 0
+	j.dropClaimLocked()
 	j.remote = true
 	j.state = StateQueued // local view; the disk record is the thief's
 	j.mu.Unlock()
@@ -576,8 +580,7 @@ func (st *store) halt() {
 	st.cond.Broadcast()
 	for _, j := range running {
 		j.mu.Lock()
-		cancel := j.preempt
-		hard := j.hardCancel
+		_, cancel, hard := j.dropClaimLocked()
 		j.mu.Unlock()
 		if cancel != nil {
 			cancel()
@@ -628,39 +631,23 @@ func (st *store) get(id string) (*Job, error) {
 func (st *store) preemptJob(j *Job, reason string) error {
 	st.mu.Lock()
 	j.mu.Lock()
-	switch j.state {
-	case StateRunning:
+	state, cancel := j.state, j.preempt
+	if state == StateRunning {
 		j.preemptReason = reason
-		cancel := j.preempt
-		j.mu.Unlock()
-		st.mu.Unlock()
-		if cancel != nil {
-			cancel()
-		}
-		return nil
-	case StateQueued:
-		if reason != "cancel" {
-			j.mu.Unlock()
-			st.mu.Unlock()
-			return nil
-		}
-		j.state = StateCancelled
-		j.mu.Unlock()
-		st.dequeueLocked(j)
-		st.mu.Unlock()
-		st.persistState(j)
-		appendEvent(j.Dir, Event{Kind: "cancelled"})
-		j.hub.notify()
-		return nil
-	default:
-		state := j.state
-		j.mu.Unlock()
-		st.mu.Unlock()
-		if reason == "cancel" {
-			return errConflict(fmt.Sprintf("job is already %s", state))
-		}
+	}
+	j.mu.Unlock()
+	if state == StateQueued && reason == "cancel" {
+		st.releaseLocked(j, StateCancelled, "", Event{Kind: "cancelled"})
 		return nil
 	}
+	st.mu.Unlock()
+	switch {
+	case state == StateRunning && cancel != nil:
+		cancel()
+	case state.terminal() && reason == "cancel":
+		return errConflict(fmt.Sprintf("job is already %s", state))
+	}
+	return nil
 }
 
 // beginDrain closes admission and scheduling, stops the heartbeat/scan
@@ -765,70 +752,12 @@ func (st *store) status(j *Job) Status {
 	return s
 }
 
-// recover rebuilds the store from a data directory: terminal jobs are
-// re-registered as terminal (outputs stay fetchable), queued and running
-// jobs re-enter the queue — their checkpoint directories make the resume
-// exact. Returns the number of requeued jobs.
-func (st *store) recover() (int, error) {
-	entries, err := os.ReadDir(st.cfg.DataDir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil
-		}
-		return 0, err
-	}
-	requeued := 0
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for _, ent := range entries {
-		if !ent.IsDir() {
-			continue
-		}
-		dir := filepath.Join(st.cfg.DataDir, ent.Name())
-		specData, err := os.ReadFile(filepath.Join(dir, "spec.json"))
-		if err != nil {
-			continue // not a job directory
-		}
-		var spec Spec
-		if err := json.Unmarshal(specData, &spec); err != nil {
-			continue
-		}
-		var rec jobRecord
-		if data, err := os.ReadFile(filepath.Join(dir, "state.json")); err == nil {
-			json.Unmarshal(data, &rec)
-		}
-		if rec.ID == "" {
-			rec.ID = ent.Name()
-		}
-		j := &Job{ID: rec.ID, Seq: rec.Seq, Spec: spec, Dir: dir,
-			state: rec.State, attempts: rec.Attempts, preemptions: rec.Preemptions}
-		j.errMsg = rec.Error
-		if !rec.State.terminal() {
-			// A job that was mid-attempt when the daemon died resumes
-			// from its last checkpoint; requeue it.
-			j.state = StateQueued
-			st.queue = append(st.queue, j)
-			requeued++
-		}
-		st.jobs[j.ID] = j
-		if j.Seq > st.seq {
-			st.seq = j.Seq
-		}
-	}
-	sort.Slice(st.queue, func(a, b int) bool { return st.queue[a].Seq < st.queue[b].Seq })
-	return requeued, nil
-}
-
 // refreshRemote folds a remote job's persisted control-plane record into
 // the local view: its owner's state transitions — including terminal ones
 // — become visible here without any node-to-node channel beyond the store.
 func (st *store) refreshRemote(j *Job) {
-	data, err := os.ReadFile(filepath.Join(j.Dir, "state.json"))
+	rec, err := readRecord(j.Dir)
 	if err != nil {
-		return
-	}
-	var rec jobRecord
-	if json.Unmarshal(data, &rec) != nil {
 		return
 	}
 	j.mu.Lock()
