@@ -156,6 +156,7 @@ fuzz-smoke:
 	$(GO) test ./internal/view -fuzz 'FuzzOverlayCommit$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x
 	$(GO) test ./internal/ilp -fuzz 'FuzzILPSolve$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x
 	$(GO) test ./internal/legal -fuzz 'FuzzRelocate$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x
+	$(GO) test ./internal/crp -fuzz 'FuzzSelect$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x
 	$(GO) test ./internal/service -fuzz 'FuzzSpecDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x
 	$(GO) test ./internal/service -fuzz 'FuzzLeaseRecord$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x
 	$(GO) test ./internal/eco -fuzz 'FuzzDeltaApply$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x

@@ -71,7 +71,9 @@ type Result struct {
 // routing. Context cancellation is treated exactly like a design over
 // MaxCells: the run reports Failed and the design is restored — the
 // baseline has no partial-result mode (matching [18]'s crash-or-complete
-// behaviour the paper reproduces).
+// behaviour the paper reproduces). The cluster solve checks ctx at every
+// branch & bound node, so a cancellation stops the run inside the cluster
+// it lands in, not after it.
 func Run(ctx context.Context, d *db.Design, g *grid.Grid, r *global.Router, cfg Config) *Result {
 	if cfg.ClusterSize <= 0 {
 		cfg.ClusterSize = DefaultConfig().ClusterSize
@@ -107,7 +109,7 @@ func Run(ctx context.Context, d *db.Design, g *grid.Grid, r *global.Router, cfg 
 			return fail()
 		}
 		hi := min(lo+cfg.ClusterSize, len(ids))
-		moved, nodes := runCluster(d, g, ids[lo:hi], movedNets)
+		moved, nodes := runCluster(ctx, d, g, ids[lo:hi], movedNets)
 		res.MovedCells += moved
 		res.SolverNodes += nodes
 		res.Clusters++
@@ -136,9 +138,9 @@ func Run(ctx context.Context, d *db.Design, g *grid.Grid, r *global.Router, cfg 
 // maxNodesPerILP bounds each cluster ILP's branch & bound.
 const maxNodesPerILP = 20000
 
-// runCluster builds and solves one cluster's ILP and applies its moves,
-// returning the moved-cell count and the solver nodes spent.
-func runCluster(d *db.Design, g *grid.Grid, ids []int32, movedNets map[int32]bool) (int, int) {
+// runCluster builds and solves one cluster's ILP under ctx and applies its
+// moves, returning the moved-cell count and the solver nodes spent.
+func runCluster(ctx context.Context, d *db.Design, g *grid.Grid, ids []int32, movedNets map[int32]bool) (int, int) {
 	type option struct {
 		cell int32
 		pos  geom.Point
@@ -204,12 +206,13 @@ func runCluster(d *db.Design, g *grid.Grid, ids []int32, movedNets map[int32]boo
 	}
 
 	// Monolithic solve: [18]'s formulation is one model, not decomposed.
-	sol := m.Solve(ilp.Options{DisableDecomposition: true, MaxNodes: maxNodesPerILP})
+	sol := m.Solve(ctx, ilp.Options{DisableDecomposition: true, MaxNodes: maxNodesPerILP})
 	// Degradation ladder for this call site: anything short of Optimal —
 	// Infeasible (cannot happen: "stay" is always feasible, but handled
-	// anyway) or LimitReached (maxNodesPerILP fired) — skips the cluster,
-	// the documented fallback: [18]'s published behaviour is
-	// solve-or-skip.
+	// anyway) or LimitReached (maxNodesPerILP fired, or ctx is done) —
+	// skips the cluster, the documented fallback: [18]'s published
+	// behaviour is solve-or-skip. A done ctx then fails the whole run at
+	// Run's next check.
 	if sol.Status != ilp.Optimal {
 		return 0, sol.Nodes // keep everything as-is for this cluster
 	}

@@ -81,6 +81,43 @@ func TestCancelledRunRestoresState(t *testing.T) {
 	}
 }
 
+// cancelAfter is a context whose Err reports Canceled from its nth call
+// on, so a test can cancel a run at an exact check.
+type cancelAfter struct {
+	context.Context
+	calls, n int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.calls++; c.calls >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCancelInsideClusterSolve: a cancellation that lands while a cluster
+// ILP is being solved stops the solve at its next node, not after the
+// cluster. The context turns Canceled at its second check — the first is
+// Run's own, before cluster 1; the second is the solve's first node — and
+// the run fails after one solver node with the design restored.
+func TestCancelInsideClusterSolve(t *testing.T) {
+	d, g, r := fixture(t, 300, 250, 3)
+	snapHPWL := d.TotalHPWL()
+	res := Run(&cancelAfter{Context: context.Background(), n: 2}, d, g, r, DefaultConfig())
+	if !res.Failed || res.MovedCells != 0 {
+		t.Fatalf("run cancelled in its first solve: failed %v, moved %d", res.Failed, res.MovedCells)
+	}
+	if res.Clusters != 1 || res.SolverNodes != 1 {
+		t.Errorf("cancelled solve ran on: %d clusters, %d solver nodes, want 1 and 1", res.Clusters, res.SolverNodes)
+	}
+	if d.TotalHPWL() != snapHPWL {
+		t.Error("failed run did not restore the placement")
+	}
+	if err := d.Validate(); err != nil {
+		t.Fatalf("restored design invalid: %v", err)
+	}
+}
+
 func TestDeterministic(t *testing.T) {
 	run := func() (int, int64) {
 		d, g, r := fixture(t, 200, 150, 4)

@@ -15,9 +15,10 @@
 //  3. Candidate Cost Estimation (Algorithm 3): every candidate is priced by
 //     the fast 3D pattern router over the nets of every cell the candidate
 //     moves, with all other cells fixed.
-//  4. Selection ILP (Eq. 12): exactly one candidate per critical cell,
+//  4. Selection (Eq. 12): exactly one candidate per critical cell,
 //     pairwise exclusion between candidates whose moved footprints or moved
-//     cells collide, minimising total estimated routing cost.
+//     cells collide, minimising total estimated routing cost — solved by an
+//     exact depth-first search under a stated tie rule (selectCandidates).
 //  5. Update Database: selected moves are committed, their nets are ripped
 //     up and rerouted, and the history sets are updated.
 //
@@ -41,7 +42,6 @@ import (
 	"github.com/crp-eda/crp/internal/db"
 	"github.com/crp-eda/crp/internal/geom"
 	"github.com/crp-eda/crp/internal/grid"
-	"github.com/crp-eda/crp/internal/ilp"
 	"github.com/crp-eda/crp/internal/legal"
 	"github.com/crp-eda/crp/internal/route/global"
 	"github.com/crp-eda/crp/internal/steiner"
@@ -73,12 +73,6 @@ type Hooks struct {
 	// PostUD fires after the update-database phase, before the iteration's
 	// invariant check — the seam the chaos suite uses to prove rollback.
 	PostUD func(iter int)
-	// SolveSelection replaces the selection-ILP solve (Eq. 12) entirely;
-	// tests use it to force LimitReached/Infeasible outcomes.
-	SolveSelection func(m *ilp.Model, opt ilp.Options) ilp.Solution
-	// ILPOptions rewrites the selection solve options (fault injection:
-	// budget starvation).
-	ILPOptions func(opt ilp.Options) ilp.Options
 }
 
 // Degradation records one fault-tolerance event: a fallback taken, a
@@ -116,8 +110,9 @@ type Config struct {
 	// that runs out of time completes its committed work and stops before
 	// the next uncommitted phase; it never leaves a half-applied state.
 	IterTimeout time.Duration
-	// ILPTimeLimit caps each selection-ILP solve (0: none). On expiry the
-	// greedy improving selection takes over (degradation ladder).
+	// ILPTimeLimit caps each Eq. 12 selection search (0: none). On expiry
+	// the component being searched keeps its best assignment so far and
+	// the rest stay put (degradation ladder).
 	ILPTimeLimit time.Duration
 	// Scope, when non-nil, restricts Algorithm 1's candidate pool: only
 	// cells the predicate admits may be labelled critical. The ECO engine
@@ -142,12 +137,12 @@ func DefaultConfig() Config {
 
 // PhaseTimes is the per-iteration runtime breakdown reported in Fig. 3:
 // GCP (generate candidate positions), ECC (estimate candidates cost), UD
-// (update database), and Misc (labeling plus the selection ILP).
+// (update database), and Misc (labeling plus the Eq. 12 selection).
 type PhaseTimes struct {
 	Label time.Duration // critical-cell labeling (Misc)
 	GCP   time.Duration
 	ECC   time.Duration
-	ILP   time.Duration // selection ILP (Misc)
+	ILP   time.Duration // Eq. 12 selection (Misc)
 	UD    time.Duration
 
 	// GCPGen is the legalizer's time in the GCP phase, summed across
@@ -174,15 +169,13 @@ type IterStats struct {
 	EstBefore    float64 // selected candidates' estimated cost at current positions
 	EstAfter     float64 // selected candidates' estimated cost
 	Times        PhaseTimes
-	SolverNodes  int
-	SolverStatus ilp.Status
+	SolverNodes  int // Eq. 12 search nodes
 	SkippedMoves int // selected moves that failed to apply (defensive)
 
 	// Robustness outcomes (all zero on a fault-free iteration).
-	Quarantined    int  // worker panics contained this iteration
-	GreedyFallback bool // selection ILP fell back to the greedy selection
-	RolledBack     bool // invariant violation undid the whole iteration
-	DeadlineHit    bool // the iteration deadline expired mid-iteration
+	Quarantined int  // worker panics contained this iteration
+	RolledBack  bool // invariant violation undid the whole iteration
+	DeadlineHit bool // the iteration deadline expired mid-iteration
 	// Degradations details every robustness event of this iteration.
 	Degradations []Degradation
 }

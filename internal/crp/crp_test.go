@@ -6,7 +6,6 @@ import (
 
 	"github.com/crp-eda/crp/internal/db"
 	"github.com/crp-eda/crp/internal/grid"
-	"github.com/crp-eda/crp/internal/ilp"
 	"github.com/crp-eda/crp/internal/ispd"
 	"github.com/crp-eda/crp/internal/route/global"
 )
@@ -62,8 +61,8 @@ func TestIterateKeepsDesignLegal(t *testing.T) {
 		if st.SkippedMoves != 0 {
 			t.Errorf("iteration %d skipped %d moves — exclusion constraints leaked", k, st.SkippedMoves)
 		}
-		if st.SolverStatus != ilp.Optimal {
-			t.Errorf("iteration %d solver status %v", k, st.SolverStatus)
+		if len(st.Degradations) != 0 {
+			t.Errorf("iteration %d degraded: %v", k, st.Degradations)
 		}
 	}
 }
@@ -73,7 +72,7 @@ func TestSelectedMovesNeverWorseThanStaying(t *testing.T) {
 	e := New(d, g, r, smallConfig(1))
 	st := e.Iterate(context.Background())
 	if st.MovedCells > 0 && st.EstAfter > st.EstBefore+1e-6 {
-		t.Errorf("ILP chose moves costing %v over staying at %v", st.EstAfter, st.EstBefore)
+		t.Errorf("selection chose moves costing %v over staying at %v", st.EstAfter, st.EstBefore)
 	}
 }
 
@@ -265,8 +264,8 @@ func TestLengthOnlyCostMode(t *testing.T) {
 	if err := d.Validate(); err != nil {
 		t.Fatalf("LengthOnly iteration broke legality: %v", err)
 	}
-	if st.SolverStatus != ilp.Optimal {
-		t.Errorf("solver status %v", st.SolverStatus)
+	if len(st.Degradations) != 0 {
+		t.Errorf("LengthOnly iteration degraded: %v", st.Degradations)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/crp-eda/crp/internal/geom"
-	"github.com/crp-eda/crp/internal/ilp"
 	"github.com/crp-eda/crp/internal/view"
 )
 
@@ -92,13 +91,11 @@ func (e *Engine) Iterate(ctx context.Context) IterStats {
 	}
 
 	t0 = time.Now()
-	chosen, sol, usedGreedy := e.selectCandidates(ctx, cands)
+	chosen, nodes, stop := e.selectCandidates(ctx, cands)
 	st.Times.ILP = time.Since(t0)
-	st.SolverNodes = sol.Nodes
-	st.SolverStatus = sol.Status
-	if usedGreedy {
-		st.GreedyFallback = true
-		deg("selection-fallback", fmt.Sprintf("selection ILP %v; greedy improving selection took over", sol.Status))
+	st.SolverNodes = nodes
+	if stop != "" {
+		deg("selection-fallback", fmt.Sprintf("Eq. 12 search stopped by its %s after %d nodes; the rest stays put", stop, nodes))
 	}
 
 	// EstBefore/EstAfter compare the selected moves against staying put,
@@ -172,7 +169,7 @@ func (e *Engine) checkInvariants() error {
 }
 
 // cellCands is one critical cell still in play after pruning: its index
-// into the candidate table and the candidate indices worth modelling.
+// into the candidate table and the candidate indices worth searching.
 type cellCands struct {
 	ci   int
 	list []int // candidate indices within cands[ci], current first
@@ -217,242 +214,221 @@ func pruneDominated(cands [][]candidate) (fixed []*candidate, active []cellCands
 	return fixed, active
 }
 
-// selectMaxNodes caps the selection ILP's branch & bound nodes.
+// selectMaxNodes caps the Eq. 12 search's nodes, summed over one
+// selection's components.
 const selectMaxNodes = 200_000
 
-// selectCandidates builds and solves the Eq. 12 selection ILP: one
-// candidate per critical cell; candidates of different cells that move the
-// same cell or whose moved footprints overlap exclude each other.
+// selectCandidates solves Eq. 12 by exact search: one candidate per critical
+// cell, at the least summed estimated cost, where candidates of different
+// cells exclude each other when they move the same cell or when their moved
+// footprints share a site.
 //
-// Exact pruning shrinks the model first: a move candidate whose estimated
+// Exact pruning shrinks the problem first: a move candidate whose estimated
 // cost is not below its cell's stay-put cost is dominated — replacing it
-// with "stay" in any feasible solution stays feasible (staying occupies
-// nothing new) and does not increase the objective — so it is dropped, and
-// cells left with no improving candidate are fixed to their current
-// position outside the model.
+// with "stay" in any feasible selection stays feasible (staying occupies
+// nothing new) and does not increase the cost — so it is dropped, and cells
+// left with no improving candidate are fixed to their current position.
 //
-// Degradation ladder: a solve that ends LimitReached or Infeasible — or a
-// ctx deadline that expires before the solve can start — drops to the
-// greedy improving selection below (usedGreedy=true). The greedy path is
-// always feasible and never worse than everyone staying put.
-func (e *Engine) selectCandidates(ctx context.Context, cands [][]candidate) (_ []*candidate, _ ilp.Solution, usedGreedy bool) {
+// The active cells split into components, the connected groups of the
+// collision relation, and each component is searched depth first: its cells
+// in ascending order, each cell's candidates in rank order (rank 0 stays
+// put, then the legalizer's ascending-displacement order). A node is bounded
+// by its partial sum plus the remaining cells' cheapest costs, added in the
+// leaf's order; float addition of non-negative terms is monotone, so the
+// bound never exceeds a leaf's sum (the stay-put bound rests on the same
+// argument). The incumbent starts as "every cell stays", and only a strictly
+// lower sum replaces it. The tie rule follows: a component's pick has the
+// least cost summed in ascending cell order, and among equal sums the
+// lexicographically smallest rank vector wins, so an equal-cost tie goes to
+// the smaller move.
+//
+// Truncation: the node cap selectMaxNodes, Cfg.ILPTimeLimit (counted from
+// the call) and ctx's deadline stop the search. The component being searched
+// keeps its best assignment so far, later components stay put, and stop
+// names the limit (empty when the search completed). chosen lists the fixed
+// cells, then the active cells in ascending order.
+func (e *Engine) selectCandidates(ctx context.Context, cands [][]candidate) (chosen []*candidate, nodes int, stop string) {
+	start := time.Now()
 	chosen, active := pruneDominated(cands)
 	if len(active) == 0 {
-		return chosen, ilp.Solution{Status: ilp.Optimal}, false
+		return chosen, 0, ""
 	}
-
-	m := ilp.NewModel()
-	type varRef struct {
-		ci, cj int // indices into cands
+	dl, timed := ctx.Deadline()
+	if l := e.Cfg.ILPTimeLimit; l > 0 && (!timed || start.Add(l).Before(dl)) {
+		dl, timed = start.Add(l), true
 	}
-	var refs []varRef
+	s := eq12{expired: func() bool { return ctx.Err() != nil || timed && !time.Now().Before(dl) }}
 
-	// Per-cell "exactly one" constraints.
-	for _, cc := range active {
-		terms := make([]ilp.Term, 0, len(cc.list))
-		for _, j := range cc.list {
-			v := m.AddBinary("", cands[cc.ci][j].cost)
-			refs = append(refs, varRef{cc.ci, j})
-			terms = append(terms, ilp.Term{Var: v, Coef: 1})
-		}
-		m.AddConstraint("pick-one", terms, ilp.EQ, 1)
-	}
-
-	// Exclusion constraints. A spatial hash over moved footprints (at
-	// site granularity) and a moved-cell index find colliding pairs
-	// without the quadratic sweep.
+	// Collision keys, one dense ID each: (-1, cell) for a moved cell and
+	// (row, x) for a site of a moved footprint. A union-find over the
+	// active cells joins every two that claim one key.
 	sw := e.D.Tech.Site.Width
-	siteOwners := map[[2]int][]int{} // (row, siteX) -> var indices
-	cellMovers := map[int32][]int{}  // moved cell -> var indices
-	for vi, ref := range refs {
-		c := &cands[ref.ci][ref.cj]
-		if c.isCurrent {
-			continue // staying put occupies what it already owns
-		}
-		for _, mc := range c.movedCells() {
-			cellMovers[mc] = append(cellMovers[mc], vi)
-			var p geom.Point
-			if mc == c.cell {
-				p = c.pos
-			} else {
-				p = c.conflicts[mc]
-			}
-			w := e.D.Cells[mc].Macro.Width
-			row, ok := e.D.RowAt(p.Y)
-			if !ok {
-				continue
-			}
-			for x := p.X; x < p.X+w; x += sw {
-				key := [2]int{int(row.Index), x}
-				siteOwners[key] = append(siteOwners[key], vi)
-			}
-		}
+	keyIDs := map[[2]int]int32{}
+	var owner []int // the first active cell to claim each key
+	parent := make([]int, len(active))
+	for a := range parent {
+		parent[a] = a
 	}
-	// Emit exclusion pairs in sorted key order so the model (and thus any
-	// solver tie-breaking) is deterministic run to run.
-	pairSeen := map[[2]int]bool{}
-	addPair := func(a, b int) {
-		if refs[a].ci == refs[b].ci {
-			return // same critical cell: covered by pick-one
+	find := func(a int) int {
+		for parent[a] != a {
+			parent[a] = parent[parent[a]]
+			a = parent[a]
 		}
-		if a > b {
-			a, b = b, a
-		}
-		if pairSeen[[2]int{a, b}] {
-			return
-		}
-		pairSeen[[2]int{a, b}] = true
-		m.AddConstraint("excl",
-			[]ilp.Term{{Var: ilp.VarID(a), Coef: 1}, {Var: ilp.VarID(b), Coef: 1}}, ilp.LE, 1)
+		return a
 	}
-	siteKeys := make([][2]int, 0, len(siteOwners))
-	for k := range siteOwners {
-		siteKeys = append(siteKeys, k)
-	}
-	sort.Slice(siteKeys, func(a, b int) bool {
-		if siteKeys[a][0] != siteKeys[b][0] {
-			return siteKeys[a][0] < siteKeys[b][0]
-		}
-		return siteKeys[a][1] < siteKeys[b][1]
-	})
-	for _, k := range siteKeys {
-		vs := siteOwners[k]
-		for i := 0; i < len(vs); i++ {
-			for j := i + 1; j < len(vs); j++ {
-				addPair(vs[i], vs[j])
-			}
-		}
-	}
-	moverKeys := make([]int32, 0, len(cellMovers))
-	for k := range cellMovers {
-		moverKeys = append(moverKeys, k)
-	}
-	sort.Slice(moverKeys, func(a, b int) bool { return moverKeys[a] < moverKeys[b] })
-	for _, k := range moverKeys {
-		vs := cellMovers[k]
-		for i := 0; i < len(vs); i++ {
-			for j := i + 1; j < len(vs); j++ {
-				addPair(vs[i], vs[j])
-			}
-		}
-	}
-
-	// Solve budget: the node cap, the configured per-solve time
-	// limit, and whatever remains of the iteration deadline — whichever is
-	// tightest. A deadline already in the past skips the solve entirely.
-	opt := ilp.Options{
-		MaxNodes:  selectMaxNodes,
-		TimeLimit: e.Cfg.ILPTimeLimit,
-	}
-	skipSolve := false
-	if dl, ok := ctx.Deadline(); ok {
-		rem := time.Until(dl)
-		if rem <= 0 {
-			skipSolve = true
-		} else if opt.TimeLimit == 0 || rem < opt.TimeLimit {
-			opt.TimeLimit = rem
-		}
-	}
-	if h := e.Cfg.Hooks.ILPOptions; h != nil {
-		opt = h(opt)
-	}
-	var sol ilp.Solution
-	if skipSolve {
-		sol = ilp.Solution{Status: ilp.LimitReached}
-	} else if h := e.Cfg.Hooks.SolveSelection; h != nil {
-		sol = h(m, opt)
-	} else {
-		sol = m.Solve(opt)
-	}
-	if sol.Status == ilp.Optimal {
-		for vi, ref := range refs {
-			if sol.Value(ilp.VarID(vi)) {
-				chosen = append(chosen, &cands[ref.ci][ref.cj])
-			}
-		}
-		return chosen, sol, false
-	}
-
-	// Budget exhausted (or infeasible under an injected fault): fall back
-	// to a greedy improving selection — best gain first, skipping any move
-	// that collides with an already-accepted one. A truncated search
-	// reports no assignment, so the greedy order is the one fallback.
-	type pick struct {
-		cc   cellCands
-		best int // candidate index, -1 = stay
-		gain float64
-	}
-	picks := make([]pick, 0, len(active))
-	for _, cc := range active {
-		cur := cands[cc.ci][cc.list[0]].cost
-		best, bestCost := -1, cur
-		for _, j := range cc.list[1:] {
-			if c := cands[cc.ci][j].cost; c < bestCost {
-				best, bestCost = j, c
-			}
-		}
-		picks = append(picks, pick{cc, best, cur - bestCost})
-	}
-	sort.Slice(picks, func(a, b int) bool {
-		if picks[a].gain != picks[b].gain {
-			return picks[a].gain > picks[b].gain
-		}
-		return picks[a].cc.ci < picks[b].cc.ci
-	})
-	claimedSites := map[[2]int]bool{}
-	claimedCells := map[int32]bool{}
-
-	for _, p := range picks {
-		cur := &cands[p.cc.ci][p.cc.list[0]]
-		if p.best < 0 {
-			chosen = append(chosen, cur)
-			continue
-		}
-		cand := &cands[p.cc.ci][p.best]
-		ok := true
-		var sites [][2]int
-		var movers []int32
-		for _, mc := range cand.movedCells() {
-			if claimedCells[mc] {
-				ok = false
-				break
-			}
-			movers = append(movers, mc)
-			pos := cand.pos
-			if mc != cand.cell {
-				pos = cand.conflicts[mc]
-			}
-			row, okr := e.D.RowAt(pos.Y)
-			if !okr {
-				ok = false
-				break
-			}
-			w := e.D.Cells[mc].Macro.Width
-			for x := pos.X; x < pos.X+w; x += sw {
-				key := [2]int{int(row.Index), x}
-				if claimedSites[key] {
-					ok = false
-					break
-				}
-				sites = append(sites, key)
-			}
-			if !ok {
-				break
-			}
-		}
+	claim := func(a int, k [2]int) int32 {
+		id, ok := keyIDs[k]
 		if !ok {
-			chosen = append(chosen, cur)
+			id = int32(len(owner))
+			keyIDs[k] = id
+			owner = append(owner, a)
+		} else {
+			parent[find(a)] = find(owner[id])
+		}
+		return id
+	}
+	s.cost = make([][]float64, len(active))
+	s.keys = make([][][]int32, len(active))
+	s.minCost = make([]float64, len(active))
+	for a, cc := range active {
+		s.cost[a] = make([]float64, len(cc.list))
+		s.keys[a] = make([][]int32, len(cc.list))
+		for r, j := range cc.list {
+			c := &cands[cc.ci][j]
+			s.cost[a][r] = c.cost
+			if r == 0 {
+				s.minCost[a] = c.cost
+				continue // staying put claims nothing it does not own
+			}
+			s.minCost[a] = min(s.minCost[a], c.cost)
+			for _, mc := range c.movedCells() {
+				s.keys[a][r] = append(s.keys[a][r], claim(a, [2]int{-1, int(mc)}))
+				p := c.pos
+				if mc != c.cell {
+					p = c.conflicts[mc]
+				}
+				row, ok := e.D.RowAt(p.Y)
+				if !ok {
+					continue
+				}
+				for x := p.X; x < p.X+e.D.Cells[mc].Macro.Width; x += sw {
+					s.keys[a][r] = append(s.keys[a][r], claim(a, [2]int{int(row.Index), x}))
+				}
+			}
+		}
+	}
+	s.claimed = make([]bool, len(owner))
+
+	// Components in ascending order of their lowest cell, each ascending.
+	var comps [][]int
+	compOf := map[int]int{}
+	for a := range active {
+		r := find(a)
+		ci, ok := compOf[r]
+		if !ok {
+			ci = len(comps)
+			compOf[r] = ci
+			comps = append(comps, nil)
+		}
+		comps[ci] = append(comps[ci], a)
+	}
+
+	pick := make([]int, len(active)) // rank per active cell: 0 stays
+	for n, comp := range comps {
+		if s.expired() {
+			stop = fmt.Sprintf("deadline before component %d of %d", n+1, len(comps))
+			break
+		}
+		if !s.search(comp, pick) {
+			stop = fmt.Sprintf("%s in component %d of %d", s.cut, n+1, len(comps))
+			break
+		}
+	}
+	for a, cc := range active {
+		chosen = append(chosen, &cands[cc.ci][cc.list[pick[a]]])
+	}
+	return chosen, s.nodes, stop
+}
+
+// eq12 is the search state of one selection, indexed by active cell, then
+// by candidate rank.
+type eq12 struct {
+	cost    [][]float64
+	keys    [][][]int32 // the collision keys each move claims
+	minCost []float64   // each cell's cheapest candidate
+	claimed []bool      // by key: taken by a candidate on the current path
+	nodes   int
+	expired func() bool
+	cut     string // the limit that stopped the search
+
+	// The component being searched: its cells, the current path's ranks,
+	// and the incumbent's ranks and summed cost.
+	comp       []int
+	path, best []int
+	bestSum    float64
+}
+
+// search runs the depth-first search over one component and writes its
+// incumbent's ranks into pick; false means a limit cut it short.
+func (s *eq12) search(comp []int, pick []int) bool {
+	s.comp = comp
+	s.path = make([]int, len(comp))
+	s.best = make([]int, len(comp))
+	s.bestSum = 0
+	for _, a := range comp {
+		s.bestSum += s.cost[a][0]
+	}
+	done := s.dfs(0, 0)
+	for d, a := range comp {
+		pick[a] = s.best[d]
+	}
+	return done
+}
+
+// dfs extends the current path at depth d, whose partial sum is sum.
+func (s *eq12) dfs(d int, sum float64) bool {
+	a := s.comp[d]
+next:
+	for r, c := range s.cost[a] {
+		for _, k := range s.keys[a][r] {
+			if s.claimed[k] {
+				continue next
+			}
+		}
+		part := sum + c
+		bound := part
+		for _, b := range s.comp[d+1:] {
+			bound += s.minCost[b]
+		}
+		if bound >= s.bestSum {
 			continue
 		}
-		for _, s := range sites {
-			claimedSites[s] = true
+		if s.nodes == selectMaxNodes {
+			s.cut = "node cap"
+			return false
 		}
-		for _, mc := range movers {
-			claimedCells[mc] = true
+		if s.nodes++; s.nodes%64 == 0 && s.expired() {
+			s.cut = "deadline"
+			return false
 		}
-		chosen = append(chosen, cand)
+		s.path[d] = r
+		if d+1 == len(s.comp) {
+			s.bestSum = part
+			copy(s.best, s.path)
+			continue
+		}
+		for _, k := range s.keys[a][r] {
+			s.claimed[k] = true
+		}
+		done := s.dfs(d+1, part)
+		for _, k := range s.keys[a][r] {
+			s.claimed[k] = false
+		}
+		if !done {
+			return false
+		}
 	}
-	return chosen, sol, true
+	return true
 }
 
 // applyMoves is the Update Database phase: commit the selected moves and
@@ -474,7 +450,7 @@ func (e *Engine) applyMoves(txn *view.Txn, chosen []*candidate, curCost map[int3
 			moves[id] = p
 		}
 		if err := txn.MoveCells(moves); err != nil {
-			// The exclusion constraints should make this unreachable;
+			// The selection's exclusions should make this unreachable;
 			// count it rather than corrupting the placement.
 			st.SkippedMoves++
 			continue

@@ -1,20 +1,19 @@
 package crp
 
 import (
+	"context"
 	"testing"
 
 	"github.com/crp-eda/crp/internal/grid"
-	"github.com/crp-eda/crp/internal/ilp"
 	"github.com/crp-eda/crp/internal/ispd"
 	"github.com/crp-eda/crp/internal/route/global"
 )
 
-// BenchmarkSelectionSolve times the selection-ILP layer alone: the Eq. 12
-// models of a k=10 run on crp_test7 at scale 0.02, captured through
-// Hooks.SolveSelection with their options (each iteration builds a fresh
-// model, so the captured ones stay valid), then solved by Solve. One op
-// solves every captured model once.
-func BenchmarkSelectionSolve(b *testing.B) {
+// BenchmarkSelect times the Eq. 12 search alone: the candidate tables of a
+// k=10 run on crp_test7 at scale 0.02, captured phase by phase
+// (eachSelection), are selected again. One op selects every captured table
+// once.
+func BenchmarkSelect(b *testing.B) {
 	d, err := ispd.Generate(ispd.Suite(0.02)[6])
 	if err != nil {
 		b.Fatal(err)
@@ -24,24 +23,21 @@ func BenchmarkSelectionSolve(b *testing.B) {
 	r.RouteAll()
 	cfg := DefaultConfig()
 	cfg.Workers = 2
-	var models []*ilp.Model
-	var opts []ilp.Options
-	cfg.Hooks.SolveSelection = func(m *ilp.Model, opt ilp.Options) ilp.Solution {
-		models, opts = append(models, m), append(opts, opt)
-		return m.Solve(opt)
+	e := New(d, g, r, cfg)
+	var tables [][][]candidate
+	eachSelection(b, e, func(cands [][]candidate, _ []*candidate, _ string) {
+		tables = append(tables, cands)
+	})
+	if len(tables) == 0 {
+		b.Fatal("no candidate table captured")
 	}
-	iterate(New(d, g, r, cfg))
-	if len(models) == 0 {
-		b.Fatal("no selection model captured")
-	}
-	b.Run("Solve", func(b *testing.B) {
-		b.ReportMetric(float64(len(models)), "models")
-		for i := 0; i < b.N; i++ {
-			for j, m := range models {
-				if sol := m.Solve(opts[j]); sol.Status != ilp.Optimal {
-					b.Fatalf("model %d: %v", j, sol.Status)
-				}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, cands := range tables {
+			if _, _, stop := e.selectCandidates(context.Background(), cands); stop != "" {
+				b.Fatalf("search stopped: %s", stop)
 			}
 		}
-	})
+	}
+	b.ReportMetric(float64(len(tables)), "tables")
 }

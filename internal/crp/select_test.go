@@ -2,15 +2,15 @@ package crp
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/crp-eda/crp/internal/geom"
-	"github.com/crp-eda/crp/internal/ilp"
 )
 
-// Unit tests for the Eq. 12 selection ILP over hand-built candidate sets,
-// independent of the full pipeline.
+// Unit tests for the Eq. 12 selection search over hand-built candidate
+// sets, independent of the full pipeline.
 
 // selFixture builds an engine over a small design without routing (the
 // selection logic only needs the design geometry).
@@ -29,9 +29,9 @@ func TestSelectPrefersCheapestCandidate(t *testing.T) {
 		{cell: 0, pos: cur, conflicts: map[int32]geom.Point{}, isCurrent: true, cost: 10},
 		{cell: 0, pos: alt, conflicts: map[int32]geom.Point{}, cost: 4},
 	}}
-	chosen, sol, _ := e.selectCandidates(context.Background(), cands)
-	if sol.Status != ilp.Optimal {
-		t.Fatalf("status %v", sol.Status)
+	chosen, _, stop := e.selectCandidates(context.Background(), cands)
+	if stop != "" {
+		t.Fatalf("search stopped: %s", stop)
 	}
 	if len(chosen) != 1 || chosen[0].pos != alt {
 		t.Fatalf("chose %+v, want the cheap move", chosen)
@@ -75,9 +75,9 @@ func TestSelectExcludesOverlappingTargets(t *testing.T) {
 		}
 	}
 	cands := [][]candidate{mk(0, 1), mk(other, 2)}
-	chosen, sol, _ := e.selectCandidates(context.Background(), cands)
-	if sol.Status != ilp.Optimal {
-		t.Fatalf("status %v", sol.Status)
+	chosen, _, stop := e.selectCandidates(context.Background(), cands)
+	if stop != "" {
+		t.Fatalf("search stopped: %s", stop)
 	}
 	movedToSlot := 0
 	for _, c := range chosen {
@@ -106,9 +106,9 @@ func TestSelectExcludesSharedConflictCell(t *testing.T) {
 			{cell: 1, pos: e.D.Cells[1].Pos.Add(geom.Pt(0, 0)), conflicts: map[int32]geom.Point{2: slotB}, cost: 1},
 		},
 	}
-	chosen, sol, _ := e.selectCandidates(context.Background(), cands)
-	if sol.Status != ilp.Optimal {
-		t.Fatalf("status %v", sol.Status)
+	chosen, _, stop := e.selectCandidates(context.Background(), cands)
+	if stop != "" {
+		t.Fatalf("search stopped: %s", stop)
 	}
 	movers := 0
 	for _, c := range chosen {
@@ -124,122 +124,104 @@ func TestSelectExcludesSharedConflictCell(t *testing.T) {
 func TestSelectPrunesDominatedCandidates(t *testing.T) {
 	e := selFixture(t)
 	alt := findFreeSlotFor(t, e, 0)
-	// All moves cost >= current: model should be empty (0 solver nodes).
+	// All moves cost >= current: nothing is left to search (0 nodes).
 	cands := [][]candidate{{
 		{cell: 0, pos: e.D.Cells[0].Pos, conflicts: map[int32]geom.Point{}, isCurrent: true, cost: 1},
 		{cell: 0, pos: alt, conflicts: map[int32]geom.Point{}, cost: 1}, // tie: dominated
 	}}
-	chosen, sol, _ := e.selectCandidates(context.Background(), cands)
+	chosen, nodes, _ := e.selectCandidates(context.Background(), cands)
 	if len(chosen) != 1 || !chosen[0].isCurrent {
 		t.Fatalf("dominated candidate selected: %+v", chosen)
 	}
-	if sol.Nodes != 0 {
-		t.Errorf("pruning should avoid the solver entirely, spent %d nodes", sol.Nodes)
+	if nodes != 0 {
+		t.Errorf("pruning should avoid the search entirely, spent %d nodes", nodes)
 	}
 }
 
-// TestSelectFallbackLadder is the degradation-ladder table test: every
-// non-Optimal solver outcome — LimitReached with populated or nil Values,
-// and Infeasible — must drive selection onto the greedy fallback without
-// panicking, and the greedy path must still take the improving move.
+// starvedTable is a selection the search cannot finish within
+// selectMaxNodes: cells 0..n-1 each stay at cost 1, take a move that also
+// relocates cell n at cost 0, or move in place alone at cost 0.9. The
+// zero-cost moves all relocate cell n, so at most one of them is chosen,
+// and the per-cell minimum bound (all zeros) prunes almost nothing: at
+// n = 30 the optimum, 0.9·(n−1), sits behind millions of partial paths.
+func starvedTable(e *Engine, n int) [][]candidate {
+	x := int32(n)
+	cands := make([][]candidate, n)
+	for i := range cands {
+		id := int32(i)
+		pos := e.D.Cells[id].Pos
+		cands[i] = []candidate{
+			{cell: id, pos: pos, conflicts: map[int32]geom.Point{}, isCurrent: true, cost: 1},
+			{cell: id, pos: pos, conflicts: map[int32]geom.Point{x: e.D.Cells[x].Pos}, cost: 0},
+			{cell: id, pos: pos, conflicts: map[int32]geom.Point{}, cost: 0.9},
+		}
+	}
+	return cands
+}
+
+// TestSelectFallbackLadder is the degradation-ladder table test: the node
+// cap stops the search after it found an improving assignment, which it
+// keeps; Cfg.ILPTimeLimit stops it before the first component, so every
+// cell stays. Both report the limit, and neither returns a collision.
 func TestSelectFallbackLadder(t *testing.T) {
 	cases := []struct {
-		name string
-		sol  func(m *ilp.Model) ilp.Solution
+		name  string
+		limit time.Duration
+		stop  string
+		nodes int
 	}{
-		{"limit-with-incumbent", func(m *ilp.Model) ilp.Solution {
-			// The search hit its budget with Values populated (all zero);
-			// they must NOT be trusted for selection.
-			return ilp.Solution{
-				Status: ilp.LimitReached,
-				Values: make([]int8, m.NumVars()),
-			}
-		}},
-		{"limit-no-incumbent", func(m *ilp.Model) ilp.Solution {
-			// Budget hit before any feasible point: Values is nil, which is
-			// exactly the shape that used to crash unguarded indexing.
-			return ilp.Solution{Status: ilp.LimitReached}
-		}},
-		{"infeasible", func(m *ilp.Model) ilp.Solution {
-			return ilp.Solution{Status: ilp.Infeasible}
-		}},
+		{"node-cap", 0, "node cap", selectMaxNodes},
+		{"time-limit", time.Nanosecond, "deadline before component 1", 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			e := selFixture(t)
-			e.Cfg.Hooks.SolveSelection = func(m *ilp.Model, opt ilp.Options) ilp.Solution {
-				return tc.sol(m)
+			e.Cfg.ILPTimeLimit = tc.limit
+			chosen, nodes, stop := e.selectCandidates(context.Background(), starvedTable(e, 30))
+			if !strings.HasPrefix(stop, tc.stop) || nodes != tc.nodes {
+				t.Fatalf("stop %q after %d nodes, want %q after %d", stop, nodes, tc.stop, tc.nodes)
 			}
-			alt := findFreeSlotFor(t, e, 0)
-			cands := [][]candidate{{
-				{cell: 0, pos: e.D.Cells[0].Pos, conflicts: map[int32]geom.Point{}, isCurrent: true, cost: 10},
-				{cell: 0, pos: alt, conflicts: map[int32]geom.Point{}, cost: 4},
-			}}
-			chosen, sol, usedGreedy := e.selectCandidates(context.Background(), cands)
-			if !usedGreedy {
-				t.Fatalf("status %v did not fall back to greedy", sol.Status)
+			if err := collisionFree(e, chosen); err != nil {
+				t.Fatal(err)
 			}
-			if len(chosen) != 1 || chosen[0].isCurrent || chosen[0].pos != alt {
-				t.Fatalf("greedy fallback missed the improving move: %+v", chosen)
+			sum := 0.0
+			for _, c := range chosen {
+				sum += c.cost
+			}
+			if improved := sum < 30; improved != (nodes > 0) {
+				t.Fatalf("selection costs %v after %d nodes; every cell staying costs 30", sum, nodes)
 			}
 		})
 	}
 }
 
-// TestSelectFallbackRespectsExclusions: the greedy fallback must honour the
-// same exclusion semantics as the ILP — two improving candidates targeting
-// the same slot cannot both win.
+// TestSelectFallbackRespectsExclusions: a search the node cap cuts short
+// keeps a collision-free best-so-far in the component it was searching —
+// at most one chosen move relocates the shared cell — and leaves every
+// later component in place, even one with an improving move.
 func TestSelectFallbackRespectsExclusions(t *testing.T) {
 	e := selFixture(t)
-	e.Cfg.Hooks.SolveSelection = func(m *ilp.Model, opt ilp.Options) ilp.Solution {
-		return ilp.Solution{Status: ilp.LimitReached}
+	const late int32 = 40
+	cands := append(starvedTable(e, 30), []candidate{
+		{cell: late, pos: e.D.Cells[late].Pos, conflicts: map[int32]geom.Point{}, isCurrent: true, cost: 10},
+		{cell: late, pos: e.D.Cells[late].Pos, conflicts: map[int32]geom.Point{}, cost: 1},
+	})
+	chosen, _, stop := e.selectCandidates(context.Background(), cands)
+	if !strings.HasPrefix(stop, "node cap in component 1 of 2") {
+		t.Fatalf("stop %q, want the node cap in the first component", stop)
 	}
-	slot := findFreeSlotFor(t, e, 0)
-	var other int32 = -1
-	for _, c := range e.D.Cells[1:] {
-		if c.Macro == e.D.Cells[0].Macro {
-			other = c.ID
-			break
-		}
+	if err := collisionFree(e, chosen); err != nil {
+		t.Fatal(err)
 	}
-	if other < 0 {
-		t.Skip("no second cell with matching macro")
-	}
-	mk := func(cell int32, cost float64) []candidate {
-		return []candidate{
-			{cell: cell, pos: e.D.Cells[cell].Pos, conflicts: map[int32]geom.Point{}, isCurrent: true, cost: 10},
-			{cell: cell, pos: slot, conflicts: map[int32]geom.Point{}, cost: cost},
-		}
-	}
-	chosen, _, usedGreedy := e.selectCandidates(context.Background(), [][]candidate{mk(0, 1), mk(other, 2)})
-	if !usedGreedy {
-		t.Fatal("forced LimitReached did not reach the greedy path")
-	}
-	movedToSlot := 0
-	var winner *candidate
-	for _, c := range chosen {
-		if !c.isCurrent && c.pos == slot {
-			movedToSlot++
-			winner = c
-		}
-	}
-	if movedToSlot != 1 {
-		t.Fatalf("%d greedy picks took the same slot", movedToSlot)
-	}
-	if winner.cell != 0 {
-		t.Errorf("greedy picked cell %d (gain 8) over cell 0 (gain 9)", winner.cell)
+	if last := chosen[len(chosen)-1]; last.cell != late || !last.isCurrent {
+		t.Errorf("the component after the cut chose %+v, want cell %d to stay", last, late)
 	}
 }
 
 // TestSelectExpiredDeadlineSkipsSolve: a context already past its deadline
-// must not start an ILP solve at all — selection drops straight to greedy.
+// must not start the search at all — every cell stays put.
 func TestSelectExpiredDeadlineSkipsSolve(t *testing.T) {
 	e := selFixture(t)
-	solved := false
-	e.Cfg.Hooks.SolveSelection = func(m *ilp.Model, opt ilp.Options) ilp.Solution {
-		solved = true
-		return m.Solve(opt)
-	}
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	alt := findFreeSlotFor(t, e, 0)
@@ -247,15 +229,36 @@ func TestSelectExpiredDeadlineSkipsSolve(t *testing.T) {
 		{cell: 0, pos: e.D.Cells[0].Pos, conflicts: map[int32]geom.Point{}, isCurrent: true, cost: 10},
 		{cell: 0, pos: alt, conflicts: map[int32]geom.Point{}, cost: 4},
 	}}
-	chosen, sol, usedGreedy := e.selectCandidates(ctx, cands)
-	if solved {
-		t.Error("solver ran despite an expired deadline")
+	chosen, nodes, stop := e.selectCandidates(ctx, cands)
+	if nodes != 0 || !strings.HasPrefix(stop, "deadline before component 1") {
+		t.Fatalf("expired deadline: %d nodes, stop %q", nodes, stop)
 	}
-	if !usedGreedy || sol.Status != ilp.LimitReached {
-		t.Fatalf("expired deadline: usedGreedy=%v status=%v", usedGreedy, sol.Status)
+	if len(chosen) != 1 || !chosen[0].isCurrent {
+		t.Fatalf("expired deadline moved a cell: %+v", chosen)
 	}
-	if len(chosen) != 1 || chosen[0].pos != alt {
-		t.Fatalf("greedy under expired deadline missed the move: %+v", chosen)
+}
+
+// TestSelectTieRule pins Eq. 12's tie rule: among selections of equal
+// summed cost, the lexicographically smallest rank vector (cells ascending)
+// wins. Within a cell an equal-cost tie goes to the earlier-ranked, smaller
+// move; across two cells that want one slot at equal cost, the first cell
+// stays and the second moves.
+func TestSelectTieRule(t *testing.T) {
+	e := selFixture(t)
+	slot := findFreeSlotFor(t, e, 0)
+	stay := func(id int32) candidate {
+		return candidate{cell: id, pos: e.D.Cells[id].Pos, conflicts: map[int32]geom.Point{}, isCurrent: true, cost: 10}
+	}
+	move := func(id int32, p geom.Point) candidate {
+		return candidate{cell: id, pos: p, conflicts: map[int32]geom.Point{}, cost: 4}
+	}
+	one := [][]candidate{{stay(0), move(0, slot), move(0, e.D.Cells[0].Pos)}}
+	if chosen, _, _ := e.selectCandidates(context.Background(), one); chosen[0] != &one[0][1] {
+		t.Errorf("equal-cost moves: chose %+v, want the first-ranked %+v", chosen[0], one[0][1])
+	}
+	two := [][]candidate{{stay(0), move(0, slot)}, {stay(1), move(1, slot)}}
+	if chosen, _, _ := e.selectCandidates(context.Background(), two); chosen[0] != &two[0][0] || chosen[1] != &two[1][1] {
+		t.Errorf("two cells tied on one slot: chose %+v and %+v, want rank vector (0, 1)", chosen[0], chosen[1])
 	}
 }
 

@@ -9,12 +9,12 @@
 // engine's un-hooked fast path and must be bit-identical to a run without
 // the robustness layer at all. The chaos suite asserts both directions.
 //
-// Beyond in-process faults (worker panics, slowdowns, solver starvation)
-// the injector models whole-process crashes: CrashAt(stage, n) plans a
-// process exit at the Nth hook call of a stage, which the crash-chaos suite
-// uses to kill a run at every checkpoint boundary and assert that resume is
-// bit-identical. The exit goes through an injectable seam so unit tests can
-// observe it without dying.
+// Beyond in-process faults (worker panics, slowdowns) the injector models
+// whole-process crashes: CrashAt(stage, n) plans a process exit at the Nth
+// hook call of a stage, which the crash-chaos suite uses to kill a run at
+// every checkpoint boundary and assert that resume is bit-identical. The
+// exit goes through an injectable seam so unit tests can observe it without
+// dying.
 package faultinject
 
 import (
@@ -24,8 +24,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"github.com/crp-eda/crp/internal/ilp"
 )
 
 // Crash stages accepted by CrashAt / Plan.CrashStage.
@@ -55,10 +53,6 @@ type Plan struct {
 	// simulating a pathologically slow stage so deadline tests fire
 	// deterministically regardless of machine speed.
 	ECCSlowdown time.Duration
-	// StarveSelectionFromCall clamps the selection ILP to MaxNodes=1 from
-	// the Nth solve on (0 disables), forcing LimitReached and the greedy
-	// fallback.
-	StarveSelectionFromCall int
 	// CrashStage / CrashAtCall terminate the whole process (exit status
 	// CrashExitCode) at the Nth call of the named stage hook — the "kill -9
 	// at a deterministic point" fault class. Empty stage or zero count
@@ -100,7 +94,6 @@ type Injector struct {
 	plan        Plan
 	gcpCalls    atomic.Int64
 	eccCalls    atomic.Int64
-	selCalls    atomic.Int64
 	postUDCalls atomic.Int64
 	ckptCalls   atomic.Int64
 	renewCalls  atomic.Int64
@@ -188,21 +181,6 @@ func (in *Injector) ECCHook() func(iter, i int) {
 			in.record(StageECC, n, fmt.Sprintf("ecc-panic call=%d iter=%d item=%d", n, iter, i))
 			panic(fmt.Sprintf("faultinject: ECC worker panic (call %d)", n))
 		}
-	}
-}
-
-// ILPOptions returns the crp.Hooks.ILPOptions function, or nil when the
-// plan injects no selection-ILP faults.
-func (in *Injector) ILPOptions() func(opt ilp.Options) ilp.Options {
-	if in.plan.StarveSelectionFromCall <= 0 {
-		return nil
-	}
-	return func(opt ilp.Options) ilp.Options {
-		if n := in.selCalls.Add(1); n >= int64(in.plan.StarveSelectionFromCall) {
-			in.record("selection", n, fmt.Sprintf("selection-starved call=%d", n))
-			opt.MaxNodes = 1
-		}
-		return opt
 	}
 }
 

@@ -4,13 +4,11 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"github.com/crp-eda/crp/internal/ilp"
 )
 
 func TestZeroPlanProducesNilHooks(t *testing.T) {
 	in := New(Plan{})
-	if in.GCPHook() != nil || in.ECCHook() != nil || in.ILPOptions() != nil {
+	if in.GCPHook() != nil || in.ECCHook() != nil {
 		t.Fatal("empty plan must produce nil hooks (bit-identity discipline)")
 	}
 	if len(in.Fired()) != 0 {
@@ -38,23 +36,6 @@ func TestGCPPanicFiresExactlyOnce(t *testing.T) {
 	fired := in.Fired()
 	if len(fired) != 1 || !strings.HasPrefix(fired[0], "gcp-panic call=3") {
 		t.Fatalf("fired = %v", fired)
-	}
-}
-
-func TestSelectionStarvationFromCall(t *testing.T) {
-	in := New(Plan{StarveSelectionFromCall: 2})
-	h := in.ILPOptions()
-	base := ilp.Options{MaxNodes: 200_000}
-	if got := h(base); got.MaxNodes != 200_000 {
-		t.Fatalf("call 1 must pass through, got MaxNodes=%d", got.MaxNodes)
-	}
-	for i := 0; i < 3; i++ {
-		if got := h(base); got.MaxNodes != 1 {
-			t.Fatalf("starved call returned MaxNodes=%d", got.MaxNodes)
-		}
-	}
-	if len(in.Fired()) != 3 {
-		t.Fatalf("fired %d events, want 3", len(in.Fired()))
 	}
 }
 

@@ -14,9 +14,9 @@ import (
 )
 
 // The chaos suite drives the full Fig. 1 pipeline through every fault class
-// the robustness layer handles — worker panics, ILP starvation, per-stage
-// deadlines, corrupted update-database output, torn input files — and
-// asserts the same contract for each: the run completes, the fault is
+// the robustness layer handles — worker panics, a starved selection search,
+// per-stage deadlines, corrupted update-database output, torn input files —
+// and asserts the same contract for each: the run completes, the fault is
 // visible in Result.Degradations, and the design stays legal. The last
 // tests assert the converse: with zero faults injected, the robustness
 // layer is bit-invisible.
@@ -70,25 +70,25 @@ func TestChaosWorkerPanicECC(t *testing.T) {
 	}
 }
 
+// TestChaosILPStarvation starves the Eq. 12 selection search through its
+// time budget: at 1 ns, Budgets.ILP has expired by the time the search
+// reads its clock before the first component, so every selection with
+// cells to search records a fallback and leaves every cell in place.
 func TestChaosILPStarvation(t *testing.T) {
 	d := design(t, 32)
-	inj := faultinject.New(faultinject.Plan{StarveSelectionFromCall: 1})
 	cfg := quickConfig()
-	cfg.CRP.Hooks.ILPOptions = inj.ILPOptions()
+	cfg.Budgets.ILP = time.Nanosecond
 	r := RunCRP(context.Background(), d, 2, cfg)
-	if len(inj.Fired()) == 0 {
-		t.Fatal("starvation never fired — no selection ILP ran")
-	}
 	if !hasKind(r, "selection-fallback") {
-		t.Errorf("starved selection did not record a fallback: %v", r.Degradations)
+		t.Fatalf("starved selection did not record a fallback: %v", r.Degradations)
 	}
 	for i, it := range r.CRPStats.Iterations {
-		if it.Criticals > 0 && !it.GreedyFallback {
-			t.Errorf("iteration %d had criticals but no greedy fallback", i+1)
+		if it.MovedCells != 0 || it.SolverNodes != 0 {
+			t.Errorf("iteration %d moved %d cells in %d search nodes under a starved budget", i+1, it.MovedCells, it.SolverNodes)
 		}
 	}
 	if err := d.Validate(); err != nil {
-		t.Fatalf("greedy fallback broke legality: %v", err)
+		t.Fatalf("starved selection broke legality: %v", err)
 	}
 	if r.Metrics.Vias <= 0 {
 		t.Error("run did not complete to metrics")
@@ -247,7 +247,7 @@ func TestChaosZeroFaultsBitIdentical(t *testing.T) {
 	for i := range plain.CRPStats.Iterations {
 		a, b := plain.CRPStats.Iterations[i], budgeted.CRPStats.Iterations[i]
 		if a.MovedCells != b.MovedCells || a.Criticals != b.Criticals ||
-			a.EstAfter != b.EstAfter || a.SolverStatus != b.SolverStatus {
+			a.EstAfter != b.EstAfter || a.SolverNodes != b.SolverNodes {
 			t.Errorf("iteration %d diverged: %+v vs %+v", i+1, a, b)
 		}
 	}

@@ -43,7 +43,7 @@ type Budgets struct {
 	GR time.Duration
 	// CRPIteration caps each CR&P iteration (crp.Config.IterTimeout).
 	CRPIteration time.Duration
-	// ILP caps each solve of CR&P's selection ILP (Eq. 12).
+	// ILP caps each of CR&P's Eq. 12 selection searches.
 	ILP time.Duration
 	// DR caps detailed routing / evaluation.
 	DR time.Duration

@@ -1,6 +1,7 @@
 package ilp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -12,7 +13,7 @@ func TestDuplicateTermsAccumulate(t *testing.T) {
 	a := m.AddBinary("a", -1)
 	// 0.6a + 0.6a <= 1  →  1.2a <= 1  →  a must be 0.
 	m.AddConstraint("dup", []Term{{a, 0.6}, {a, 0.6}}, LE, 1)
-	sol := m.Solve(Options{})
+	sol := m.Solve(context.Background(), Options{})
 	if sol.Status != Optimal {
 		t.Fatalf("status %v", sol.Status)
 	}
@@ -28,7 +29,7 @@ func TestNegativeRHS(t *testing.T) {
 	b := m.AddBinary("b", 1)
 	// -a - b <= -1  ⇔  a + b >= 1.
 	m.AddConstraint("neg", []Term{{a, -1}, {b, -1}}, LE, -1)
-	sol := m.Solve(Options{})
+	sol := m.Solve(context.Background(), Options{})
 	if sol.Status != Optimal {
 		t.Fatalf("status %v", sol.Status)
 	}
@@ -43,7 +44,7 @@ func TestZeroCoefficients(t *testing.T) {
 	a := m.AddBinary("a", -1)
 	b := m.AddBinary("b", -1)
 	m.AddConstraint("z", []Term{{a, 0}, {b, 1}}, LE, 0)
-	sol := m.Solve(Options{})
+	sol := m.Solve(context.Background(), Options{})
 	if sol.Status != Optimal {
 		t.Fatalf("status %v", sol.Status)
 	}
@@ -63,7 +64,7 @@ func TestEqualityChain(t *testing.T) {
 	m.AddConstraint("eq1", []Term{{vars[0], 1}, {vars[1], 1}}, EQ, 1)
 	m.AddConstraint("eq2", []Term{{vars[2], 1}, {vars[3], 1}}, EQ, 1)
 	m.AddConstraint("eq3", []Term{{vars[4], 1}, {vars[5], 1}}, EQ, 2)
-	sol := m.Solve(Options{})
+	sol := m.Solve(context.Background(), Options{})
 	if sol.Status != Optimal {
 		t.Fatalf("status %v", sol.Status)
 	}
@@ -81,7 +82,7 @@ func TestRedundantEqualities(t *testing.T) {
 	b := m.AddBinary("b", 2)
 	m.AddConstraint("e1", []Term{{a, 1}, {b, 1}}, EQ, 1)
 	m.AddConstraint("e2", []Term{{a, 2}, {b, 2}}, EQ, 2) // 2x the first
-	sol := m.Solve(Options{})
+	sol := m.Solve(context.Background(), Options{})
 	if sol.Status != Optimal || sol.Objective != 1 {
 		t.Errorf("sol = %+v", sol)
 	}
@@ -93,7 +94,7 @@ func TestContradictoryEqualities(t *testing.T) {
 	a := m.AddBinary("a", 1)
 	m.AddConstraint("e1", []Term{{a, 1}}, EQ, 1)
 	m.AddConstraint("e2", []Term{{a, 1}}, EQ, 0)
-	if sol := m.Solve(Options{}); sol.Status != Infeasible {
+	if sol := m.Solve(context.Background(), Options{}); sol.Status != Infeasible {
 		t.Errorf("status %v, want infeasible", sol.Status)
 	}
 }
@@ -112,7 +113,7 @@ func TestFractionalDeepBranching(t *testing.T) {
 			terms = append(terms, Term{VarID(v), 0.3 + rng.Float64()})
 		}
 		m.AddConstraint("knap", terms, LE, float64(n)/4)
-		sol := m.Solve(Options{})
+		sol := m.Solve(context.Background(), Options{})
 		feas, bf, _ := bruteForce(m)
 		if !feas {
 			t.Fatalf("trial %d: knapsack cannot be infeasible", trial)
@@ -133,7 +134,7 @@ func TestMixedDirections(t *testing.T) {
 	m.AddConstraint("ge", []Term{{a, 1}, {b, 1}, {c, 1}}, GE, 2)
 	m.AddConstraint("le", []Term{{b, 1}, {c, 1}}, LE, 1)
 	// Must pick a plus the cheaper of b,c: 5 + 3.
-	sol := m.Solve(Options{})
+	sol := m.Solve(context.Background(), Options{})
 	if sol.Status != Optimal || sol.Objective != 8 {
 		t.Errorf("sol = %+v, want objective 8", sol)
 	}
@@ -153,8 +154,8 @@ func TestSolveIsRepeatable(t *testing.T) {
 		terms = append(terms, Term{VarID(v), float64(rng.Intn(5))})
 	}
 	m.AddConstraint("", terms, LE, 7)
-	s1 := m.Solve(Options{})
-	s2 := m.Solve(Options{})
+	s1 := m.Solve(context.Background(), Options{})
+	s2 := m.Solve(context.Background(), Options{})
 	if s1.Status != s2.Status || s1.Objective != s2.Objective {
 		t.Errorf("repeat solve diverged: %+v vs %+v", s1, s2)
 	}

@@ -1,6 +1,7 @@
 package ilp
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -32,7 +33,7 @@ func FuzzILPSolve(f *testing.F) {
 		}
 		feasible, bestObj, _ := bruteForce(m)
 		for _, opt := range []Options{{}, {DisableDecomposition: true}} {
-			sol := m.Solve(opt)
+			sol := m.Solve(context.Background(), opt)
 			if !feasible {
 				if sol.Status != Infeasible {
 					t.Fatalf("%+v: brute force infeasible, solver says %v", opt, sol.Status)

@@ -8,19 +8,19 @@
 // by splitting the model into independent components (union-find over the
 // variable/constraint incidence graph) and running best-first branch &
 // bound on each, with a fresh dense two-phase simplex tableau as the LP
-// relaxation of every node. It solves the paper's candidate-selection ILP
-// (Eq. 12) and the median-ILP baseline [18]'s cluster models; the
-// legalizer's Eq. 11 is solved by enumeration (internal/legal), with this
-// solver as its test oracle. Eq. 12 models are small 0/1 programs, so the
-// solver returns certified optima; node and time budgets bound a search,
+// relaxation of every node. It solves the median-ILP baseline [18]'s
+// cluster models. The paper's Eq. 11 and Eq. 12 are solved by exact search
+// (internal/legal's relocation, internal/crp's selection), with this
+// solver, fed the same models, as their test oracle. The solver returns
+// certified optima; a node budget and the caller's context bound a search,
 // which then reports LimitReached and no assignment. The solver's own
 // oracle is brute-force enumeration, in the tests.
 package ilp
 
 import (
+	"context"
 	"fmt"
 	"math"
-	"time"
 )
 
 // VarID identifies a model variable.
@@ -106,9 +106,9 @@ const (
 	Optimal Status = iota
 	// Infeasible means no integer assignment satisfies the constraints.
 	Infeasible
-	// LimitReached means a node or time budget expired before the search
-	// finished. The solution carries no assignment: Value reports false
-	// for every variable.
+	// LimitReached means the node budget ran out, or the caller's context
+	// was done, before the search finished. The solution carries no
+	// assignment: Value reports false for every variable.
 	LimitReached
 )
 
@@ -129,9 +129,6 @@ type Options struct {
 	// MaxNodes caps the total branch & bound nodes across all components;
 	// 0 means unlimited. Negative values are rejected by Validate.
 	MaxNodes int
-	// TimeLimit caps wall-clock time; 0 means unlimited. Negative values
-	// are rejected by Validate.
-	TimeLimit time.Duration
 	// DisableDecomposition solves the model as a single component. Used
 	// to mirror monolithic formulations (the baseline [18] model).
 	DisableDecomposition bool
@@ -143,9 +140,6 @@ type Options struct {
 func (o Options) Validate() error {
 	if o.MaxNodes < 0 {
 		return fmt.Errorf("ilp: MaxNodes must be >= 0 (0 means unlimited), got %d", o.MaxNodes)
-	}
-	if o.TimeLimit < 0 {
-		return fmt.Errorf("ilp: TimeLimit must be >= 0 (0 means unlimited), got %v", o.TimeLimit)
 	}
 	return nil
 }
@@ -167,10 +161,11 @@ func (s *Solution) Value(v VarID) bool {
 }
 
 // Solve runs the solver: the components in order, each by best-first
-// branch & bound, all spending from one node and time budget. The model is
-// not modified and may be solved again. Invalid Options (see
+// branch & bound, all spending from one node budget. ctx is checked at
+// every node; once it is done the search stops with LimitReached. The model
+// is not modified and may be solved again. Invalid Options (see
 // Options.Validate) cause a panic.
-func (m *Model) Solve(opt Options) Solution {
+func (m *Model) Solve(ctx context.Context, opt Options) Solution {
 	if err := opt.Validate(); err != nil {
 		panic(err.Error())
 	}
@@ -180,7 +175,7 @@ func (m *Model) Solve(opt Options) Solution {
 	} else {
 		comps = m.components()
 	}
-	bud := newBudget(opt)
+	bud := budget{ctx: ctx, maxNodes: opt.MaxNodes}
 	sol := Solution{Values: make([]int8, len(m.costs)), Components: len(comps)}
 	for _, comp := range comps {
 		cs := solveComponent(m, comp, &bud)
@@ -284,30 +279,19 @@ func (m *Model) monolith() component {
 
 // budget is shared search budget state across components.
 type budget struct {
+	ctx      context.Context
 	maxNodes int
-	deadline time.Time
 	nodes    int
 }
 
-// newBudget returns opt's node and time budget, its clock starting now.
-func newBudget(opt Options) budget {
-	b := budget{maxNodes: opt.MaxNodes}
-	if opt.TimeLimit > 0 {
-		b.deadline = time.Now().Add(opt.TimeLimit)
-	}
-	return b
-}
-
+// spend counts one node and reports whether the search may go on. Checking
+// the context every node is cheap relative to an LP solve.
 func (b *budget) spend() bool {
 	b.nodes++
 	if b.maxNodes > 0 && b.nodes > b.maxNodes {
 		return false
 	}
-	// Checking the clock every node is cheap relative to an LP solve.
-	if !b.deadline.IsZero() && b.nodes%64 == 0 && time.Now().After(b.deadline) {
-		return false
-	}
-	return true
+	return b.ctx.Err() == nil
 }
 
 type compSolution struct {

@@ -1,10 +1,10 @@
 package ilp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 )
 
 // bruteForce enumerates all 2^n assignments and returns (feasible, best
@@ -49,7 +49,7 @@ func bruteForce(m *Model) (bool, float64, []int8) {
 
 func TestEmptyModel(t *testing.T) {
 	m := NewModel()
-	sol := m.Solve(Options{})
+	sol := m.Solve(context.Background(), Options{})
 	if sol.Status != Optimal || sol.Objective != 0 {
 		t.Errorf("empty model: %+v", sol)
 	}
@@ -59,7 +59,7 @@ func TestVariableFreeInfeasibleConstraint(t *testing.T) {
 	m := NewModel()
 	m.AddBinary("x", 1)
 	m.AddConstraint("impossible", nil, GE, 1) // 0 >= 1
-	if sol := m.Solve(Options{}); sol.Status != Infeasible {
+	if sol := m.Solve(context.Background(), Options{}); sol.Status != Infeasible {
 		t.Errorf("want infeasible, got %v", sol.Status)
 	}
 }
@@ -68,7 +68,7 @@ func TestUnconstrainedCosts(t *testing.T) {
 	m := NewModel()
 	a := m.AddBinary("a", -3) // negative cost: should be 1
 	b := m.AddBinary("b", 2)  // positive cost: should be 0
-	sol := m.Solve(Options{})
+	sol := m.Solve(context.Background(), Options{})
 	if sol.Status != Optimal {
 		t.Fatalf("status = %v", sol.Status)
 	}
@@ -98,7 +98,7 @@ func TestPickOnePerGroup(t *testing.T) {
 		m.AddConstraint("pick", terms, EQ, 1)
 		vars = append(vars, row)
 	}
-	sol := m.Solve(Options{})
+	sol := m.Solve(context.Background(), Options{})
 	if sol.Status != Optimal {
 		t.Fatalf("status = %v", sol.Status)
 	}
@@ -123,7 +123,7 @@ func TestKnapsackNeedsBranching(t *testing.T) {
 	b := m.AddBinary("b", -6)
 	c := m.AddBinary("c", -4)
 	m.AddConstraint("w", []Term{{a, 5}, {b, 4}, {c, 3}}, LE, 8)
-	sol := m.Solve(Options{})
+	sol := m.Solve(context.Background(), Options{})
 	if sol.Status != Optimal {
 		t.Fatalf("status = %v", sol.Status)
 	}
@@ -140,7 +140,7 @@ func TestInfeasible(t *testing.T) {
 	a := m.AddBinary("a", 1)
 	b := m.AddBinary("b", 1)
 	m.AddConstraint("ge", []Term{{a, 1}, {b, 1}}, GE, 3) // max lhs is 2
-	if sol := m.Solve(Options{}); sol.Status != Infeasible {
+	if sol := m.Solve(context.Background(), Options{}); sol.Status != Infeasible {
 		t.Errorf("want infeasible, got %v", sol.Status)
 	}
 }
@@ -151,7 +151,7 @@ func TestEqualityConstraint(t *testing.T) {
 	b := m.AddBinary("b", 3)
 	c := m.AddBinary("c", 4)
 	m.AddConstraint("eq", []Term{{a, 1}, {b, 1}, {c, 1}}, EQ, 2)
-	sol := m.Solve(Options{})
+	sol := m.Solve(context.Background(), Options{})
 	if sol.Status != Optimal || sol.Objective != 7 { // b + c
 		t.Errorf("sol = %+v", sol)
 	}
@@ -165,7 +165,7 @@ func TestConflictPair(t *testing.T) {
 	b := m.AddBinary("b", -4)
 	cv := m.AddBinary("c", -1)
 	m.AddConstraint("conflict", []Term{{a, 1}, {b, 1}}, LE, 1)
-	sol := m.Solve(Options{})
+	sol := m.Solve(context.Background(), Options{})
 	if sol.Status != Optimal || sol.Objective != -6 {
 		t.Fatalf("sol = %+v", sol)
 	}
@@ -184,20 +184,37 @@ func TestNodeLimit(t *testing.T) {
 		terms = append(terms, Term{v, 1 + rng.Float64()})
 	}
 	m.AddConstraint("w", terms, LE, 4)
-	sol := m.Solve(Options{MaxNodes: 1})
+	sol := m.Solve(context.Background(), Options{MaxNodes: 1})
 	if sol.Status != LimitReached {
 		t.Errorf("status = %v, want limit-reached", sol.Status)
 	}
-	full := m.Solve(Options{})
+	full := m.Solve(context.Background(), Options{})
 	if full.Status != Optimal {
 		t.Errorf("unlimited solve: %v", full.Status)
 	}
 }
 
-func TestTimeLimit(t *testing.T) {
+// cancelAfter is a context whose Err reports Canceled from its nth call
+// on, so a test can stop a search at an exact node.
+type cancelAfter struct {
+	context.Context
+	calls, n int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.calls++; c.calls >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSolveStopsWhenContextDone: Solve checks its context at every node, so
+// a context that turns Canceled at its nth check stops the search with
+// LimitReached and no assignment after at most n nodes — where the same
+// model, unbounded, needs more.
+func TestSolveStopsWhenContextDone(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	m := NewModel()
-	// A coupled model large enough to take more than a nanosecond.
 	var all []VarID
 	for i := 0; i < 40; i++ {
 		all = append(all, m.AddBinary("", -rng.Float64()))
@@ -209,9 +226,18 @@ func TestTimeLimit(t *testing.T) {
 		}
 		m.AddConstraint("", terms, LE, 3)
 	}
-	sol := m.Solve(Options{TimeLimit: time.Nanosecond})
-	if sol.Status == Optimal && sol.Nodes > 64 {
-		t.Errorf("nanosecond budget solved %d nodes", sol.Nodes)
+	full := m.Solve(context.Background(), Options{})
+	if full.Status != Optimal {
+		t.Fatalf("unbounded solve: %v", full.Status)
+	}
+	for _, n := range []int{1, 2, 5} {
+		if full.Nodes <= n {
+			t.Fatalf("vacuous: the model solves in %d nodes", full.Nodes)
+		}
+		sol := m.Solve(&cancelAfter{Context: context.Background(), n: n}, Options{})
+		if sol.Status != LimitReached || sol.Nodes > n || sol.Value(all[0]) {
+			t.Errorf("cancel at check %d: status %v after %d nodes", n, sol.Status, sol.Nodes)
+		}
 	}
 }
 
@@ -222,8 +248,8 @@ func TestDisableDecomposition(t *testing.T) {
 		b := m.AddBinary("", 2)
 		m.AddConstraint("", []Term{{a, 1}, {b, 1}}, EQ, 1)
 	}
-	sep := m.Solve(Options{})
-	mono := m.Solve(Options{DisableDecomposition: true})
+	sep := m.Solve(context.Background(), Options{})
+	mono := m.Solve(context.Background(), Options{DisableDecomposition: true})
 	if sep.Components != 3 || mono.Components != 1 {
 		t.Errorf("components: sep=%d mono=%d", sep.Components, mono.Components)
 	}
@@ -257,7 +283,7 @@ func TestLegalizerShapeVsBruteForce(t *testing.T) {
 			}
 			m.AddConstraint("cap", terms, LE, 1)
 		}
-		sol := m.Solve(Options{})
+		sol := m.Solve(context.Background(), Options{})
 		feas, bfObj, _ := bruteForce(m)
 		if !feas {
 			if sol.Status != Infeasible {
@@ -295,7 +321,7 @@ func TestRandomModelsVsBruteForce(t *testing.T) {
 			rhs := float64(rng.Intn(11) - 5)
 			m.AddConstraint("", terms, ops[rng.Intn(3)], rhs)
 		}
-		sol := m.Solve(Options{})
+		sol := m.Solve(context.Background(), Options{})
 		feas, bfObj, bf := bruteForce(m)
 		if !feas {
 			if sol.Status != Infeasible {

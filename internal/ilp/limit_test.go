@@ -1,6 +1,9 @@
 package ilp
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // oddCycleModel builds a single-component packing model whose LP relaxation
 // is fractional everywhere (odd cycle of pairwise exclusions), forcing real
@@ -37,12 +40,12 @@ func noAssignment(t *testing.T, m *Model, sol Solution) {
 // search the result is Optimal and matches the unlimited solve.
 func TestLimitReachedIncumbent(t *testing.T) {
 	m := oddCycleModel(15)
-	ref := m.Solve(Options{})
+	ref := m.Solve(context.Background(), Options{})
 	if ref.Status != Optimal {
 		t.Fatalf("unlimited solve: %v", ref.Status)
 	}
 	for budget := 1; budget <= ref.Nodes+4; budget++ {
-		sol := m.Solve(Options{MaxNodes: budget})
+		sol := m.Solve(context.Background(), Options{MaxNodes: budget})
 		if budget < ref.Nodes {
 			if sol.Status != LimitReached {
 				t.Fatalf("budget %d of %d nodes: status %v", budget, ref.Nodes, sol.Status)
@@ -61,7 +64,7 @@ func TestLimitReachedIncumbent(t *testing.T) {
 // assignment through Value.
 func TestLimitReachedTinyBudget(t *testing.T) {
 	m := oddCycleModel(5)
-	sol := m.Solve(Options{MaxNodes: 1})
+	sol := m.Solve(context.Background(), Options{MaxNodes: 1})
 	if sol.Status != LimitReached {
 		t.Fatalf("status = %v, want LimitReached", sol.Status)
 	}
@@ -88,7 +91,7 @@ func TestLimitReachedDecomposedNoFalseIncumbent(t *testing.T) {
 	c := m.AddBinary("", -1)
 	m.AddConstraint("c3", []Term{{Var: c, Coef: 1}}, LE, 1)
 
-	sol := m.Solve(Options{MaxNodes: 3})
+	sol := m.Solve(context.Background(), Options{MaxNodes: 3})
 	if sol.Status != LimitReached {
 		t.Fatalf("status = %v, want LimitReached", sol.Status)
 	}

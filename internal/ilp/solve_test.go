@@ -1,10 +1,10 @@
 package ilp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 )
 
 // randomModel builds a small random 0/1 model. Terms may repeat variables
@@ -66,7 +66,7 @@ func TestSolveVsBruteForce(t *testing.T) {
 		m := randomModel(rng)
 		feasible, bestObj, _ := bruteForce(m)
 		for _, opt := range []Options{{}, {DisableDecomposition: true}} {
-			sol := m.Solve(opt)
+			sol := m.Solve(context.Background(), opt)
 			if !feasible {
 				if sol.Status != Infeasible {
 					t.Fatalf("seed %d %+v: want Infeasible, got %v", seed, opt, sol.Status)
@@ -88,14 +88,11 @@ func TestOptionsValidate(t *testing.T) {
 	if err := (Options{}).Validate(); err != nil {
 		t.Fatalf("zero options must be valid: %v", err)
 	}
-	if err := (Options{MaxNodes: 10, TimeLimit: time.Second}).Validate(); err != nil {
-		t.Fatalf("positive budgets must be valid: %v", err)
+	if err := (Options{MaxNodes: 10}).Validate(); err != nil {
+		t.Fatalf("a positive budget must be valid: %v", err)
 	}
 	if err := (Options{MaxNodes: -1}).Validate(); err == nil {
 		t.Fatal("negative MaxNodes must be rejected")
-	}
-	if err := (Options{TimeLimit: -time.Second}).Validate(); err == nil {
-		t.Fatal("negative TimeLimit must be rejected")
 	}
 }
 
@@ -107,7 +104,7 @@ func TestSolveRejectsInvalidOptions(t *testing.T) {
 	}()
 	m := NewModel()
 	m.AddBinary("x", 1)
-	m.Solve(Options{MaxNodes: -5})
+	m.Solve(context.Background(), Options{MaxNodes: -5})
 }
 
 // TestPresolveReductions solves handcrafted models of the shapes classic
@@ -121,7 +118,7 @@ func TestPresolveReductions(t *testing.T) {
 	b := m.AddBinary("b", -1)
 	m.AddConstraint("fix", []Term{{Var: a, Coef: 1}}, EQ, 1)
 	m.AddConstraint("chain", []Term{{Var: a, Coef: 1}, {Var: b, Coef: 1}}, LE, 1)
-	sol := m.Solve(Options{})
+	sol := m.Solve(context.Background(), Options{})
 	if sol.Status != Optimal || sol.Values[a] != 1 || sol.Values[b] != 0 {
 		t.Fatalf("singleton chain: %+v", sol)
 	}
@@ -130,7 +127,7 @@ func TestPresolveReductions(t *testing.T) {
 	m = NewModel()
 	vs := []VarID{m.AddBinary("", 1), m.AddBinary("", 1), m.AddBinary("", 1)}
 	m.AddConstraint("all", []Term{{vs[0], 1}, {vs[1], 1}, {vs[2], 1}}, GE, 3)
-	sol = m.Solve(Options{})
+	sol = m.Solve(context.Background(), Options{})
 	if sol.Status != Optimal || sol.Objective != 3 {
 		t.Fatalf("forcing: %+v", sol)
 	}
@@ -141,7 +138,7 @@ func TestPresolveReductions(t *testing.T) {
 	y := m.AddBinary("", -1)
 	m.AddConstraint("d1", []Term{{x, 1}, {y, 1}}, EQ, 1)
 	m.AddConstraint("d2", []Term{{x, 1}, {y, 1}}, EQ, 2)
-	if sol = m.Solve(Options{}); sol.Status != Infeasible {
+	if sol = m.Solve(context.Background(), Options{}); sol.Status != Infeasible {
 		t.Fatalf("dup-eq contradiction: %v", sol.Status)
 	}
 
@@ -151,7 +148,7 @@ func TestPresolveReductions(t *testing.T) {
 	y = m.AddBinary("", -1)
 	m.AddConstraint("loose", []Term{{x, 1}, {y, 1}}, LE, 2)
 	m.AddConstraint("tight", []Term{{x, 1}, {y, 1}}, LE, 1)
-	sol = m.Solve(Options{})
+	sol = m.Solve(context.Background(), Options{})
 	if sol.Status != Optimal || sol.Objective != -1 {
 		t.Fatalf("dup fold: %+v", sol)
 	}
@@ -162,7 +159,7 @@ func TestPresolveReductions(t *testing.T) {
 	free := m.AddBinary("", -2)
 	zero := m.AddBinary("", 0)
 	m.AddConstraint("cap", []Term{{free, 1}}, LE, 1)
-	sol = m.Solve(Options{})
+	sol = m.Solve(context.Background(), Options{})
 	if sol.Status != Optimal || sol.Values[free] != 1 || sol.Values[zero] != 0 {
 		t.Fatalf("dual fix: %+v", sol)
 	}
@@ -172,7 +169,7 @@ func TestPresolveReductions(t *testing.T) {
 // model (an odd cycle's LP relaxation is fractional at the root).
 func TestFastPathBudgetsStillTrip(t *testing.T) {
 	m := oddCycleModel(5)
-	sol := m.Solve(Options{MaxNodes: 1})
+	sol := m.Solve(context.Background(), Options{MaxNodes: 1})
 	if sol.Status != LimitReached {
 		t.Fatalf("MaxNodes=1 on fractional root: %+v", sol)
 	}

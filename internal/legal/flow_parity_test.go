@@ -23,8 +23,8 @@ type flowOutcome struct {
 
 // runFlow runs a small full CR&P flow (k=3, 4 workers) on synthetic
 // testcase idx at scale 0.02. With seed set, the engine's legalizer runs
-// the seed implementation; both sides solve the selection ILP with the
-// same solver.
+// the seed implementation; both sides run the same Eq. 12 selection
+// search.
 func runFlow(t *testing.T, idx int, seed bool) flowOutcome {
 	t.Helper()
 	d, err := ispd.Generate(ispd.Suite(0.02)[idx])
@@ -60,7 +60,7 @@ func runFlow(t *testing.T, idx int, seed bool) flowOutcome {
 // the seed legalizer (with its own brute-force relocation) must make
 // identical moves and end with identical placements, statistics and
 // routing cost on crp_test1 and crp_test2. The two sides differ only in
-// the legalizer: both solve the selection ILP with ilp.Model.Solve.
+// the legalizer: both run the same Eq. 12 selection search.
 func TestFlowFastVsDenseParity(t *testing.T) {
 	for _, idx := range []int{0, 1} {
 		fast := runFlow(t, idx, false)

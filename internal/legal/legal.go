@@ -3,7 +3,7 @@
 // rows around the cell and produces a set of *legal* placement candidates:
 // target positions for the critical cell, each paired with the relocations
 // of the conflict cells that must shift to make room. Every candidate is
-// guaranteed overlap-free, on-site, and on-row, so CR&P's selection ILP can
+// guaranteed overlap-free, on-site, and on-row, so CR&P's Eq. 12 selection can
 // commit any of them directly and hand the result to a detailed router —
 // the property the paper's framework depends on.
 //

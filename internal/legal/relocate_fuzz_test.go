@@ -1,6 +1,7 @@
 package legal
 
 import (
+	"context"
 	"math"
 	"slices"
 	"testing"
@@ -84,7 +85,7 @@ func FuzzRelocate(f *testing.F) {
 		}
 
 		pick, cost, ok := relocation(filt, offs, widths)
-		sol := eq11Model(filt, offs, widths, site.Width).Solve(ilp.Options{})
+		sol := eq11Model(filt, offs, widths, site.Width).Solve(context.Background(), ilp.Options{})
 		if ok != (sol.Status == ilp.Optimal) {
 			t.Fatalf("enumeration feasible %v, ILP %v; slots %v offs %v widths %v", ok, sol.Status, filt, offs, widths)
 		}

@@ -157,6 +157,7 @@ func TestECOSubmitRejections(t *testing.T) {
 		code string
 	}{
 		{"unknown parent", Spec{ParentJob: "no-such-job", ECODelta: delta, K: 1}, "bad_spec"},
+		{"parent outside the store", Spec{ParentJob: "../other/j000001", ECODelta: delta, K: 1}, "invalid_spec"},
 		{"eco parent", Spec{ParentJob: child.ID, ECODelta: delta, K: 1}, "bad_spec"},
 		{"malformed delta", Spec{ParentJob: parent.ID, ECODelta: json.RawMessage(`{"moves":[`), K: 1}, "invalid_spec"},
 		{"unknown delta field", Spec{ParentJob: parent.ID, ECODelta: json.RawMessage(`{"bogus":1}`), K: 1}, "invalid_spec"},

@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"path/filepath"
 	"testing"
 )
 
@@ -9,8 +10,9 @@ import (
 // through the same decode+validate sequence the HTTP handler runs must
 // yield a structured rejection or a valid spec — never a panic — and a
 // spec that passes validation must map onto a flow configuration without
-// blowing up. (Design parsing/generation is exercised separately; it is
-// far too heavy for a fuzz inner loop.)
+// blowing up, and name its ECO parent (if any) by one path element, a job
+// directory inside the store. (Design parsing/generation is exercised
+// separately; it is far too heavy for a fuzz inner loop.)
 func FuzzSpecDecode(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"lef":"l","def":"d","k":3,"gamma":0.5}`))
@@ -19,6 +21,7 @@ func FuzzSpecDecode(f *testing.F) {
 	f.Add([]byte(`{"k":-1,"gamma":2}`))
 	f.Add([]byte(`{"admission_degradations":["x"]}`))
 	f.Add([]byte(`{torn`))
+	f.Add([]byte(`{"parent_job":"../other/j000001","eco_delta":{"moves":[]}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var sp Spec
 		if json.Unmarshal(data, &sp) != nil {
@@ -26,6 +29,9 @@ func FuzzSpecDecode(f *testing.F) {
 		}
 		if err := sp.Validate(); err != nil {
 			return
+		}
+		if p := sp.ParentJob; p != "" && filepath.Base(p) != p {
+			t.Fatalf("valid spec's parent_job %q is not one path element", p)
 		}
 		cfg := sp.FlowConfig()
 		if cfg.CRP.Iterations <= 0 {

@@ -82,7 +82,7 @@ type Spec struct {
 	// Per-job budgets in milliseconds, mapped onto flow.Budgets
 	// (0: unlimited). Admission pressure never shrinks these: a job
 	// admitted with a budget keeps it for every attempt. ILPBudgetMS caps
-	// each selection-ILP solve only (flow.Budgets.ILP).
+	// each Eq. 12 selection search only (flow.Budgets.ILP).
 	FlowBudgetMS      int64 `json:"flow_budget_ms,omitempty"`
 	IterationBudgetMS int64 `json:"iteration_budget_ms,omitempty"`
 	ILPBudgetMS       int64 `json:"ilp_budget_ms,omitempty"`
@@ -158,6 +158,11 @@ func (sp *Spec) Validate() error {
 		return errors.New("submission carries no design (lef/def, synthetic, or parent_job+eco_delta)")
 	}
 	if sp.isECO() {
+		// The parent id is joined onto the data directory: it must name
+		// one job directory inside it, never a path out of it.
+		if id := sp.ParentJob; id == "." || id == ".." || strings.ContainsAny(id, `/\`) {
+			return fmt.Errorf("parent_job %q is not a job id: %w", id, errInvalidValue)
+		}
 		// Strict parse up front: a malformed delta is rejected at admission
 		// with the structured invalid_spec code, before any queue slot,
 		// worker or parent lookup is spent on it.
