@@ -293,3 +293,53 @@ func TestReopenContinuesSequence(t *testing.T) {
 		t.Fatalf("reopened manager resolved iter %d, want 9", got.Iter)
 	}
 }
+
+func TestReadOnlyManagerCreatesNothing(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	m := OpenReadOnly(dir)
+	if _, _, err := m.Latest(); !errors.Is(err, ErrNoCheckpoint) {
+		t.Fatalf("missing directory: err = %v, want ErrNoCheckpoint", err)
+	}
+	if err := m.Save(sample()); err == nil {
+		t.Fatal("a read-only manager saved")
+	}
+	if _, err := os.Stat(dir); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("read-only manager left %s behind (stat err %v)", dir, err)
+	}
+}
+
+func TestCopyLatestCarriesOnlyTheNewest(t *testing.T) {
+	root := t.TempDir()
+	src, dst := filepath.Join(root, "src"), filepath.Join(root, "dst")
+	if err := CopyLatest(src, dst); !errors.Is(err, ErrNoCheckpoint) {
+		t.Fatalf("empty source: err = %v, want ErrNoCheckpoint", err)
+	}
+	m, err := Open(src, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sample()
+	for iter := 0; iter < 3; iter++ {
+		s.Iter = iter
+		if err := m.Save(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := CopyLatest(src, dst); err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(dst, "ckpt-*.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 1 {
+		t.Fatalf("copy holds %d checkpoint files, want 1: %v", len(files), files)
+	}
+	got, notes, err := OpenReadOnly(dst).Latest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Iter != 2 || len(notes) != 0 {
+		t.Fatalf("copy resolved iter %d with notes %v, want iter 2 and none", got.Iter, notes)
+	}
+}

@@ -45,7 +45,21 @@ type Manager struct {
 	keep  int
 	seq   int
 	guard func() error
+	// readOnly marks a manager from OpenReadOnly: it writes nothing, and
+	// its first Latest result is kept in loaded.
+	readOnly bool
+	loaded   *latestResult
 }
+
+// latestResult is one Latest call's answer.
+type latestResult struct {
+	snap  *Snapshot
+	notes []string
+	err   error
+}
+
+// errReadOnly is Save's answer on a manager from OpenReadOnly.
+var errReadOnly = errors.New("checkpoint: read-only manager cannot save")
 
 // Open prepares dir (creating it if needed) and positions the sequence
 // counter after the newest recorded checkpoint. keep <= 0 retains the
@@ -79,6 +93,15 @@ func Open(dir string, keep int) (*Manager, error) {
 	return m, nil
 }
 
+// OpenReadOnly returns a manager that only reads dir: it creates nothing,
+// not even dir, and its Save fails. A missing dir holds no checkpoint. It
+// is the read path for a directory another writer owns: a running
+// attempt's, or a finished job's that later jobs read from. It loads at
+// most once: every Latest returns the first call's answer, so a caller
+// that inspects the newest snapshot and then hands the manager on decodes
+// it once. Callers must not modify the shared snapshot.
+func OpenReadOnly(dir string) *Manager { return &Manager{dir: dir, readOnly: true} }
+
 // Dir returns the managed directory.
 func (m *Manager) Dir() string { return m.dir }
 
@@ -98,6 +121,9 @@ func (m *Manager) SetGuard(g func() error) { m.guard = g }
 // mention; recovery then resumes from the previous checkpoint, which is
 // safe because replaying an iteration is deterministic.
 func (m *Manager) Save(s *Snapshot) error {
+	if m.readOnly {
+		return errReadOnly
+	}
 	m.seq++
 	name := fmt.Sprintf("ckpt-%d.bin", m.seq)
 	var size int64
@@ -132,17 +158,18 @@ func (m *Manager) Save(s *Snapshot) error {
 // degradations. ErrNoCheckpoint means the directory is empty or nothing
 // survived verification.
 func (m *Manager) Latest() (*Snapshot, []string, error) {
-	var notes []string
-	entries, err := m.readManifest()
-	if err != nil {
-		notes = append(notes, fmt.Sprintf("manifest unreadable (%v); scanning directory", err))
-		entries = m.scan()
-	} else if len(entries) == 0 {
-		if scanned := m.scan(); len(scanned) > 0 {
-			notes = append(notes, "manifest empty but checkpoint files present; scanning directory")
-			entries = scanned
+	if m.readOnly {
+		if m.loaded == nil {
+			snap, notes, err := m.latest()
+			m.loaded = &latestResult{snap, notes, err}
 		}
+		return m.loaded.snap, m.loaded.notes, m.loaded.err
 	}
+	return m.latest()
+}
+
+func (m *Manager) latest() (*Snapshot, []string, error) {
+	entries, notes := m.candidates()
 	for i := len(entries) - 1; i >= 0; i-- {
 		e := entries[i]
 		s, err := m.load(e)
@@ -152,6 +179,50 @@ func (m *Manager) Latest() (*Snapshot, []string, error) {
 		notes = append(notes, fmt.Sprintf("checkpoint %s (iter %d) unusable: %v", e.File, e.Iter, err))
 	}
 	return nil, notes, ErrNoCheckpoint
+}
+
+// candidates lists the checkpoints Latest tries, oldest first: the
+// manifest's entries, or a directory scan when the manifest is unreadable
+// or empty, which the returned note records.
+func (m *Manager) candidates() ([]entry, []string) {
+	entries, err := m.readManifest()
+	if err != nil {
+		return m.scan(), []string{fmt.Sprintf("manifest unreadable (%v); scanning directory", err)}
+	}
+	if len(entries) == 0 {
+		if scanned := m.scan(); len(scanned) > 0 {
+			return scanned, []string{"manifest empty but checkpoint files present; scanning directory"}
+		}
+	}
+	return entries, nil
+}
+
+// CopyLatest makes dst, which it creates, a checkpoint directory holding one
+// checkpoint: the newest one src records, copied byte for byte, and a
+// manifest naming only it. Nothing is decoded, so a torn newest checkpoint
+// is copied as it is, and the reader that loads it refuses it.
+// ErrNoCheckpoint means src records none.
+func CopyLatest(src, dst string) error {
+	entries, _ := OpenReadOnly(src).candidates()
+	if len(entries) == 0 {
+		return ErrNoCheckpoint
+	}
+	e := entries[len(entries)-1]
+	data, err := os.ReadFile(filepath.Join(src, e.File))
+	if err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
+	}
+	if err := os.MkdirAll(dst, 0o777); err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
+	}
+	// The file before the manifest: a manifest never names a missing file.
+	if err := os.WriteFile(filepath.Join(dst, e.File), data, 0o666); err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
+	}
+	if err := os.WriteFile(filepath.Join(dst, manifestName), []byte(manifestLine(e)+"\n"), 0o666); err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
+	}
+	return nil
 }
 
 func (m *Manager) load(e entry) (*Snapshot, error) {

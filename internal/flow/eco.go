@@ -63,8 +63,10 @@ func appendRun(dst, src *crp.Result) {
 
 // RunECO is the incremental entry point: re-run CR&P after a small design
 // edit without paying for a full run. prev is the parent run's materialized
-// view state (nil: the parent's placement is already in d and global routing
-// runs fresh — the path used when only the parent's committed DEF survives).
+// view state. With prev nil the parent's placement is already in d and
+// global routing runs fresh on it: cmd/crp -eco-delta without -eco-from,
+// which has the parent's DEF but no checkpoint of it. A crpd ECO job
+// starts from its parent's checkpoint, through ECOFromCheckpoint.
 //
 // The delta is validated in full before anything mutates — a malformed edit
 // is a structured rejection, never a half-applied design. A non-structural

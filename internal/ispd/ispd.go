@@ -130,14 +130,12 @@ func Generate(spec Spec) (*db.Design, error) {
 	if spec.Utilisation <= 0 || spec.Utilisation >= 1 {
 		return nil, fmt.Errorf("ispd: spec %q utilisation %v out of (0,1)", spec.Name, spec.Utilisation)
 	}
-	t, err := tech.ByName(spec.Node)
+	t, macros, err := Library(spec)
 	if err != nil {
-		return nil, fmt.Errorf("ispd: spec %q: %w", spec.Name, err)
+		return nil, err
 	}
 	rng := rand.New(rand.NewSource(spec.Seed))
 	sw, rh := t.Site.Width, t.Site.Height
-
-	macros := buildMacros(t)
 
 	// Size the die for the target utilisation with a roughly square shape.
 	avgSites := 0.0
@@ -179,6 +177,17 @@ func Generate(spec Spec) (*db.Design, error) {
 		place.Refine(d, place.Config{Passes: passes, Seed: spec.Seed})
 	}
 	return d, nil
+}
+
+// Library returns the technology and cell library of the circuit spec
+// describes: a function of spec.Node alone, and the library Generate builds
+// the circuit from. Reading a written DEF of the circuit back needs only it.
+func Library(spec Spec) (*tech.Tech, []*db.Macro, error) {
+	t, err := tech.ByName(spec.Node)
+	if err != nil {
+		return nil, nil, fmt.Errorf("ispd: spec %q: %w", spec.Name, err)
+	}
+	return t, buildMacros(t), nil
 }
 
 // buildMacros creates the small standard-cell library: one macro per width

@@ -1,6 +1,7 @@
 package ispd
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/crp-eda/crp/internal/geom"
@@ -220,3 +221,25 @@ func BenchmarkGenerate(b *testing.B) {
 }
 
 var _ = geom.Pt // keep geom imported for future fixture edits
+
+// TestLibraryIsGeneratesLibrary pins what a reader of a written circuit
+// relies on: Library returns the technology and macros Generate builds the
+// circuit from, so a DEF of the circuit parses against it.
+func TestLibraryIsGeneratesLibrary(t *testing.T) {
+	for _, spec := range []Spec{Suite(0.004)[0], Suite(0.004)[6]} {
+		d, err := Generate(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc, macros, err := Library(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(tc, d.Tech) || !reflect.DeepEqual(macros, d.Macros) {
+			t.Errorf("%s: Library differs from the generated design's library", spec.Name)
+		}
+	}
+	if _, _, err := Library(Spec{Name: "bad", Node: "n7"}); err == nil {
+		t.Error("Library accepted an unknown node")
+	}
+}

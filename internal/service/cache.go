@@ -4,12 +4,14 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"time"
 
+	"github.com/crp-eda/crp/internal/checkpoint"
 	"github.com/crp-eda/crp/internal/eco"
 )
 
@@ -25,10 +27,11 @@ import (
 // load-shed ladder: a hit consumes no queue slot, no worker, no lease.
 //
 // Layout: <data-dir>/cache/<hash>/{out.def,out.guide,result.json}, where
-// hash is the hex SHA-256 of the canonical spec JSON. Population is
-// staged in a temp directory and published by a single directory rename,
-// so concurrent nodes racing to populate the same hash are safe (first
-// rename wins, losers discard) and a reader never sees a partial entry.
+// hash is the hex SHA-256 of the canonical spec JSON, plus ckpt/ in a CR&P
+// job's entry. Population is staged in a temp directory and published by a
+// single directory rename, so concurrent nodes racing to populate the same
+// hash are safe (first rename wins, losers discard) and a reader never sees
+// a partial entry.
 
 const cacheDirName = "cache"
 
@@ -36,6 +39,14 @@ const cacheDirName = "cache"
 // order they are copied. result.json is written last during the run and
 // checked first on lookup, so its presence implies the rest.
 var cacheArtifacts = []string{"out.def", "out.guide", "result.json"}
+
+// ckptDirName is a job directory's checkpoint directory. A done CR&P job
+// keeps it, since its newest checkpoint is the base of every ECO job that
+// names it as parent; so a CR&P job's cache entry carries that checkpoint
+// (checkpoint.CopyLatest) under the same name, and a job served from the
+// entry holds it like a job that ran. An ECO job is never a parent, and
+// its entry carries none.
+const ckptDirName = "ckpt"
 
 // specHash computes the canonical cache key of a spec. Tenant is cleared —
 // identity of the submitter does not change the answer — while every
@@ -61,12 +72,19 @@ func jobHash(sp Spec, dataDir string) (string, error) {
 	return specHash(sp)
 }
 
+// ecoKeyBase names an ECO job's starting state, the parent's final
+// checkpoint, in every ECO cache key: an entry keyed without it, or with
+// another base, is never served.
+const ecoKeyBase = "parent-final-checkpoint"
+
 // ecoJobHash is the ECO cache key: the spec with Tenant cleared,
 // ParentJob replaced by the parent's canonical hash (admission only accepts
-// fresh parents), and ECODelta replaced by the delta's canonical JSON. Two
-// ECO submissions naming different parent job ids that ran byte-identical
-// computations therefore share one entry, and any change to the parent's
-// spec or the edit changes the key.
+// fresh parents), and ECODelta replaced by the delta's canonical JSON,
+// hashed together with ecoKeyBase. Two ECO submissions naming different
+// parent job ids that ran byte-identical computations therefore share one
+// entry, and any change to the parent's spec or the edit changes the key.
+// The parent's final checkpoint is a function of its spec like its
+// outputs, so the key stays exact.
 func ecoJobHash(sp Spec, dataDir string) (string, error) {
 	parentSpec, err := loadSpec(filepath.Join(dataDir, sp.ParentJob))
 	if err != nil {
@@ -88,7 +106,10 @@ func ecoJobHash(sp Spec, dataDir string) (string, error) {
 	key.Tenant = ""
 	key.ParentJob = parentHash
 	key.ECODelta = canon
-	data, err := json.Marshal(key)
+	data, err := json.Marshal(struct {
+		Base string `json:"base"`
+		Spec Spec   `json:"spec"`
+	}{ecoKeyBase, key})
 	if err != nil {
 		return "", fmt.Errorf("service: hashing eco spec: %w", err)
 	}
@@ -96,8 +117,10 @@ func ecoJobHash(sp Spec, dataDir string) (string, error) {
 }
 
 // cacheEntryDir returns the published entry directory for hash, or "" when
-// the cache holds no complete entry.
-func cacheEntryDir(cacheRoot, hash string) string {
+// the cache holds no complete entry. withCkpt asks for a CR&P job's entry,
+// which is complete only with its checkpoint: an entry without one is
+// never served.
+func cacheEntryDir(cacheRoot, hash string, withCkpt bool) string {
 	if cacheRoot == "" || hash == "" {
 		return ""
 	}
@@ -105,27 +128,49 @@ func cacheEntryDir(cacheRoot, hash string) string {
 	if _, err := os.Stat(filepath.Join(dir, "result.json")); err != nil {
 		return ""
 	}
+	if withCkpt && !hasCheckpoint(dir) {
+		return ""
+	}
 	return dir
 }
 
-// populateCache publishes a completed job's artifacts under hash. Best
-// effort: the job has already committed its own outputs, so a cache miss
-// tomorrow only costs recomputation. The guard (the writer's lease fence)
-// runs immediately before the publishing rename — a zombie ex-owner stages
-// a full entry and then fails here, leaving nothing visible.
-func populateCache(cacheRoot, hash, jobDir string, guard func() error) error {
+// hasCheckpoint reports whether an entry carries a checkpoint directory.
+func hasCheckpoint(entryDir string) bool {
+	_, err := os.Stat(filepath.Join(entryDir, ckptDirName))
+	return err == nil
+}
+
+// populateCache publishes a completed job's artifacts under hash, with its
+// newest checkpoint when withCkpt (a CR&P job; one that has none is not
+// cached). Best effort: the job has already committed its own outputs, so
+// a cache miss tomorrow only costs recomputation. The guard (the writer's
+// lease fence) runs immediately before the publishing rename — a zombie
+// ex-owner stages a full entry and then fails here, leaving nothing
+// visible.
+func populateCache(cacheRoot, hash, jobDir string, withCkpt bool, guard func() error) error {
 	if cacheRoot == "" || hash == "" {
 		return nil
 	}
 	final := filepath.Join(cacheRoot, hash)
 	if _, err := os.Stat(final); err == nil {
-		return nil // already populated (by us or a peer)
+		if !withCkpt || hasCheckpoint(final) {
+			return nil // already populated (by us or a peer)
+		}
+		// An entry without the checkpoint is never served; replace it.
+		if err := os.RemoveAll(final); err != nil {
+			return err
+		}
 	}
 	stage, err := os.MkdirTemp(cacheRoot, ".stage-"+hash[:12]+"-")
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(stage)
+	if withCkpt {
+		if err := checkpoint.CopyLatest(filepath.Join(jobDir, ckptDirName), filepath.Join(stage, ckptDirName)); err != nil {
+			return err
+		}
+	}
 	for _, name := range cacheArtifacts {
 		if err := copyFile(filepath.Join(jobDir, name), filepath.Join(stage, name)); err != nil {
 			return err
@@ -146,9 +191,14 @@ func populateCache(cacheRoot, hash, jobDir string, guard func() error) error {
 }
 
 // copyCachedArtifacts materializes a cache entry's artifacts into a job
-// directory, result.json last so a watcher that sees the result sees the
-// outputs too.
-func copyCachedArtifacts(entryDir, jobDir string) error {
+// directory, with its checkpoint when withCkpt, result.json last so a
+// watcher that sees the result sees the outputs too.
+func copyCachedArtifacts(entryDir, jobDir string, withCkpt bool) error {
+	if withCkpt {
+		if err := checkpoint.CopyLatest(filepath.Join(entryDir, ckptDirName), filepath.Join(jobDir, ckptDirName)); err != nil {
+			return err
+		}
+	}
 	for _, name := range cacheArtifacts {
 		if err := copyFile(filepath.Join(entryDir, name), filepath.Join(jobDir, name)); err != nil {
 			return err
@@ -204,13 +254,14 @@ func evictCache(cacheRoot string, maxEntries int, maxBytes int64) int {
 		if fi, err := os.Stat(filepath.Join(dir, "result.json")); err == nil {
 			e.mtime = fi.ModTime()
 		}
-		if files, err := os.ReadDir(dir); err == nil {
-			for _, f := range files {
+		filepath.WalkDir(dir, func(_ string, f fs.DirEntry, err error) error {
+			if err == nil && !f.IsDir() {
 				if fi, err := f.Info(); err == nil {
 					e.bytes += fi.Size()
 				}
 			}
-		}
+			return nil // an unreadable file counts as empty
+		})
 		total += e.bytes
 		entries = append(entries, e)
 	}

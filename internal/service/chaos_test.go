@@ -255,6 +255,9 @@ func TestGoroutineBaselineAfterDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Drain returns once the workers have exited, but an exited goroutine
+	// leaves runtime.NumGoroutine only when the runtime retires it, which
+	// nothing signals: the count is polled, with a bound.
 	for i := 0; i < 100; i++ {
 		if runtime.NumGoroutine() <= before+2 {
 			return

@@ -32,7 +32,8 @@ const failoverTTL = 250 * time.Millisecond
 
 // adoptAndFinish polls svc — forcing a reconciliation scan each round,
 // what the scheduler does every RescanEvery — until it has adopted job id
-// and driven it to a terminal state.
+// and driven it to a terminal state. It polls because adoption waits on a
+// lease's expiry, a deadline on the wall clock that nothing signals.
 func adoptAndFinish(t *testing.T, svc *Service, id string) Status {
 	t.Helper()
 	deadline := time.Now().Add(120 * time.Second)
@@ -627,8 +628,9 @@ func TestFailoverStartupAdoptsUnreadableLease(t *testing.T) {
 }
 
 // TestFailoverECOParentFinishedOnPeer: node B scans a parent job while node
-// A still runs it; once A finishes it, an ECO against it is admitted by B,
-// which judges a peer's job by its on-disk record, and runs to done.
+// A still runs it, and reads it as running; once A finishes it, an ECO
+// against it is admitted by B, which judges a peer's job by its on-disk
+// record, and runs to done.
 func TestFailoverECOParentFinishedOnPeer(t *testing.T) {
 	dataDir := t.TempDir()
 	hold := newHolder("j000001")
@@ -642,8 +644,10 @@ func TestFailoverECOParentFinishedOnPeer(t *testing.T) {
 	}
 	hold.waitEntered(t)
 	svcB.Scan()
-	if st, err := svcB.Status(parent.ID); err != nil || st.State.terminal() {
-		t.Fatalf("node B sees the held parent as %+v (err %v), want it unfinished", st, err)
+	// Node A persisted its claim before the attempt began: B reads the
+	// held parent as running, with the attempt counted.
+	if st, err := svcB.Status(parent.ID); err != nil || st.State != StateRunning || st.Attempts < 1 {
+		t.Fatalf("node B sees the held parent as %+v (err %v), want it running with an attempt", st, err)
 	}
 	hold.Release()
 	waitStatus(t, svcA, parent.ID, isState(StateDone))

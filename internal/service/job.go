@@ -14,6 +14,7 @@ import (
 	"github.com/crp-eda/crp/internal/flow"
 	"github.com/crp-eda/crp/internal/ispd"
 	"github.com/crp-eda/crp/internal/lefdef"
+	"github.com/crp-eda/crp/internal/tech"
 )
 
 // State is the lifecycle state of a job. Transitions:
@@ -97,10 +98,12 @@ type Spec struct {
 	// the daemon writes this field.
 	AdmissionDegradations []string `json:"admission_degradations,omitempty"`
 
-	// ParentJob + ECODelta submit an incremental ECO job: the base design
-	// is the committed out.def of the (done) parent job, and ECODelta is
-	// the delta JSON internal/eco parses. ECO jobs carry no design of their
-	// own — both fields must be present together, and are mutually
+	// ParentJob + ECODelta submit an incremental ECO job: the base is the
+	// (done) parent job's committed final state — the netlist and
+	// placement of its out.def, the routes, demand and history of its
+	// newest checkpoint, which must be the run's last — and ECODelta is
+	// the delta JSON internal/eco parses. ECO jobs carry no design of
+	// their own — both fields must be present together, and are mutually
 	// exclusive with LEF/DEF and Synthetic. The cache key folds the
 	// parent's own canonical hash plus the canonical delta, so two ECO
 	// submissions against byte-identical parents with the same edit hit
@@ -259,15 +262,34 @@ func (sp *Spec) Design() (*db.Design, error) {
 	if sp.Synthetic != nil {
 		return ispd.Generate(*sp.Synthetic)
 	}
-	t, macros, err := lefdef.ParseLEF(strings.NewReader(sp.LEF))
+	t, macros, err := sp.Library()
 	if err != nil {
-		return nil, fmt.Errorf("parsing lef: %w", err)
+		return nil, err
 	}
 	d, err := lefdef.ParseDEF(strings.NewReader(sp.DEF), t, macros)
 	if err != nil {
 		return nil, fmt.Errorf("parsing def: %w", err)
 	}
 	return d, nil
+}
+
+// Library produces the job's technology and cell library, the one its
+// design is built from: parsed from the inline LEF, or the synthetic
+// generator's (ispd.Library). A DEF the job wrote parses against it, which
+// is how an ECO child reads its parent's out.def without rebuilding the
+// parent's design.
+func (sp *Spec) Library() (*tech.Tech, []*db.Macro, error) {
+	if sp.isECO() {
+		return nil, nil, errors.New("eco spec has no library of its own; read its parent's")
+	}
+	if sp.Synthetic != nil {
+		return ispd.Library(*sp.Synthetic)
+	}
+	t, macros, err := lefdef.ParseLEF(strings.NewReader(sp.LEF))
+	if err != nil {
+		return nil, nil, fmt.Errorf("parsing lef: %w", err)
+	}
+	return t, macros, nil
 }
 
 // tenant returns the admission tenant, defaulted.

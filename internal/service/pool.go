@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -90,6 +91,15 @@ func (p *pool) runJob(j *Job) {
 		j.attempts++
 		attempt := j.attempts
 		j.mu.Unlock()
+		if err := p.store.persistClaim(j); errors.Is(err, ErrFenced) {
+			// The lease moved before the attempt began: the job is
+			// another node's now, and this attempt must not run.
+			p.store.markLeaseLost(j)
+			return ExitFenced, err
+		} else if err != nil {
+			p.publish(j, Event{Kind: "degradation", Attempt: attempt,
+				Stage: "service", Fault: "state-persist-failed", Detail: err.Error()})
+		}
 		p.publish(j, Event{Kind: "attempt", Attempt: attempt})
 		code := p.runAttempt(actx, j, attempt)
 		if code == ExitFenced {

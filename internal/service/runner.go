@@ -10,12 +10,14 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"syscall"
 	"time"
 
 	"github.com/crp-eda/crp/internal/atomicio"
 	"github.com/crp-eda/crp/internal/checkpoint"
+	"github.com/crp-eda/crp/internal/db"
 	"github.com/crp-eda/crp/internal/eco"
 	"github.com/crp-eda/crp/internal/flow"
 	"github.com/crp-eda/crp/internal/lefdef"
@@ -149,7 +151,7 @@ func runFlowAttempt(ctx context.Context, env attemptEnv) int {
 	res, err := run(fctx, cfg, ck, &def, &guide)
 	if ctx.Err() != nil {
 		// Preempted: the last committed snapshot (none for an ECO attempt,
-		// which reruns from the parent's committed output) is the hand-off
+		// which reruns from the parent's committed state) is the hand-off
 		// point; the partial outputs of this attempt are discarded.
 		env.publish(Event{Kind: "preempted", Attempt: env.attempt})
 		return ExitPreempted
@@ -193,7 +195,7 @@ func runFlowAttempt(ctx context.Context, env attemptEnv) int {
 	if hash, err := jobHash(*spec, filepath.Dir(env.dir)); err == nil {
 		// Best effort: a failed population only costs a future cache
 		// miss. The fence still guards the publishing rename.
-		populateCache(env.cacheDir, hash, env.dir, env.fence)
+		populateCache(env.cacheDir, hash, env.dir, !spec.isECO(), env.fence)
 	}
 	return 0
 }
@@ -209,7 +211,7 @@ func prepareCRP(env attemptEnv, spec *Spec) (attemptRun, error) {
 	if err != nil {
 		return nil, fmt.Errorf("building design: %w", err)
 	}
-	mgr, err := checkpoint.Open(filepath.Join(env.dir, "ckpt"), 0)
+	mgr, err := checkpoint.Open(filepath.Join(env.dir, ckptDirName), 0)
 	if err != nil {
 		return nil, fmt.Errorf("opening checkpoints: %w", err)
 	}
@@ -229,30 +231,37 @@ func prepareCRP(env attemptEnv, spec *Spec) (attemptRun, error) {
 	}, nil
 }
 
-// prepareECO rebuilds an incremental ECO job's base: the parent job's
-// design re-placed from the parent's committed out.def, plus the spec's
-// delta. ECO attempts keep no checkpoints — the incremental run is
-// deterministic and short, so a preempted or crashed attempt simply reruns
-// from the parent's output and commits byte-identical artifacts.
+// prepareECO builds an incremental ECO job's base from the parent job's
+// committed final state, read from the parent's directory instead of
+// recomputed: the netlist and placement from its out.def, parsed against
+// its library (Spec.Library), and its routes, demand and history from its
+// newest checkpoint, which flow.ECOFromCheckpoint restores, as cmd/crp
+// -eco-from does. checkECOBase refuses a checkpoint that is not the state
+// out.def was written from. ECO attempts keep no checkpoints: the
+// incremental run is deterministic and short, so a preempted or crashed
+// attempt reruns from the parent's committed state and commits
+// byte-identical artifacts.
 func prepareECO(env attemptEnv, spec *Spec) (attemptRun, error) {
 	parentDir := filepath.Join(filepath.Dir(env.dir), spec.ParentJob)
 	parentSpec, err := loadSpec(parentDir)
 	if err != nil {
 		return nil, fmt.Errorf("loading parent spec: %w", err)
 	}
-	pd, err := parentSpec.Design()
+	t, macros, err := parentSpec.Library()
 	if err != nil {
-		return nil, fmt.Errorf("building parent design: %w", err)
+		return nil, fmt.Errorf("building parent library: %w", err)
 	}
 	defData, err := os.ReadFile(filepath.Join(parentDir, "out.def"))
 	if err != nil {
 		return nil, fmt.Errorf("reading parent output: %w", err)
 	}
-	// The committed DEF is the parent's placed design; reparsing it against
-	// the parent's tech/macros yields the ECO base with final positions.
-	base, err := lefdef.ParseDEF(bytes.NewReader(defData), pd.Tech, pd.Macros)
+	base, err := lefdef.ParseDEF(bytes.NewReader(defData), t, macros)
 	if err != nil {
 		return nil, fmt.Errorf("parsing parent output: %w", err)
+	}
+	mgr := checkpoint.OpenReadOnly(filepath.Join(parentDir, ckptDirName))
+	if err := checkECOBase(base, mgr); err != nil {
+		return nil, fmt.Errorf("parent job %s: %w", spec.ParentJob, err)
 	}
 	delta, err := eco.Parse(spec.ECODelta)
 	if err != nil {
@@ -260,14 +269,43 @@ func prepareECO(env attemptEnv, spec *Spec) (attemptRun, error) {
 	}
 	return func(ctx context.Context, cfg flow.Config, _ *flow.Checkpointing, def, guide io.Writer) (*flow.Result, error) {
 		env.publish(Event{Kind: "eco-start", Attempt: env.attempt, Detail: spec.ParentJob})
-		return flow.RunECO(ctx, base, nil, delta, cfg, flow.ECOOptions{}, def, guide)
+		return flow.ECOFromCheckpoint(ctx, base, mgr, delta, cfg, flow.ECOOptions{}, def, guide)
 	}, nil
+}
+
+// errStaleECOBase marks an ECO parent whose newest checkpoint is not the
+// final state its out.def was written from. The attempt fails with it, and
+// journals it as an "eco-base-stale" fault; it never runs from that base.
+var errStaleECOBase = errors.New("stale eco base")
+
+// checkECOBase checks that mgr's newest checkpoint is the parent run's
+// last (its Iter equals its K) and that its placement is base's, the
+// parent's out.def. A failed last save, a deadline that cut an iteration
+// short, or a newest checkpoint lost to corruption leaves an older
+// checkpoint newest, whose routes and demand belong to another placement.
+func checkECOBase(base *db.Design, mgr *checkpoint.Manager) error {
+	snap, _, err := mgr.Latest()
+	if err != nil {
+		return fmt.Errorf("%w: %v", errStaleECOBase, err)
+	}
+	if snap.Iter != snap.K {
+		return fmt.Errorf("%w: newest checkpoint is iteration %d of %d", errStaleECOBase, snap.Iter, snap.K)
+	}
+	pos, orient := base.ExportPositions()
+	if !slices.Equal(pos, snap.Pos) || !slices.Equal(orient, snap.Orient) {
+		return fmt.Errorf("%w: newest checkpoint's placement is not out.def's", errStaleECOBase)
+	}
+	return nil
 }
 
 // failAttempt journals an attempt failure and returns the retryable code.
 func failAttempt(env attemptEnv, err error) int {
+	fault := "attempt-failed"
+	if errors.Is(err, errStaleECOBase) {
+		fault = "eco-base-stale"
+	}
 	env.publish(Event{Kind: "degradation", Attempt: env.attempt,
-		Stage: "service", Fault: "attempt-failed", Detail: err.Error()})
+		Stage: "service", Fault: fault, Detail: err.Error()})
 	return exitFailure
 }
 

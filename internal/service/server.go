@@ -196,15 +196,17 @@ func (s *Service) output(name, contentType string) http.HandlerFunc {
 }
 
 // bestSoFar renders outputs from the job's newest committed checkpoint.
-// It opens the manager read-only next to (not inside) the running
-// attempt's manager: checkpoint commits are atomic renames, so the latest
-// snapshot is always a consistent boundary state.
+// It reads the checkpoint directory read-only next to (not inside) the
+// running attempt's manager, creating nothing in a job directory it may
+// not own: checkpoint commits are atomic renames, so the latest snapshot is
+// always a consistent boundary state. The design is built only once a
+// snapshot is found.
 func (s *Service) bestSoFar(j *Job) (defB, guideB []byte, iter int, err error) {
-	d, err := j.Spec.Design()
-	if err != nil {
+	mgr := checkpoint.OpenReadOnly(filepath.Join(j.Dir, ckptDirName))
+	if _, _, err := mgr.Latest(); err != nil {
 		return nil, nil, 0, err
 	}
-	mgr, err := checkpoint.Open(filepath.Join(j.Dir, "ckpt"), 0)
+	d, err := j.Spec.Design()
 	if err != nil {
 		return nil, nil, 0, err
 	}

@@ -77,12 +77,20 @@ func newService(t *testing.T, cfg Config) *Service {
 	return svc
 }
 
-// waitStatus polls a job until pred holds. A job that reaches a terminal
-// state where pred does not hold fails the test at once: it can change no
-// further.
+// waitStatus waits until a job's status satisfies pred, re-checking on
+// every wake of the job's event hub, which each in-process publish and
+// state transition pings. A job that reaches a terminal state where pred
+// does not hold fails the test at once: it can change no further.
 func waitStatus(t *testing.T, svc *Service, id string, pred func(Status) bool) Status {
 	t.Helper()
-	deadline := time.Now().Add(120 * time.Second)
+	j, err := svc.store.get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ping := j.hub.subscribe()
+	defer j.hub.unsubscribe(ping)
+	deadline := time.NewTimer(120 * time.Second)
+	defer deadline.Stop()
 	for {
 		st, err := svc.Status(id)
 		if err != nil {
@@ -94,10 +102,23 @@ func waitStatus(t *testing.T, svc *Service, id string, pred func(Status) bool) S
 		if st.State.terminal() {
 			t.Fatalf("job %s ended %s (%s) without reaching the awaited status", id, st.State, st.Error)
 		}
-		if time.Now().After(deadline) {
+		// A child worker process journals its progress, and a peer node
+		// records its transitions, without pinging this process's hub
+		// (handleEvents ticks for the same reason): such a job is
+		// re-checked on a short tick as well.
+		var tick <-chan time.Time
+		j.mu.Lock()
+		outside := j.remote || st.WorkerPID > 0
+		j.mu.Unlock()
+		if outside {
+			tick = time.After(5 * time.Millisecond)
+		}
+		select {
+		case <-ping:
+		case <-tick:
+		case <-deadline.C:
 			t.Fatalf("timed out waiting on job %s; last status %+v", id, st)
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -196,22 +217,43 @@ func TestDaemonEndToEnd(t *testing.T) {
 		t.Fatalf("submit returned %+v", st)
 	}
 
-	deadline := time.Now().Add(120 * time.Second)
-	for !st.State.terminal() {
-		if time.Now().After(deadline) {
-			t.Fatalf("job stuck in %s", st.State)
-		}
-		time.Sleep(10 * time.Millisecond)
-		r, err := http.Get(srv.URL + "/v1/jobs/" + st.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st = Status{}
-		if err := json.NewDecoder(r.Body).Decode(&st); err != nil {
-			t.Fatal(err)
-		}
-		r.Body.Close()
+	// Follow the live event stream to the job's terminal event; the state
+	// flips before that event is published, so one status read after it
+	// sees the terminal state.
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/v1/jobs/"+st.ID+"/events", nil)
+	if err != nil {
+		t.Fatal(err)
 	}
+	live, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	terminal := ""
+	for sc := bufio.NewScanner(live.Body); terminal == "" && sc.Scan(); {
+		var e Event
+		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
+			t.Fatalf("bad event line %q: %v", sc.Bytes(), err)
+		}
+		switch e.Kind {
+		case "done", "failed", "cancelled", "retries_exhausted":
+			terminal = e.Kind
+		}
+	}
+	live.Body.Close()
+	if terminal == "" {
+		t.Fatalf("event stream of %s ended without a terminal event", st.ID)
+	}
+	r, err := http.Get(srv.URL + "/v1/jobs/" + st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st = Status{}
+	if err := json.NewDecoder(r.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	r.Body.Close()
 	if st.State != StateDone {
 		t.Fatalf("job ended %s (%s), want done", st.State, st.Error)
 	}
@@ -223,7 +265,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 
 	// The event stream of a finished job is its complete journal.
-	r, err := http.Get(srv.URL + "/v1/jobs/" + st.ID + "/events")
+	r, err = http.Get(srv.URL + "/v1/jobs/" + st.ID + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -549,6 +591,51 @@ func TestPreemptResumeBitIdentical(t *testing.T) {
 	gotDef, gotGuide := jobOutputs(t, svc, st.ID)
 	if !bytes.Equal(gotDef, wantDef) || !bytes.Equal(gotGuide, wantGuide) {
 		t.Error("preempted+resumed outputs differ from uninterrupted run")
+	}
+}
+
+// TestBestSoFarOnQueuedJobCreatesNothing: the best-so-far output of a job
+// with no checkpoint yet, here a queued one, is a 409 that leaves the job's
+// directory as it was: the read path creates no checkpoint directory in a
+// job directory it does not own.
+func TestBestSoFarOnQueuedJobCreatesNothing(t *testing.T) {
+	h := newHolder("j000001")
+	svc := newService(t, Config{Workers: 1, QueueCap: 4, Instrument: h.instrument})
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	if _, err := svc.Submit(synthSpec(43, 2)); err != nil {
+		t.Fatal(err)
+	}
+	defer h.Release()
+	h.waitEntered(t)
+	queued, err := svc.Submit(synthSpec(44, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := svcJobDir(t, svc, queued.ID)
+	listing := func() []string {
+		t.Helper()
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := make([]string, len(ents))
+		for i, e := range ents {
+			names[i] = e.Name()
+		}
+		return names
+	}
+	before := listing()
+	r, err := http.Get(srv.URL + "/v1/jobs/" + queued.ID + "/def?best=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Body.Close()
+	if r.StatusCode != http.StatusConflict {
+		t.Fatalf("best-so-far of a queued job: HTTP %d, want 409", r.StatusCode)
+	}
+	if after := listing(); strings.Join(after, ",") != strings.Join(before, ",") {
+		t.Fatalf("job directory went from %v to %v", before, after)
 	}
 }
 

@@ -305,7 +305,7 @@ func (st *store) tryServeCached(spec Spec) (j *Job, served bool, err error) {
 	if err != nil {
 		return nil, false, nil
 	}
-	entry := cacheEntryDir(st.cacheRoot, hash)
+	entry := cacheEntryDir(st.cacheRoot, hash, !spec.isECO())
 	if entry == "" {
 		st.cacheMisses.Add(1)
 		return nil, false, nil
@@ -327,7 +327,7 @@ func (st *store) tryServeCached(spec Spec) (j *Job, served bool, err error) {
 	j.mu.Unlock()
 	perr := st.writeSpec(j)
 	if perr == nil {
-		perr = copyCachedArtifacts(entry, j.Dir)
+		perr = copyCachedArtifacts(entry, j.Dir, !spec.isECO())
 	}
 	if perr == nil {
 		perr = st.persistState(j)
@@ -369,12 +369,21 @@ func (st *store) persistSubmit(j *Job) error {
 }
 
 // persistState atomically rewrites the job's control-plane record.
-func (st *store) persistState(j *Job) error {
+func (st *store) persistState(j *Job) error { return st.writeRecord(j, nil) }
+
+// persistClaim writes a claimed job's record, running with its attempts
+// counted, before each attempt starts, so that a peer reads the job as
+// running, not queued. The claim's fence guards the write, and the caller
+// holds no store lock: a node that lost the lease writes nothing, and the
+// ErrFenced it gets back says so.
+func (st *store) persistClaim(j *Job) error { return st.writeRecord(j, st.fenceFor(j)) }
+
+func (st *store) writeRecord(j *Job, guard func() error) error {
 	rec, err := json.Marshal(j.record())
 	if err != nil {
 		return err
 	}
-	return atomicio.WriteFileBytes(filepath.Join(j.Dir, "state.json"), rec)
+	return atomicio.WriteFileBytesGuarded(filepath.Join(j.Dir, "state.json"), guard, rec)
 }
 
 // activeLocked counts a tenant's non-terminal jobs.
